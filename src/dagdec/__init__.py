@@ -80,6 +80,7 @@ from .wfsa import (
     enumerate_strings,
     has_accepting_path,
     intersect,
+    lexicon_dfa,
     linear_acceptor,
     load_wfsa,
     rm_epsilon,

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import hashlib
 import os
+import tempfile
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import wfsa
 from .tokens import TokenTable, dump_token_table
-from .wfsa import SIGMA, Wfsa, closure, determinize_min, linear_acceptor, union
+from .wfsa import SIGMA, Wfsa, lexicon_dfa
 from .words import is_numeric_token, strip_punct
 
 # Punctuation accepted by the default special-token automaton.
@@ -187,6 +188,10 @@ def _numeric_token_ids(table: TokenTable) -> list[int]:
     return ids
 
 
+# Versions the on-disk cache files: the key hashes this tag, so files
+# written by a build with another format are never loaded.
+STATIC_CACHE_FORMAT = "lexicon-dfa 1"
+
 _static_cache: dict[str, Wfsa] = {}
 
 
@@ -196,7 +201,7 @@ def _static_cache_key(
     include_numeric: bool,
     table: TokenTable,
 ) -> str:
-    h = hashlib.sha256()
+    h = hashlib.sha256(STATIC_CACHE_FORMAT.encode("utf-8") + b"\x00")
     for word in dictionary:
         h.update(word.encode("utf-8") + b"\x00")
     h.update(b"\x01")
@@ -213,25 +218,94 @@ def build_static_vocab_fsa(
     table: TokenTable,
     include_numeric: bool = True,
 ) -> Wfsa:
-    """Deterministic minimal acceptor for dictionary words and specials.
+    """Minimal acyclic DFA for the dictionary words, specials and digits.
 
-    This is the one-time-optimized static component; dynamic entities are
-    unioned in afterwards, per input.
+    This is the static component, built once per lexicon; dynamic entities
+    are added afterwards, per input.
     """
-    parts: list[Wfsa] = []
-    for word in dictionary:
-        parts.append(linear_acceptor(tokenize_phrase(word, table).tokens))
+    words = [tokenize_phrase(word, table).tokens for word in dictionary]
     for s in specials:
         tid = table.lookup(s)
         if tid is None:
             raise ValueError(f"special token {s!r} is not in the token table")
-        parts.append(linear_acceptor((tid,)))
+        words.append((tid,))
     if include_numeric:
-        for tid in _numeric_token_ids(table):
-            parts.append(linear_acceptor((tid,)))
-    if not parts:
-        return Wfsa(num_states=1, start=0)  # empty language
-    return determinize_min(union(*parts))
+        words.extend((tid,) for tid in _numeric_token_ids(table))
+    return lexicon_dfa(words)
+
+
+def _lexicon_closure(dfa: Wfsa) -> Wfsa:
+    """Epsilon-free Kleene closure of a lexicon DFA.
+
+    The start becomes final, and every other final state gets copies of
+    the start arcs after its own arcs, skipping any (label, destination)
+    pair it already has. This is valid because a lexicon DFA is acyclic,
+    so no arc enters its start.
+    """
+    out = dfa.copy()
+    start_arcs = dfa.arcs_from(dfa.start)
+    for f in dfa.finals - {dfa.start}:
+        own = {(arc.label, arc.dst) for arc in dfa.arcs_from(f)}
+        for arc in start_arcs:
+            if (arc.label, arc.dst) not in own:
+                out.add_arc(f, arc.label, 0.0, arc.dst)
+    out.finals.add(out.start)
+    return out
+
+
+def _read_cached_dfa(path: str) -> Wfsa | None:
+    """The DFA stored at path, or None when it is missing or damaged."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            body, marker, digest = fh.read().rpartition("#sha256 ")
+        if not marker or digest.strip() != hashlib.sha256(body.encode("utf-8")).hexdigest():
+            return None
+        return wfsa.load_wfsa(body)
+    except (OSError, ValueError):
+        return None
+
+
+def _write_cached_dfa(path: str, dfa: Wfsa) -> None:
+    """Write through a temporary file, so readers see the whole file or none."""
+    body = wfsa.dump_wfsa(dfa)
+    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    directory = os.path.dirname(path)
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(f"{body}#sha256 {digest}\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _static_closure(
+    dictionary: Sequence[str],
+    specials: Sequence[str],
+    table: TokenTable,
+    include_numeric: bool,
+    cache_dir: str | None,
+) -> Wfsa:
+    """Closure of the static component, cached by content hash.
+
+    The closure is kept in memory. Under cache_dir the DFA itself is kept
+    on disk, because the dump format sorts arcs and would lose the order
+    of the copied start arcs; it is closed again on load.
+    """
+    key = _static_cache_key(dictionary, specials, include_numeric, table)
+    closed = _static_cache.get(key)
+    if closed is not None:
+        return closed
+    path = None if cache_dir is None else os.path.join(cache_dir, f"{key}.fsa")
+    dfa = None if path is None else _read_cached_dfa(path)
+    if dfa is None:
+        dfa = build_static_vocab_fsa(dictionary, specials, table, include_numeric)
+        if path is not None:
+            _write_cached_dfa(path, dfa)
+    closed = _static_cache[key] = _lexicon_closure(dfa)
+    return closed
 
 
 def build_vocab_fsa(
@@ -244,35 +318,36 @@ def build_vocab_fsa(
 ) -> LexiconFsa:
     """Closure of (static dictionary+specials) union (per-input entities).
 
-    The static component is determinized and minimized once and cached by
-    content hash (in memory, and on disk under cache_dir when given). The
-    result accepts exactly the concatenations of permitted word units,
-    including the empty string.
+    The static component is built once as a minimal acyclic DFA, closed
+    without epsilon arcs, and cached by content hash (in memory, and on
+    disk under cache_dir when given). Each call copies that closure and
+    adds one token chain per entity: the start and every final state get
+    an arc into each chain, after their other arcs, and each chain's last
+    state is final and gets copies of the static start arcs. The result
+    has no epsilon arcs and accepts exactly the concatenations of
+    permitted word units, including the empty string.
     """
     if specials is None:
         specials = default_specials(table)
-    key = _static_cache_key(dictionary, specials, include_numeric, table)
-    static = _static_cache.get(key)
-    if static is None and cache_dir is not None:
-        path = os.path.join(cache_dir, f"{key}.fsa")
-        if os.path.exists(path):
-            with open(path, encoding="utf-8") as fh:
-                static = wfsa.load_wfsa(fh.read())
-    if static is None:
-        static = build_static_vocab_fsa(dictionary, specials, table, include_numeric)
-        if cache_dir is not None:
-            os.makedirs(cache_dir, exist_ok=True)
-            path = os.path.join(cache_dir, f"{key}.fsa")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(wfsa.dump_wfsa(static))
-    _static_cache[key] = static
-
-    dynamic = [
-        linear_acceptor(tokenize_phrase(entity, table).tokens) for entity in dynamic_entities
-    ]
-    combined = union(static, *dynamic) if dynamic else static
+    lex = _static_closure(dictionary, specials, table, include_numeric, cache_dir).copy()
+    static_start_arcs = list(lex.arcs_from(lex.start))
+    heads: list[tuple[int, int]] = []
+    for entity in dynamic_entities:
+        tokens = tokenize_phrase(entity, table).tokens
+        state = lex.add_state()
+        heads.append((tokens[0], state))
+        for token in tokens[1:]:
+            nxt = lex.add_state()
+            lex.add_arc(state, token, 0.0, nxt)
+            state = nxt
+        for arc in static_start_arcs:
+            lex.add_arc(state, arc.label, 0.0, arc.dst)
+        lex.finals.add(state)
+    for f in lex.finals:
+        for label, dst in heads:
+            lex.add_arc(f, label, 0.0, dst)
     return LexiconFsa(
-        automaton=closure(combined),
+        automaton=lex,
         dictionary_words=len(dictionary),
         special_tokens=len(specials),
         dynamic_entities=len(dynamic_entities),

@@ -164,10 +164,15 @@ def closure(a: Wfsa) -> Wfsa:
 # Epsilon removal
 
 
-def _eps_distances(w: Wfsa, source: int) -> dict[int, float]:
-    """Cheapest epsilon-only distances from source (includes source at 0)."""
-    dist = {source: 0.0}
-    heap = [(0.0, source)]
+def _eps_distances(w: Wfsa, frontier: dict[int, float]) -> dict[int, float]:
+    """Cheapest epsilon-only distances from a frontier of states at given costs.
+
+    The frontier's states are included at their own costs; more states are
+    added in the order their first finite distance is found.
+    """
+    dist = dict(frontier)
+    heap = [(d, s) for s, d in frontier.items()]
+    heapq.heapify(heap)
     while heap:
         d, s = heapq.heappop(heap)
         if d > dist.get(s, float("inf")):
@@ -191,7 +196,7 @@ def rm_epsilon(w: Wfsa) -> Wfsa:
     epsilon accepting path of nonzero cost has no representation in an
     acceptor without final weights and raises ValueError.
     """
-    closures = [_eps_distances(w, s) for s in range(w.num_states)]
+    closures = [_eps_distances(w, {s: 0.0}) for s in range(w.num_states)]
     out = Wfsa(num_states=w.num_states, start=w.start, finals=set(w.finals))
     for p in range(w.num_states):
         best: dict[tuple[int, int], float] = {}
@@ -222,7 +227,7 @@ def _rm_epsilon_unweighted(a: Wfsa) -> Wfsa:
     """Language-only epsilon removal for unweighted constraint automata."""
     out = Wfsa(num_states=a.num_states, start=a.start, finals=set(a.finals))
     for s in range(a.num_states):
-        reach = _eps_distances(a, s)
+        reach = _eps_distances(a, {s: 0.0})
         seen: set[tuple[int, int]] = set()
         for r in reach:
             if r in a.finals:
@@ -241,14 +246,14 @@ def _rm_epsilon_unweighted(a: Wfsa) -> Wfsa:
 # Sorting, reachability, trimming
 
 
-def topological_sort(w: Wfsa) -> Wfsa:
-    """Renumber states so every arc goes from a lower to a higher index."""
+def _topological_order(w: Wfsa) -> list[int]:
+    """Kahn's algorithm, always taking the smallest ready state next."""
     indegree = [0] * w.num_states
     for _, arc in w.all_arcs():
         indegree[arc.dst] += 1
     heap = [s for s in range(w.num_states) if indegree[s] == 0]
     heapq.heapify(heap)
-    order: list[int] = []
+    order = []
     while heap:
         s = heapq.heappop(heap)
         order.append(s)
@@ -258,6 +263,12 @@ def topological_sort(w: Wfsa) -> Wfsa:
                 heapq.heappush(heap, arc.dst)
     if len(order) != w.num_states:
         raise ValueError("cycle detected")
+    return order
+
+
+def topological_sort(w: Wfsa) -> Wfsa:
+    """Renumber states so every arc goes from a lower to a higher index."""
+    order = _topological_order(w)
     renum = {old: new for new, old in enumerate(order)}
     out = Wfsa(
         num_states=w.num_states,
@@ -334,7 +345,9 @@ def intersect(w: Wfsa, a: Wfsa) -> Wfsa:
     in the constraint match any token arc in w. Constraint-side epsilons
     are removed up front, so only w's epsilon arcs survive into the product
     and no redundant epsilon-pairing paths arise; the product is acyclic
-    whenever w is.
+    whenever w is. Each lattice arc finds its constraint arcs through a
+    label index of the constraint state, built once per call, so its cost
+    follows the arcs it matches, not the constraint state's out-degree.
     """
     if w.has_sigma():
         raise ValueError("weighted operand must not contain sigma arcs")
@@ -347,6 +360,7 @@ def intersect(w: Wfsa, a: Wfsa) -> Wfsa:
     ids: dict[tuple[int, int], int] = {start: 0}
     queue = [start]
     out = Wfsa(num_states=1, start=0)
+    index: dict[int, tuple[dict[int, list[int]], list[int]]] = {}
 
     def state_id(pair: tuple[int, int]) -> int:
         sid = ids.get(pair)
@@ -363,18 +377,97 @@ def intersect(w: Wfsa, a: Wfsa) -> Wfsa:
         head += 1
         if p in w.finals and q in a.finals:
             out.finals.add(src)
+        matches = index.get(q)
+        if matches is None:
+            matches = index[q] = _label_index(a.arcs_from(q))
+        by_label, sigma = matches
         for arc in w.arcs_from(p):
             if arc.label == EPSILON:
                 out.add_arc(src, EPSILON, arc.weight, state_id((arc.dst, q)))
                 continue
-            for carc in a.arcs_from(q):
-                if carc.label == arc.label or carc.label == SIGMA:
-                    out.add_arc(src, arc.label, arc.weight, state_id((arc.dst, carc.dst)))
+            for dst in by_label.get(arc.label, sigma):
+                out.add_arc(src, arc.label, arc.weight, state_id((arc.dst, dst)))
     return trim(out)
+
+
+def _label_index(arcs: list[Arc]) -> tuple[dict[int, list[int]], list[int]]:
+    """Group one constraint state's arcs for lookup by label.
+
+    Maps each label on the state's arcs to the destinations of every arc
+    that matches it, its own and the sigma arcs, in arc order; the second
+    item holds the sigma destinations alone, which any other label
+    matches. Each sigma arc adds one entry per label seen before it, so a
+    state without sigma arcs is indexed in time linear in its arcs.
+    """
+    by_label: dict[int, list[int]] = {}
+    sigma: list[int] = []
+    for arc in arcs:
+        if arc.label == SIGMA:
+            sigma.append(arc.dst)
+            for dsts in by_label.values():
+                dsts.append(arc.dst)
+        else:
+            dsts = by_label.get(arc.label)
+            if dsts is None:
+                dsts = by_label[arc.label] = list(sigma)
+            dsts.append(arc.dst)
+    return by_label, sigma
 
 
 # ---------------------------------------------------------------------------
 # Determinization and minimization (unweighted)
+
+
+def lexicon_dfa(words: Iterable[Sequence[int]]) -> Wfsa:
+    """Minimal deterministic acceptor for a finite set of token sequences.
+
+    The words go into a trie, whose states are then merged bottom-up by
+    their signature (finality, sorted (label, merged child) pairs), after
+    Daciuk, Mihov, Watson & Watson (Comput. Linguist. 26(1), 2000). Time is
+    linear in the total word length, up to sorting each state's labels.
+    The result is trim: it is determinize_min of the union of the words
+    without that automaton's dead state. States are numbered breadth-first from the start (state
+    0), and each state's arcs are in label order.
+    """
+    children: list[dict[int, int]] = [{}]
+    final = [False]
+    for word in words:
+        node = 0
+        for label in word:
+            child = children[node].get(label)
+            if child is None:
+                child = len(children)
+                children[node][label] = child
+                children.append({})
+                final.append(False)
+            node = child
+        final[node] = True
+
+    # A trie node is numbered after its parent, so a reverse sweep merges
+    # every child before the node that points to it.
+    register: dict[tuple[bool, tuple[tuple[int, int], ...]], int] = {}
+    merged = [0] * len(children)
+    for node in range(len(children) - 1, -1, -1):
+        sig = (final[node], tuple(sorted((lb, merged[c]) for lb, c in children[node].items())))
+        merged[node] = register.setdefault(sig, len(register))
+    signatures = list(register)
+
+    out = Wfsa(num_states=len(signatures), start=0)
+    order = [merged[0]]
+    renum = {merged[0]: 0}
+    src = 0
+    while src < len(order):
+        is_final, row = signatures[order[src]]
+        if is_final:
+            out.finals.add(src)
+        for label, child in row:
+            dst = renum.get(child)
+            if dst is None:
+                dst = renum[child] = len(order)
+                order.append(child)
+            out.add_arc(src, label, 0.0, dst)
+        src += 1
+    return out
 
 
 def determinize_min(a: Wfsa) -> Wfsa:
@@ -533,25 +626,6 @@ def shortest_path(w: Wfsa) -> DecodeResult:
     return DecodeResult(status=STATUS_OK, tokens=tuple(tokens), cost=dist[best_final])
 
 
-def _topological_order(w: Wfsa) -> list[int]:
-    indegree = [0] * w.num_states
-    for _, arc in w.all_arcs():
-        indegree[arc.dst] += 1
-    heap = [s for s in range(w.num_states) if indegree[s] == 0]
-    heapq.heapify(heap)
-    order = []
-    while heap:
-        s = heapq.heappop(heap)
-        order.append(s)
-        for arc in w.arcs_from(s):
-            indegree[arc.dst] -= 1
-            if indegree[arc.dst] == 0:
-                heapq.heappush(heap, arc.dst)
-    if len(order) != w.num_states:
-        raise ValueError("cycle detected")
-    return order
-
-
 def string_cost(w: Wfsa, tokens: Sequence[int]) -> float:
     """Minimal cost of accepting exactly `tokens`; +inf when rejected.
 
@@ -562,24 +636,7 @@ def string_cost(w: Wfsa, tokens: Sequence[int]) -> float:
     if w.num_states == 0:
         return inf
 
-    def eps_relax(frontier: dict[int, float]) -> dict[int, float]:
-        dist = dict(frontier)
-        heap = [(c, s) for s, c in frontier.items()]
-        heapq.heapify(heap)
-        while heap:
-            c, s = heapq.heappop(heap)
-            if c > dist.get(s, inf):
-                continue
-            for arc in w.arcs_from(s):
-                if arc.label != EPSILON:
-                    continue
-                nc = c + arc.weight
-                if nc < dist.get(arc.dst, inf):
-                    dist[arc.dst] = nc
-                    heapq.heappush(heap, (nc, arc.dst))
-        return dist
-
-    frontier = eps_relax({w.start: 0.0})
+    frontier = _eps_distances(w, {w.start: 0.0})
     for token in tokens:
         step: dict[int, float] = {}
         for s, c in frontier.items():
@@ -590,7 +647,7 @@ def string_cost(w: Wfsa, tokens: Sequence[int]) -> float:
                         step[arc.dst] = nc
         if not step:
             return inf
-        frontier = eps_relax(step)
+        frontier = _eps_distances(w, step)
     return min((c for s, c in frontier.items() if s in w.finals), default=inf)
 
 

@@ -12,7 +12,7 @@ import math
 from collections import Counter
 
 from dagdec.dag import Dag
-from dagdec.wfsa import EPSILON, SIGMA, Wfsa
+from dagdec.wfsa import EPSILON, SIGMA, Wfsa, _rm_epsilon_unweighted, trim
 
 
 def enumerate_wfsa_paths(w: Wfsa) -> list[tuple[tuple[int, ...], float]]:
@@ -102,6 +102,39 @@ def nfa_accepts(a: Wfsa, tokens: tuple[int, ...]) -> bool:
             return False
         frontier = eps_close(nxt)
     return bool(frontier & a.finals)
+
+
+def arc_scan_intersect(w: Wfsa, a: Wfsa) -> Wfsa:
+    """Product construction that scans every constraint arc per lattice arc.
+
+    The reference for the arc order of wfsa.intersect: states are numbered
+    in breadth-first discovery order, and each lattice arc emits its
+    matches in the constraint state's arc order, sigma arcs included.
+    """
+    if a.has_epsilon():
+        a = _rm_epsilon_unweighted(a)
+    ids = {(w.start, a.start): 0}
+    queue = [(w.start, a.start)]
+    out = Wfsa(num_states=1, start=0)
+
+    def state_id(pair: tuple[int, int]) -> int:
+        if pair not in ids:
+            ids[pair] = out.add_state()
+            queue.append(pair)
+        return ids[pair]
+
+    for p, q in queue:
+        src = ids[(p, q)]
+        if p in w.finals and q in a.finals:
+            out.finals.add(src)
+        for arc in w.arcs_from(p):
+            if arc.label == EPSILON:
+                out.add_arc(src, EPSILON, arc.weight, state_id((arc.dst, q)))
+                continue
+            for carc in a.arcs_from(q):
+                if carc.label == arc.label or carc.label == SIGMA:
+                    out.add_arc(src, arc.label, arc.weight, state_id((arc.dst, carc.dst)))
+    return trim(out)
 
 
 def contains_subsequence(haystack: tuple[int, ...], needle: tuple[int, ...]) -> bool:

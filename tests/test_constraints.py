@@ -16,9 +16,19 @@ from dagdec.constraints import (
     tokenize_phrase,
 )
 from dagdec.tokens import TokenTable
-from dagdec.wfsa import dump_wfsa, string_cost
+from dagdec.wfsa import (
+    closure,
+    determinize_min,
+    dump_wfsa,
+    intersect,
+    linear_acceptor,
+    string_cost,
+    trim,
+    union,
+)
 
-from .oracles import contains_subsequence, nfa_accepts, word_frequencies
+from .lattices import random_acyclic_wfsa
+from .oracles import arc_scan_intersect, contains_subsequence, nfa_accepts, word_frequencies
 
 
 @pytest.fixture()
@@ -169,6 +179,114 @@ class TestVocabFsa:
                 assert nfa_accepts(fresh.automaton, s) == nfa_accepts(
                     via_disk_load.automaton, s
                 )
+
+    @pytest.mark.parametrize(
+        "dictionary,entities",
+        [
+            (["cat", "photosynthesis"], []),
+            # "photo" is final and shares its arc on "synthesis" with the start
+            (["photo", "photosynthesis", "synthesis", "ca"], ["Hong Kong"]),
+            ([], ["Hong Kong", "cat", "Hong Kong"]),
+        ],
+    )
+    def test_product_matches_epsilon_closure_construction(
+        self, subword_table, dictionary, entities
+    ):
+        # The vocabulary automaton used to be the epsilon closure of the
+        # union of determinize_min(words) and the entity chains; intersect
+        # removed its epsilons per call. The product must not change.
+        words = [tokenize_phrase(w, subword_table).tokens for w in dictionary]
+        words += [(subword_table.lookup(s),) for s in default_specials(subword_table)]
+        static = determinize_min(union(*[linear_acceptor(t) for t in words]))
+        chains = [linear_acceptor(tokenize_phrase(e, subword_table).tokens) for e in entities]
+        old = closure(union(static, *chains))
+        new = build_vocab_fsa(dictionary, None, entities, subword_table).automaton
+        assert not new.has_epsilon()
+        for seed in range(40):
+            w = random_acyclic_wfsa(seed, max_states=8, alphabet=tuple(range(10)),
+                                    arc_density=0.9, with_epsilon=seed % 2 == 1)
+            got = intersect(w, new)
+            ref = arc_scan_intersect(w, old)
+            assert (got.num_states, got.finals) == (ref.num_states, ref.finals)
+            for s in range(ref.num_states):
+                assert got.arcs_from(s) == ref.arcs_from(s), (seed, s)
+
+    def test_every_arc_is_live(self, subword_table):
+        a = build_vocab_fsa(["photo", "photosynthesis", "cat"], None, ["Hong Kong"],
+                            subword_table).automaton
+        t = trim(a)
+        assert (t.num_states, t.num_arcs) == (a.num_states, a.num_arcs)
+
+    def test_disk_cache_keeps_arc_order(self, subword_table, tmp_path):
+        args = (["photo", "photosynthesis", "synthesis"], ["."], ["Hong Kong"], subword_table)
+        constraints_mod._static_cache.clear()
+        built = build_vocab_fsa(*args, cache_dir=str(tmp_path)).automaton
+        constraints_mod._static_cache.clear()
+        loaded = build_vocab_fsa(*args, cache_dir=str(tmp_path)).automaton
+        assert (loaded.start, loaded.finals) == (built.start, built.finals)
+        for s in range(built.num_states):
+            assert loaded.arcs_from(s) == built.arcs_from(s)
+
+    def test_concurrent_builds_share_the_cache_safely(self, subword_table):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        constraints_mod._static_cache.clear()
+        entity_sets = [[], ["Hong Kong"], ["Kong"], ["Hong Kong", "Kong"]] * 6
+
+        def build(entities):
+            return build_vocab_fsa(["cat", "photo", "photosynthesis"], ["."], entities,
+                                   subword_table).automaton
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(build, entity_sets, timeout=60))
+        finally:
+            sys.setswitchinterval(old_interval)
+        for entities, a in zip(entity_sets, results):
+            assert nfa_accepts(a, (0, 3, 4)) == ("Hong Kong" in entities)
+            assert nfa_accepts(a, (4, 5, 6)) == ("Kong" in entities)
+            assert not nfa_accepts(a, (3,))
+
+    @pytest.mark.parametrize("damage", ["truncate", "truncate_at_line", "garbage", "bad_utf8"])
+    def test_corrupt_cache_file_is_a_miss(self, subword_table, tmp_path, damage):
+        args = (["cat", "photosynthesis"], ["."], ["Hong Kong"], subword_table)
+        constraints_mod._static_cache.clear()
+        fresh = build_vocab_fsa(*args, cache_dir=str(tmp_path))
+        (path,) = tmp_path.glob("*.fsa")
+        good = path.read_bytes()
+        if damage == "truncate":
+            path.write_bytes(good[: len(good) // 2])
+        elif damage == "truncate_at_line":
+            # still parses, as an automaton that lost its last arcs
+            path.write_bytes(good[: good.rindex(b"\n", 0, len(good) // 2) + 1])
+        elif damage == "garbage":
+            path.write_text("#version 1\nstates\tmany\n", encoding="utf-8")
+        else:
+            path.write_bytes(b"\xff\xfe\x00")
+        constraints_mod._static_cache.clear()
+        rebuilt = build_vocab_fsa(*args, cache_dir=str(tmp_path))
+        assert dump_wfsa(rebuilt.automaton) == dump_wfsa(fresh.automaton)
+        assert path.read_bytes() == good  # the rebuild rewrote the file
+        assert list(tmp_path.iterdir()) == [path]  # and left no temporary file
+
+    def test_failed_cache_write_leaves_no_file(self, subword_table, tmp_path, monkeypatch):
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        constraints_mod._static_cache.clear()
+        monkeypatch.setattr(constraints_mod.os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            build_vocab_fsa(["cat"], ["."], [], subword_table, cache_dir=str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cache_key_carries_format_tag(self, subword_table, monkeypatch):
+        args = (["cat"], ["."], True, subword_table)
+        key = constraints_mod._static_cache_key(*args)
+        monkeypatch.setattr(constraints_mod, "STATIC_CACHE_FORMAT", "an older format")
+        assert constraints_mod._static_cache_key(*args) != key
 
     def test_numeric_tokens_accepted(self):
         surfaces = ("▁cat", "▁1984", "7", "<s>", "</s>", "▁")

@@ -1,0 +1,27 @@
+"""Seconds-scale smoke run of the benchmark harness.
+
+The harness checks every output against the digests pinned in
+perfbench/digests.json, so this run guards the bit-identical decode of the
+control-dag path (phrases, cached vocabulary, target length).
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_control_warm_smoke_run_is_correct():
+    cmd = [
+        sys.executable, "perfbench/run.py",
+        "--workload", "control-warm", "--seed", "0", "--seconds", "2", "--trace", "0",
+    ]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0

@@ -24,6 +24,7 @@ from dagdec.wfsa import (
     enumerate_strings,
     has_accepting_path,
     intersect,
+    lexicon_dfa,
     linear_acceptor,
     load_wfsa,
     rm_epsilon,
@@ -35,7 +36,7 @@ from dagdec.wfsa import (
 )
 
 from .lattices import build_dag, random_acyclic_wfsa, random_nfa, tiny4
-from .oracles import min_wfsa_path, nfa_accepts
+from .oracles import arc_scan_intersect, min_wfsa_path, nfa_accepts
 
 INF = float("inf")
 
@@ -158,6 +159,107 @@ def _random_constraint(seed: int) -> Wfsa:
         ]
         return closure(union(*[linear_acceptor(t) for t in words]))
     return random_nfa(seed + 77, max_states=4, alphabet=(0, 1))
+
+
+class TestIntersectArcOrder:
+    """The label index must emit the product arcs the arc scan emits, in
+    the same order; dump_wfsa sorts arcs, so this compares arc lists."""
+
+    @staticmethod
+    def _mixed_constraint(seed: int) -> Wfsa:
+        import random
+
+        rng = random.Random(seed)
+        n = rng.randint(1, 4)
+        a = Wfsa(num_states=n, start=0, finals=rng.sample(range(n), rng.randint(1, n)))
+        for src in range(n):
+            for _ in range(rng.randint(0, 6)):
+                label = rng.choice((0, 1, 2, SIGMA, SIGMA, EPSILON))
+                a.add_arc(src, label, 0.0, rng.randrange(n))
+        return a
+
+    def test_matches_arc_scan_reference(self):
+        orders = set()
+        for seed in range(300):
+            w = random_acyclic_wfsa(seed, max_states=7, with_epsilon=True)
+            a = self._mixed_constraint(seed + 40_000)
+            for s in range(a.num_states):
+                labels = [arc.label for arc in a.arcs_from(s) if arc.label != EPSILON]
+                for i, j in itertools.combinations(range(len(labels)), 2):
+                    if (labels[i] == SIGMA) != (labels[j] == SIGMA):
+                        orders.add("sigma first" if labels[i] == SIGMA else "label first")
+            got = intersect(w, a)
+            ref = arc_scan_intersect(w, a)
+            assert (got.num_states, got.start, got.finals) == (ref.num_states, ref.start, ref.finals)
+            for s in range(ref.num_states):
+                assert got.arcs_from(s) == ref.arcs_from(s), (seed, s)
+        assert orders == {"sigma first", "label first"}
+
+    def test_sigma_arcs_keep_their_positions(self):
+        # After token 0, constraint states 1, 2 and 3 accept tokens 5, 6
+        # and 7; the product must reach them in arc order: sigma, 0, sigma.
+        w = Wfsa(num_states=3, start=0, finals={2})
+        w.add_arc(0, 0, 0.0, 1)
+        for token in (5, 6, 7):
+            w.add_arc(1, token, 0.0, 2)
+        a = Wfsa(num_states=5, start=0, finals={4})
+        a.add_arc(0, SIGMA, 0.0, 1)
+        a.add_arc(0, 0, 0.0, 2)
+        a.add_arc(0, 1, 0.0, 4)
+        a.add_arc(0, SIGMA, 0.0, 3)
+        for state, token in ((1, 5), (2, 6), (3, 7)):
+            a.add_arc(state, token, 0.0, 4)
+        got = intersect(w, a)
+        firsts = [arc.dst for arc in got.arcs_from(got.start)]
+        assert [[arc.label for arc in got.arcs_from(s)] for s in firsts] == [[5], [6], [7]]
+
+    def test_constraint_is_not_mutated(self):
+        a = build_hlc_fsa(ConstraintPhrase(tokens=(0, 1)))
+        before = [list(a.arcs_from(s)) for s in range(a.num_states)]
+        intersect(weighted_two_string(), a)
+        assert [a.arcs_from(s) for s in range(a.num_states)] == before
+
+
+_piece = st.lists(st.integers(min_value=0, max_value=2), max_size=2).map(tuple)
+_stem = st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=2).map(tuple)
+
+
+@st.composite
+def _lexicons(draw) -> list[tuple[int, ...]]:
+    """Words made of shared prefixes, stems and suffixes over {0, 1, 2}."""
+    prefixes = draw(st.lists(_piece, min_size=1, max_size=3))
+    stems = draw(st.lists(_stem, min_size=1, max_size=3))
+    suffixes = draw(st.lists(_piece, min_size=1, max_size=3))
+    combos = [p + m + x for p in prefixes for m in stems for x in suffixes]
+    return draw(st.lists(st.sampled_from(combos), min_size=1, max_size=8))
+
+
+class TestLexiconDfa:
+    @given(_lexicons())
+    @settings(max_examples=40, deadline=None)
+    def test_equals_determinize_min_without_dead_state(self, words):
+        got = lexicon_dfa(words)
+        ref = determinize_min(union(*[linear_acceptor(word) for word in words]))
+        assert got.num_states == ref.num_states - 1
+        assert got.start == 0
+        assert trim(got).num_states == got.num_states  # no dead state
+        assert all(arc.dst != got.start for _, arc in got.all_arcs())
+        for state in range(got.num_states):
+            labels = [arc.label for arc in got.arcs_from(state)]
+            assert labels == sorted(set(labels))  # deterministic, label order
+        for length in range(0, 7):
+            for s in itertools.product((0, 1, 2), repeat=length):
+                assert nfa_accepts(got, s) == nfa_accepts(ref, s) == (s in words), s
+
+    def test_empty_word_set(self):
+        got = lexicon_dfa([])
+        assert (got.num_states, got.finals, got.num_arcs) == (1, set(), 0)
+
+    def test_shared_suffixes_merge(self):
+        # "ab", "cb" and "b" share a final state; "a" and "c" share a state
+        got = lexicon_dfa([(0, 1), (2, 1), (1,)])
+        assert got.num_states == 3
+        assert [(arc.label, arc.dst) for arc in got.arcs_from(0)] == [(0, 1), (1, 2), (2, 1)]
 
 
 class TestRegularOps:

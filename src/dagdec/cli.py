@@ -22,7 +22,7 @@ from .constraints import (
     extract_lexicon,
     tokenize_phrase,
 )
-from .dag import PruneConfig, generate_synthetic_dag, prune_dag, read_dag, write_dag
+from .dag import Dag, PruneConfig, generate_synthetic_dag, prune_dag, read_dag, write_dag
 from .length import (
     LcConfig,
     dfs_viterbi,
@@ -116,6 +116,7 @@ def run_decode(job: DecodeJob) -> DecodeResult:
     job.validate()
     dag = read_dag(job.dag_path)
     table = read_token_table(job.table_path)
+    _check_token_ids(dag, table)
     phrase_surfaces, entity_surfaces = _load_constraints(job)
     phrases = [tokenize_phrase(s, table) for s in phrase_surfaces]
 
@@ -175,6 +176,16 @@ def run_decode(job: DecodeJob) -> DecodeResult:
     return replace(result, extra=extra)
 
 
+def _check_token_ids(dag: Dag, table: TokenTable) -> None:
+    size = len(table)
+    for u, emissions in enumerate(dag.emissions):
+        for token, _ in emissions:
+            if token >= size:
+                raise ValueError(
+                    f"vertex {u}: token id {token} is outside the token table ({size} tokens)"
+                )
+
+
 def _contains(haystack: tuple[int, ...], needle: tuple[int, ...]) -> bool:
     n = len(needle)
     return any(haystack[i : i + n] == needle for i in range(len(haystack) - n + 1))
@@ -224,8 +235,8 @@ def run_batch(manifest_path: str, defaults: DecodeJob, parallelism: int = 1) -> 
         try:
             result = run_decode(jobs[idx])
             payload = result.to_dict()
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            payload = {"status": "error", "error": str(exc)}
+        except Exception as exc:  # one bad job must not take down the batch
+            payload = {"status": "error", "error": str(exc), "error_type": type(exc).__name__}
         payload["job"] = idx
         return payload
 

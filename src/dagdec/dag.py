@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -149,12 +150,13 @@ def _parse_pair(u: int, pair: object, kind: str) -> tuple[int, float]:
     idx, logp = pair
     if not isinstance(idx, int) or isinstance(idx, bool):
         raise DagFormatError(f"vertex {u}: {kind} index must be an integer")
-    logp = float(logp)
+    if isinstance(logp, bool) or not isinstance(logp, (int, float)):
+        raise DagFormatError(f"vertex {u}: {kind} log-probability must be a number, not {logp!r}")
     if logp > 0.0:
         raise DagFormatError(f"vertex {u}: {kind} probability > 0 in log space ({logp})")
-    if math.isnan(logp):
-        raise DagFormatError(f"vertex {u}: {kind} log-probability is NaN")
-    return idx, logp
+    if not logp >= -sys.float_info.max:  # -inf, NaN, or an int below the float range
+        raise DagFormatError(f"vertex {u}: {kind} log-probability {logp} is not a finite float")
+    return idx, float(logp)
 
 
 def dump_dag(dag: Dag) -> str:

@@ -1,10 +1,13 @@
 """Target-length prediction and length-constrained lattice decoding.
 
 The decoder finds, for every candidate length l up to an upper bound, the
-cheapest accepting path with exactly l arcs, using depth-first search with
-per-(state, remaining-length) memoization and cumulative-probability arc
-pruning. Candidates then compete on their cost scaled by an exponential
-penalty for falling short of the target length.
+cheapest accepting path with exactly l arcs. One backward sweep over the
+states in reverse topological order keeps, per state, a sparse row of the
+finite costs delta(state, l) and the arc that starts each best path: this
+is Mohri's topological shortest distance (2002) over the product of the
+acceptor with a length counter, with cumulative-probability arc pruning.
+Candidates then compete on their cost scaled by an exponential penalty for
+falling short of the target length.
 """
 
 from __future__ import annotations
@@ -97,98 +100,77 @@ def length_penalty(l: int, target_length: int, strictness: float) -> float:
     return math.exp(strictness * (target_length / l - 1.0))
 
 
-class _LengthSearch:
-    """Memoized DFS over (state, remaining length) with arc pruning."""
+def _prune_arcs(arcs: list[Arc], threshold: float) -> list[Arc]:
+    """Arcs in (weight, label, dst) order, cut to the minimal cheapest-first
+    prefix whose renormalized probability mass exceeds the threshold; kept
+    in full if the mass never does."""
+    ordered = sorted(arcs, key=lambda a: (a.weight, a.label, a.dst))
+    if threshold >= 1.0 or not ordered:
+        return ordered
+    total = math.fsum(math.exp(-a.weight) for a in ordered)
+    if total <= 0.0:
+        return ordered
+    mass = 0.0
+    for i, arc in enumerate(ordered):
+        mass += math.exp(-arc.weight) / total
+        if mass > threshold:
+            return ordered[: i + 1]
+    return ordered
 
-    def __init__(self, w: Wfsa, cfg: LcConfig) -> None:
-        if any(arc.label == EPSILON for _, arc in w.all_arcs()):
-            raise ValueError("epsilon arcs must be removed before length-constrained decoding")
-        if any(src >= arc.dst for src, arc in w.all_arcs()):
-            w = topological_sort(w)
-        self.w = w
-        self.cfg = cfg
-        self.pruned = [self._prune_arcs(w.arcs_from(s)) for s in range(w.num_states)]
-        self.delta: dict[tuple[int, int], float] = {}
-        self.parent: dict[tuple[int, int], Arc] = {}
 
-    def _prune_arcs(self, arcs: list[Arc]) -> list[Arc]:
-        # Minimal cheapest-first prefix whose renormalized probability mass
-        # exceeds the threshold; kept in full if the mass never does.
-        if not arcs:
-            return []
-        ordered = sorted(arcs, key=lambda a: (a.weight, a.label, a.dst))
-        if self.cfg.edge_prune_threshold >= 1.0:
-            return ordered
-        total = math.fsum(math.exp(-a.weight) for a in ordered)
-        if total <= 0.0:
-            return ordered
-        kept = []
-        mass = 0.0
-        for arc in ordered:
-            kept.append(arc)
-            mass += math.exp(-arc.weight) / total
-            if mass > self.cfg.edge_prune_threshold:
-                break
-        return kept
+def _length_rows(
+    w: Wfsa, cfg: LcConfig
+) -> tuple[Wfsa, list[dict[int, float]], list[dict[int, Arc]]]:
+    """delta(state, l), finite entries only, with the arc each entry starts
+    with, for the lengths that can still fit under the bound.
 
-    def cost(self, state: int, length: int) -> float:
-        """delta(state, length): cheapest path to a final state with exactly
-        `length` arcs; memoized, computed with an explicit DFS stack."""
-        inf = float("inf")
-        if length == 0:
-            return 0.0 if state in self.w.finals else inf
-        if (state, length) in self.delta:
-            return self.delta[(state, length)]
-        stack = [(state, length)]
-        while stack:
-            u, l = stack[-1]
-            if (u, l) in self.delta:
-                stack.pop()
-                continue
-            missing = [
-                (arc.dst, l - 1)
-                for arc in self.pruned[u]
-                if l - 1 > 0 and (arc.dst, l - 1) not in self.delta
-            ]
-            if missing:
-                stack.extend(missing)
-                continue
-            best = inf
-            best_arc = None
-            for arc in self.pruned[u]:
-                if l - 1 == 0:
-                    tail = 0.0 if arc.dst in self.w.finals else inf
-                else:
-                    tail = self.delta[(arc.dst, l - 1)]
-                c = arc.weight + tail
-                if c < best:
-                    best = c
-                    best_arc = arc
-            self.delta[(u, l)] = best
-            if best_arc is not None:
-                self.parent[(u, l)] = best_arc
-            stack.pop()
-        return self.delta[(state, length)]
-
-    def backtrace(self, length: int) -> tuple[int, ...]:
-        tokens = []
-        state = self.w.start
-        for l in range(length, 0, -1):
-            arc = self.parent[(state, l)]
-            tokens.append(arc.label)
-            state = arc.dst
-        return tuple(tokens)
+    A forward pass finds the fewest pruned arcs from the start to each
+    state; a backward pass then fills each state's row up to the bound less
+    that depth, trying arcs in pruned order and replacing only on strict <.
+    Returns the acceptor the rows index (renumbered topologically if it was
+    not), the cost rows and the back-pointer rows.
+    """
+    if any(arc.label == EPSILON for _, arc in w.all_arcs()):
+        raise ValueError("epsilon arcs must be removed before length-constrained decoding")
+    if any(src >= arc.dst for src, arc in w.all_arcs()):
+        w = topological_sort(w)
+    n = w.num_states
+    bound = cfg.upper_bound
+    pruned = [_prune_arcs(w.arcs_from(u), cfg.edge_prune_threshold) for u in range(n)]
+    depth = [bound + 1] * n
+    depth[w.start] = 0
+    for u in range(n):
+        d = depth[u] + 1
+        for arc in pruned[u]:
+            if d < depth[arc.dst]:
+                depth[arc.dst] = d
+    inf = math.inf
+    costs: list[dict[int, float]] = [{} for _ in range(n)]
+    back: list[dict[int, Arc]] = [{} for _ in range(n)]
+    for u in range(n - 1, -1, -1):
+        limit = bound - depth[u]
+        if limit < 0:
+            continue
+        row = costs[u]
+        row_back = back[u]
+        if u in w.finals:
+            row[0] = 0.0
+        for arc in pruned[u]:
+            weight = arc.weight
+            for l, tail in costs[arc.dst].items():
+                if l < limit:
+                    c = weight + tail
+                    if c < row.get(l + 1, inf):
+                        row[l + 1] = c
+                        row_back[l + 1] = arc
+    return w, costs, back
 
 
 def length_cost_table(w: Wfsa, cfg: LcConfig) -> dict[int, float]:
     """delta(start, l) for l = 1..upper_bound, finite entries only."""
-    search = _LengthSearch(w, cfg)
-    out = {}
-    for l in range(1, cfg.upper_bound + 1):
-        c = search.cost(search.w.start, l)
-        if math.isfinite(c):
-            out[l] = c
-    return out
+    w, costs, _ = _length_rows(w, cfg)
+    row = costs[w.start]
+    return {l: row[l] for l in range(1, cfg.upper_bound + 1) if l in row}
 
 
 def dfs_viterbi(w: Wfsa, cfg: LcConfig) -> DecodeResult:
@@ -200,14 +182,15 @@ def dfs_viterbi(w: Wfsa, cfg: LcConfig) -> DecodeResult:
     any permitted length exists, reports infeasibility along with what the
     unconstrained cheapest path would have looked like.
     """
-    search = _LengthSearch(w, cfg)
+    sorted_w, costs, back = _length_rows(w, cfg)
+    row = costs[sorted_w.start]
     best_l = None
     best_cost = math.inf
     best_adjusted = math.inf
     for l in range(1, cfg.upper_bound + 1):
-        c = search.cost(search.w.start, l)
-        if not math.isfinite(c):
+        if l not in row:
             continue
+        c = row[l]
         adjusted = length_penalty(l, cfg.target_length, cfg.strictness) * c
         if adjusted <= best_adjusted:
             best_adjusted = adjusted
@@ -224,9 +207,15 @@ def dfs_viterbi(w: Wfsa, cfg: LcConfig) -> DecodeResult:
                 f"{unconstrained.cost}"
             )
         return DecodeResult(status=STATUS_INFEASIBLE, note=note)
+    tokens = []
+    state = sorted_w.start
+    for l in range(best_l, 0, -1):
+        arc = back[state][l]
+        tokens.append(arc.label)
+        state = arc.dst
     return DecodeResult(
         status=STATUS_OK,
-        tokens=search.backtrace(best_l),
+        tokens=tuple(tokens),
         cost=best_cost,
         adjusted_cost=best_adjusted,
     )

@@ -19,6 +19,7 @@ from .result import STATUS_EMPTY, STATUS_OK, DecodeResult
 EPSILON = -1
 SIGMA = -2
 
+_INF = float("inf")
 _LABEL_NAMES = {EPSILON: "eps", SIGMA: "sigma"}
 WFSA_FORMAT_VERSION = 1
 
@@ -56,8 +57,8 @@ class Wfsa:
     def add_arc(self, src: int, label: int, weight: float, dst: int) -> None:
         if not (0 <= src < self.num_states and 0 <= dst < self.num_states):
             raise ValueError(f"arc {src}->{dst} references an unknown state")
-        if weight < 0:
-            raise ValueError(f"negative arc weight {weight}")
+        if not 0.0 <= weight < _INF:
+            raise ValueError(f"arc weight {weight} is not a finite cost >= 0")
         self._arcs[src].append(Arc(label, weight, dst))
 
     def arcs_from(self, state: int) -> list[Arc]:

@@ -12,7 +12,8 @@ import math
 from collections import Counter
 
 from dagdec.dag import Dag
-from dagdec.wfsa import EPSILON, SIGMA, Wfsa, _rm_epsilon_unweighted, trim
+from dagdec.length import LcConfig, length_penalty
+from dagdec.wfsa import EPSILON, SIGMA, Arc, Wfsa, _rm_epsilon_unweighted, topological_sort, trim
 
 
 def enumerate_wfsa_paths(w: Wfsa) -> list[tuple[tuple[int, ...], float]]:
@@ -54,6 +55,104 @@ def length_bucket_minima(w: Wfsa, max_len: int) -> dict[int, float]:
 
     walk(w.start, 0, 0.0)
     return buckets
+
+
+class MemoLengthSearch:
+    """Memoized DFS over (state, remaining length) with arc pruning.
+
+    The reference for length.dfs_viterbi: it asks for delta(state, l) top
+    down and memoizes every pair it visits, reachable or not. Arcs are
+    tried in pruned (weight, label, dst) order and replaced on strict <.
+    """
+
+    def __init__(self, w: Wfsa, cfg: LcConfig) -> None:
+        if any(src >= arc.dst for src, arc in w.all_arcs()):
+            w = topological_sort(w)
+        self.w = w
+        self.cfg = cfg
+        self.pruned = [self._prune_arcs(w.arcs_from(s)) for s in range(w.num_states)]
+        self.delta: dict[tuple[int, int], float] = {}
+        self.parent: dict[tuple[int, int], Arc] = {}
+
+    def _prune_arcs(self, arcs: list[Arc]) -> list[Arc]:
+        if not arcs:
+            return []
+        ordered = sorted(arcs, key=lambda a: (a.weight, a.label, a.dst))
+        if self.cfg.edge_prune_threshold >= 1.0:
+            return ordered
+        total = math.fsum(math.exp(-a.weight) for a in ordered)
+        if total <= 0.0:
+            return ordered
+        kept = []
+        mass = 0.0
+        for arc in ordered:
+            kept.append(arc)
+            mass += math.exp(-arc.weight) / total
+            if mass > self.cfg.edge_prune_threshold:
+                break
+        return kept
+
+    def cost(self, state: int, length: int) -> float:
+        inf = float("inf")
+        if length == 0:
+            return 0.0 if state in self.w.finals else inf
+        stack = [(state, length)]
+        while stack:
+            u, l = stack[-1]
+            if (u, l) in self.delta:
+                stack.pop()
+                continue
+            missing = [
+                (arc.dst, l - 1)
+                for arc in self.pruned[u]
+                if l - 1 > 0 and (arc.dst, l - 1) not in self.delta
+            ]
+            if missing:
+                stack.extend(missing)
+                continue
+            best = inf
+            best_arc = None
+            for arc in self.pruned[u]:
+                if l - 1 == 0:
+                    tail = 0.0 if arc.dst in self.w.finals else inf
+                else:
+                    tail = self.delta[(arc.dst, l - 1)]
+                c = arc.weight + tail
+                if c < best:
+                    best = c
+                    best_arc = arc
+            self.delta[(u, l)] = best
+            if best_arc is not None:
+                self.parent[(u, l)] = best_arc
+            stack.pop()
+        return self.delta[(state, length)]
+
+    def table(self) -> dict[int, float]:
+        """delta(start, l) for l = 1..upper_bound, finite entries only."""
+        out = {}
+        for l in range(1, self.cfg.upper_bound + 1):
+            c = self.cost(self.w.start, l)
+            if math.isfinite(c):
+                out[l] = c
+        return out
+
+    def decode(self) -> tuple[tuple[int, ...], float, float] | None:
+        """(tokens, cost, adjusted cost) of the length-penalized best, longest
+        on exact ties; None when no permitted length has a path."""
+        best = None
+        for l, c in self.table().items():
+            adjusted = length_penalty(l, self.cfg.target_length, self.cfg.strictness) * c
+            if best is None or adjusted <= best[2]:
+                best = (l, c, adjusted)
+        if best is None:
+            return None
+        tokens = []
+        state = self.w.start
+        for l in range(best[0], 0, -1):
+            arc = self.parent[(state, l)]
+            tokens.append(arc.label)
+            state = arc.dst
+        return tuple(tokens), best[1], best[2]
 
 
 def enumerate_dag_paths(dag: Dag) -> list[tuple[tuple[int, ...], float]]:

@@ -182,6 +182,19 @@ class TestMainEntry:
         assert code == EXIT_ERROR
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ("greedy", "wfsa-shortest", "lc"))
+    def test_out_of_table_token_id_exits_1_with_one_line(self, tmp_path, capsys, mode):
+        dag_path = tmp_path / "tiny4.json"
+        write_dag(tiny4(), str(dag_path))  # emits token ids up to 7
+        table_path = tmp_path / "small.table"
+        write_token_table(toy_table(5), str(table_path))
+        code = main(["decode", "--dag", str(dag_path), "--table", str(table_path),
+                     "--mode", mode, "--target-len", "3", "--ke", "2", "--kt", "2"])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "token table" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_lexicon_command(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("a a a b\n", encoding="utf-8")
@@ -288,6 +301,27 @@ class TestBatch:
         assert lines[0]["status"] == "error"
         assert lines[1]["status"] == "ok"
         assert lines[2]["summary"]["errors"] == 1
+
+
+    def test_any_job_exception_is_recorded_with_its_type(self, workspace, tmp_path):
+        _, dag_path, table_path, _ = workspace
+        small_table = tmp_path / "small.table"
+        write_token_table(toy_table(5), str(small_table))
+        entries = [
+            {"dag": dag_path, "table": str(small_table), "mode": "greedy"},
+            {"dag": dag_path, "table": table_path, "mode": "beam", "ke": "two"},
+            {"dag": dag_path, "table": table_path, "mode": "greedy"},
+        ]
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text("".join(json.dumps(e) + "\n" for e in entries), encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        assert main(["batch", "--manifest", str(manifest), "--out", str(out)]) == EXIT_OK
+        lines = [json.loads(l) for l in out.read_text().splitlines()]
+        assert [d.get("status") for d in lines[:3]] == ["error", "error", "ok"]
+        assert lines[0]["error_type"] == "ValueError"
+        assert "token table" in lines[0]["error"]
+        assert lines[1]["error_type"] == "TypeError"
+        assert lines[3]["summary"]["errors"] == 2
 
 
 class TestDeterminismAndSummary:

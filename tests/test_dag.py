@@ -76,6 +76,28 @@ class TestLoadDag:
         with pytest.raises(DagFormatError, match="probability > 0 in log space"):
             load_dag(src)
 
+    @pytest.mark.parametrize("kind", ("emission", "transition"))
+    @pytest.mark.parametrize("logp", ('"-0.5"', "false", "true", "null", '"-inf"', "-1e999",
+                                      "-Infinity", "NaN", "[-0.5]",
+                                      pytest.param("-1" + "0" * 400, id="huge-int")))
+    def test_log_probability_must_be_a_finite_json_number(self, kind, logp):
+        em = f"[[0, {logp}]]" if kind == "emission" else "[[0, 0.0]]"
+        tr = f"[[1, {logp}]]" if kind == "transition" else "[[1, 0.0]]"
+        src = ('{"version": 1, "num_vertices": 2, "vertices": ['
+               f'{{"emissions": {em}, "transitions": {tr}}}, '
+               '{"emissions": [], "transitions": []}]}')
+        with pytest.raises(DagFormatError, match=f"vertex 0: {kind} log-probability"):
+            load_dag(src)
+
+    def test_integer_log_probability_accepted(self):
+        dag = load_dag(doc(2, [
+            {"emissions": [[0, 0]], "transitions": [[1, -1]]},
+            {"emissions": [], "transitions": []},
+        ]))
+        assert dag.emissions[0] == ((0, 0.0),)
+        assert dag.transitions[0] == ((1, -1.0),)
+        assert isinstance(dag.transitions[0][0][1], float)
+
     def test_dangling_vertex_rejected(self):
         src = doc(2, [
             {"emissions": [[0, 0.0]], "transitions": [[7, 0.0]]},

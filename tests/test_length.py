@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -11,10 +12,10 @@ from hypothesis import strategies as st
 from dagdec.length import (
     LcConfig,
     LengthPredictor,
-    _LengthSearch,
     default_upper_bound,
     dfs_viterbi,
     fit_length_predictor,
+    _length_rows,
     length_cost_table,
     length_penalty,
     load_length_predictor,
@@ -25,7 +26,7 @@ from dagdec.result import STATUS_INFEASIBLE, STATUS_OK
 from dagdec.wfsa import EPSILON, Wfsa, linear_acceptor
 
 from .lattices import random_acyclic_wfsa
-from .oracles import length_bucket_minima, ols_closed_form
+from .oracles import MemoLengthSearch, length_bucket_minima, ols_closed_form
 
 
 class TestFit:
@@ -128,6 +129,73 @@ def two_lengths_wfsa() -> Wfsa:
     return w
 
 
+def tie_prone_acceptor(seed: int) -> Wfsa:
+    """Random acyclic acceptor with 1-9 states, weights drawn from a few
+    values so equal-cost paths are common, any set of finals (possibly
+    none), and state numbers shuffled half the time."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 9)
+    ids = list(range(n))
+    if rng.random() < 0.5:
+        rng.shuffle(ids)
+    w = Wfsa(num_states=n, start=ids[0], finals={ids[i] for i in range(n) if rng.random() < 0.4})
+    for src in range(n):
+        for dst in range(src + 1, n):
+            for _ in range(rng.choice((0, 1, 1, 2, 3))):
+                weight = rng.choice((0.0, 0.25, 0.5, 1.0, round(rng.uniform(0.0, 3.0), 3)))
+                w.add_arc(ids[src], rng.choice((0, 1, 2)), weight, ids[dst])
+    return w
+
+
+def assert_matches_memo_search(w: Wfsa, cfg: LcConfig) -> None:
+    ref = MemoLengthSearch(w, cfg)
+    assert length_cost_table(w, cfg) == ref.table()
+    r = dfs_viterbi(w, cfg)
+    expected = ref.decode()
+    if expected is None:
+        assert r.status == STATUS_INFEASIBLE
+    else:
+        assert r.status == STATUS_OK
+        assert (r.tokens, r.cost, r.adjusted_cost) == expected
+
+
+class TestMatchesMemoSearch:
+    """Bit-identical to the memoized DFS the backward sweep replaced."""
+
+    @given(
+        st.integers(min_value=0, max_value=10**9),
+        st.sampled_from((0.7, 1.0)),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=1, max_value=10),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_acceptors(self, seed, threshold, target, upper):
+        cfg = LcConfig(target_length=target, edge_prune_threshold=threshold, upper_bound=upper)
+        assert_matches_memo_search(tie_prone_acceptor(seed), cfg)
+
+    @pytest.mark.parametrize("threshold", (0.7, 1.0))
+    def test_edge_cases(self, threshold):
+        cfg = LcConfig(target_length=3, edge_prune_threshold=threshold)
+        single_final = Wfsa(num_states=1, start=0, finals={0})
+        single = Wfsa(num_states=1, start=0)
+        no_finals = linear_acceptor((1, 2), weight=0.5)
+        no_finals.finals.clear()
+        too_long = linear_acceptor(tuple(range(9)), weight=0.5)
+        backward = Wfsa(num_states=3, start=2, finals={0})
+        backward.add_arc(2, 4, 0.5, 1)
+        backward.add_arc(1, 5, 0.5, 0)
+        backward.add_arc(2, 6, 1.0, 0)
+        for w in (single_final, single, no_finals, too_long, backward):
+            assert_matches_memo_search(w, cfg)
+
+    def test_lattice_acceptors(self):
+        for seed in range(20):
+            w = random_acyclic_wfsa(seed, max_states=12, arc_density=0.8)
+            for threshold in (0.7, 1.0):
+                cfg = LcConfig(target_length=6, edge_prune_threshold=threshold)
+                assert_matches_memo_search(w, cfg)
+
+
 class TestDfsViterbi:
     def test_single_hypothesis_chain(self):
         w = linear_acceptor((3, 1, 4, 1, 5), weight=0.2)
@@ -148,6 +216,32 @@ class TestDfsViterbi:
         r = dfs_viterbi(two_lengths_wfsa(), LcConfig(target_length=4, strictness=0.0))
         assert r.tokens == (0, 1)
         assert r.cost == pytest.approx(1.0)
+
+    def test_equal_cost_ties_take_the_first_arc_in_order(self):
+        # Three length-2 paths of cost 0.75. Sorted by (weight, label, dst)
+        # the arcs out of 0 are (0.5, 1, 1), (0.5, 1, 2), (0.5, 2, 1): the
+        # first must win although it was added last, so the output reads
+        # (1, 5), not (1, 6) or (2, 5).
+        w = Wfsa(num_states=4, start=0, finals={3})
+        w.add_arc(0, 2, 0.5, 1)
+        w.add_arc(0, 1, 0.5, 2)
+        w.add_arc(0, 1, 0.5, 1)
+        w.add_arc(1, 5, 0.25, 3)
+        w.add_arc(2, 6, 0.25, 3)
+        for threshold in (0.7, 1.0):
+            r = dfs_viterbi(w, LcConfig(target_length=2, edge_prune_threshold=threshold))
+            assert r.tokens == (1, 5)
+            assert r.cost == 0.75
+
+    def test_equal_adjusted_cost_prefers_the_longer_candidate(self):
+        # length 1 at cost 1.0 and length 2 at cost 0.5 + 0.5: exact tie
+        w = Wfsa(num_states=3, start=0, finals={2})
+        w.add_arc(0, 7, 1.0, 2)
+        w.add_arc(0, 8, 0.5, 1)
+        w.add_arc(1, 9, 0.5, 2)
+        r = dfs_viterbi(w, LcConfig(target_length=2, strictness=0.0, edge_prune_threshold=1.0))
+        assert r.tokens == (8, 9)
+        assert r.cost == r.adjusted_cost == 1.0
 
     def test_rejects_epsilon_arcs(self):
         w = Wfsa(num_states=2, start=0, finals={1})
@@ -210,14 +304,16 @@ class TestDfsViterbi:
             assert len(r.tokens) == -best[1]
 
     def test_memo_size_bound(self):
-        w = random_acyclic_wfsa(123, max_states=8)
-        cfg = LcConfig(target_length=6, edge_prune_threshold=1.0)
-        search = _LengthSearch(w, cfg)
-        for l in range(1, cfg.upper_bound + 1):
-            search.cost(search.w.start, l)
-            repeat = search.cost(search.w.start, l)
-            assert repeat == search.cost(search.w.start, l)  # stable on revisit
-        assert len(search.delta) <= cfg.upper_bound * w.num_states
+        cases = [(random_acyclic_wfsa(seed, max_states=8), 9) for seed in range(20)]
+        cases.append((two_lengths_wfsa(), 3))  # its 4-arc path overshoots the bound
+        for w, upper in cases:
+            cfg = LcConfig(target_length=6, edge_prune_threshold=1.0, upper_bound=upper)
+            sorted_w, costs, back = _length_rows(w, cfg)
+            entries = [(s, l, c) for s, row in enumerate(costs) for l, c in row.items()]
+            assert all(math.isfinite(c) and 0 <= l <= cfg.upper_bound for _, l, c in entries)
+            assert {s for s, l, _ in entries if l == 0} <= sorted_w.finals
+            assert sum(1 for _, l, _ in entries if l > 0) <= cfg.upper_bound * w.num_states
+            assert all(set(back[s]) == set(row) - {0} for s, row in enumerate(costs))
 
     def test_deep_search_does_not_overflow(self):
         w = linear_acceptor(tuple(i % 3 for i in range(1500)), weight=0.001)

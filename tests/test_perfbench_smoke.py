@@ -1,8 +1,9 @@
-"""Seconds-scale smoke run of the benchmark harness.
+"""Seconds-scale smoke runs of the benchmark harness.
 
 The harness checks every output against the digests pinned in
-perfbench/digests.json, so this run guards the bit-identical decode of the
-control-dag path (phrases, cached vocabulary, target length).
+perfbench/digests.json, so these runs guard the bit-identical decode of the
+control-dag path (phrases, cached vocabulary, target length) and of the
+length search on ~900-vertex lattices (lc-long).
 """
 
 from __future__ import annotations
@@ -12,13 +13,16 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_control_warm_smoke_run_is_correct():
+@pytest.mark.parametrize("workload", ("control-warm", "lc-long"))
+def test_smoke_run_is_correct(workload):
     cmd = [
         sys.executable, "perfbench/run.py",
-        "--workload", "control-warm", "--seed", "0", "--seconds", "2", "--trace", "0",
+        "--workload", workload, "--seed", "0", "--seconds", "2", "--trace", "0",
     ]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -57,6 +57,21 @@ def weighted_two_string() -> Wfsa:
     return w
 
 
+class TestAddArc:
+    @pytest.mark.parametrize("weight", (-0.5, INF, -INF, float("nan")))
+    def test_rejects_negative_and_non_finite_weights(self, weight):
+        w = Wfsa(num_states=2, start=0, finals={1})
+        with pytest.raises(ValueError, match="arc weight"):
+            w.add_arc(0, 0, weight, 1)
+        assert w.num_arcs == 0
+
+    def test_accepts_zero_and_finite_weights(self):
+        w = Wfsa(num_states=2, start=0, finals={1})
+        for weight in (0.0, -0.0, 0, 1e300):
+            w.add_arc(0, 0, weight, 1)
+        assert w.num_arcs == 4
+
+
 class TestDagToWfsa:
     def test_single_arc_weight(self):
         dag = build_dag(

@@ -51,16 +51,6 @@ class BeamItem:
         return sum(self.match_states)
 
 
-def _best_transitions(dag: Dag, u: int, limit: int) -> list[tuple[int, float]]:
-    ranked = sorted(dag.transitions[u], key=lambda p: (-p[1], p[0]))
-    return ranked[:limit]
-
-
-def _best_emissions(dag: Dag, v: int, limit: int) -> list[tuple[int, float]]:
-    ranked = sorted(dag.emissions[v], key=lambda p: (-p[1], p[0]))
-    return ranked[:limit]
-
-
 def greedy_decode(dag: Dag) -> DecodeResult:
     """Local argmax walk: best transition, then best emission at its target."""
     tokens = []
@@ -125,8 +115,8 @@ def _beam_search(
         beams[u] = items
         if not items or u == dag.final_vertex:
             continue
-        for v, tlp in _best_transitions(dag, u, beam_width):
-            menu = _best_emissions(dag, v, beam_width)
+        for v, tlp in dag.transitions[u][:beam_width]:
+            menu = dag.emissions[v][:beam_width]
             for item in items:
                 for token, elp in _candidate_tokens(dag, v, menu, item, constraints):
                     states = tuple(
@@ -160,7 +150,7 @@ def _beam_search(
 def _candidate_tokens(
     dag: Dag,
     v: int,
-    menu: list[tuple[int, float]],
+    menu: tuple[tuple[int, float], ...],
     item: BeamItem,
     constraints: tuple[ConstraintPhrase, ...],
 ) -> list[tuple[int, float]]:

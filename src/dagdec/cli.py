@@ -9,7 +9,6 @@ empty constraint intersection or no path within the length bound).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import sys
 import time
@@ -34,14 +33,7 @@ from .length import (
 from .metrics import EvalRecord, build_eval_vocabulary, compute_report
 from .result import STATUS_EMPTY_INTERSECTION, STATUS_OK, DecodeResult
 from .tokens import TokenTable, read_token_table, write_token_table
-from .wfsa import (
-    dag_to_wfsa,
-    has_accepting_path,
-    intersect,
-    rm_epsilon,
-    shortest_path,
-    topological_sort,
-)
+from .wfsa import dag_to_wfsa, intersect, shortest_path
 
 MODES = ("greedy", "beam", "cbs-dag", "wfsa-shortest", "hlc", "vc", "lc", "control-dag")
 
@@ -91,6 +83,20 @@ def _read_lines(path: str) -> list[str]:
         return [line.rstrip("\n") for line in fh]
 
 
+def _json_object(line: str, where: str) -> dict:
+    doc = json.loads(line)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def _string_list(doc: dict, key: str, where: str) -> list[str]:
+    value = doc.get(key, [])
+    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+        raise ValueError(f"{where}: {key!r} must be a list of strings")
+    return value
+
+
 def _load_constraints(job: DecodeJob) -> tuple[list[str], list[str]]:
     """Phrase and entity surfaces for this job from its constraint file."""
     if job.constraints_path is None:
@@ -100,8 +106,9 @@ def _load_constraints(job: DecodeJob) -> tuple[list[str], list[str]]:
         raise ValueError(
             f"constraint line {job.constraint_line} out of range for {job.constraints_path}"
         )
-    doc = json.loads(lines[job.constraint_line])
-    return list(doc.get("phrases", [])), list(doc.get("entities", []))
+    where = f"{job.constraints_path} constraint line {job.constraint_line}"
+    doc = _json_object(lines[job.constraint_line], where)
+    return _string_list(doc, "phrases", where), _string_list(doc, "entities", where)
 
 
 def _resolve_target_length(job: DecodeJob) -> int:
@@ -148,13 +155,12 @@ def run_decode(job: DecodeJob) -> DecodeResult:
                 w = intersect(w, build_hlc_fsa(phrase))
         if use_vc:
             w = intersect(w, vocab_fsa.automaton)
-        if (use_hlc or use_vc) and not has_accepting_path(w):
+        if not w.finals:
             result = DecodeResult(
                 status=STATUS_EMPTY_INTERSECTION,
                 note="constraint intersection has no accepting path",
             )
         elif use_lc:
-            w = topological_sort(rm_epsilon(w))
             cfg = LcConfig(
                 target_length=_resolve_target_length(job),
                 strictness=job.strictness,
@@ -195,7 +201,8 @@ def _contains(haystack: tuple[int, ...], needle: tuple[int, ...]) -> bool:
 # Batch running
 
 
-def _job_from_manifest(entry: dict, defaults: DecodeJob) -> DecodeJob:
+def _job_from_manifest(line: str, where: str, defaults: DecodeJob) -> DecodeJob:
+    entry = _json_object(line, where)
     fields = {
         "dag": "dag_path",
         "table": "table_path",
@@ -219,42 +226,32 @@ def _job_from_manifest(entry: dict, defaults: DecodeJob) -> DecodeJob:
     for key, attr in fields.items():
         if key in entry:
             value = entry[key]
-            overrides[attr] = tuple(value) if attr == "references" else value
+            if attr == "references":
+                value = tuple(_string_list(entry, key, where))
+            overrides[attr] = value
     return replace(defaults, **overrides)
 
 
-def run_batch(manifest_path: str, defaults: DecodeJob, parallelism: int = 1) -> dict:
-    """Run every job in the manifest; failures are recorded, not fatal.
+def run_batch(manifest_path: str, defaults: DecodeJob) -> dict:
+    """Run the manifest's jobs in order; failures are recorded, not fatal.
 
     Returns {"results": [per-job dicts in manifest order], "summary": {...}}.
     """
-    entries = [json.loads(ln) for ln in _read_lines(manifest_path) if ln.strip()]
-    jobs = [_job_from_manifest(e, defaults) for e in entries]
-
-    def run_one(idx: int) -> dict:
+    lines = [ln for ln in _read_lines(manifest_path) if ln.strip()]
+    results = []
+    records = []
+    vocab_words: set[str] = set()
+    for idx, line in enumerate(lines):
         try:
-            result = run_decode(jobs[idx])
-            payload = result.to_dict()
+            job = _job_from_manifest(line, f"{manifest_path} job {idx}", defaults)
+            payload = run_decode(job).to_dict()
         except Exception as exc:  # one bad job must not take down the batch
             payload = {"status": "error", "error": str(exc), "error_type": type(exc).__name__}
         payload["job"] = idx
-        return payload
-
-    if parallelism <= 1:
-        results = [run_one(i) for i in range(len(jobs))]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(run_one, range(len(jobs))))
-
-    records = []
-    vocab_words: set[str] = set()
-    for entry, job, payload in zip(entries, jobs, results):
+        results.append(payload)
         if payload.get("status") != STATUS_OK or payload.get("text") is None:
             continue
-        phrases: list[str] = []
-        entities: list[str] = []
-        if job.constraints_path:
-            phrases, entities = _load_constraints(job)
+        phrases, entities = _load_constraints(job)
         records.append(
             EvalRecord(
                 output=payload["text"],
@@ -262,14 +259,14 @@ def run_batch(manifest_path: str, defaults: DecodeJob, parallelism: int = 1) -> 
                 references=tuple(job.references),
             )
         )
-        for surface in list(phrases) + list(entities):
+        for surface in phrases + entities:
             vocab_words.update(surface.split())
         if job.lexicon_path:
             vocab_words.update(w for w in _read_lines(job.lexicon_path) if w)
 
     vocab = build_eval_vocabulary(extra_words=vocab_words) if vocab_words else None
     summary = {
-        "jobs": len(jobs),
+        "jobs": len(lines),
         "decoded": sum(1 for r in results if r.get("status") == STATUS_OK),
         "errors": sum(1 for r in results if r.get("status") == "error"),
         "infeasible": sum(
@@ -348,7 +345,6 @@ def main(argv: list[str] | None = None) -> int:
     p_batch = sub.add_parser("batch", help="decode a manifest of jobs")
     _add_decode_args(p_batch)
     p_batch.add_argument("--manifest", required=True, help="JSON-lines job manifest")
-    p_batch.add_argument("--parallel", type=int, default=1)
 
     p_lex = sub.add_parser("lexicon", help="extract a frequency lexicon from a corpus")
     p_lex.add_argument("--corpus", required=True, help="text file, one sentence per line")
@@ -396,7 +392,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "batch":
         # jobs may supply dag/table themselves, so the defaults can omit them
         defaults = _job_from_args(args, require_paths=False)
-        outcome = run_batch(args.manifest, defaults, parallelism=args.parallel)
+        outcome = run_batch(args.manifest, defaults)
         lines = [json.dumps(r, ensure_ascii=False) for r in outcome["results"]]
         lines.append(json.dumps({"summary": outcome["summary"]}, ensure_ascii=False))
         _emit(lines, args.out)
@@ -438,10 +434,13 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "evaluate":
         records = []
-        for line in _read_lines(args.records):
+        for number, line in enumerate(_read_lines(args.records), start=1):
             if not line.strip():
                 continue
-            doc = json.loads(line)
+            where = f"{args.records} line {number}"
+            doc = _json_object(line, where)
+            if not isinstance(doc.get("output"), str):
+                raise ValueError(f"{where}: 'output' must be a string")
             records.append(
                 EvalRecord(
                     output=doc["output"],

@@ -81,7 +81,9 @@ def build_hlc_fsa(phrase: ConstraintPhrase) -> Wfsa:
     States are matcher states 0..m; phrase-alphabet tokens follow the
     failure-function transitions (so overlapping prefixes such as "aab" in
     "aaab" are tracked correctly), every other token falls back to state 0
-    via a wildcard arc, and the accepting state absorbs everything.
+    via a wildcard arc, and the accepting state absorbs everything. A token
+    leading back to state 0 gets no arc: the wildcard covers it, and a
+    parallel arc would duplicate arcs in every intersection.
     """
     toks = phrase.tokens
     m = len(toks)
@@ -89,7 +91,9 @@ def build_hlc_fsa(phrase: ConstraintPhrase) -> Wfsa:
     a = Wfsa(num_states=m + 1, start=0, finals={m})
     for state in range(m):
         for token in sorted(set(toks)):
-            a.add_arc(state, token, 0.0, kmp_step(toks, failure, state, token))
+            dst = kmp_step(toks, failure, state, token)
+            if dst != 0:
+                a.add_arc(state, token, 0.0, dst)
         a.add_arc(state, SIGMA, 0.0, 0)
     a.add_arc(m, SIGMA, 0.0, m)
     return a

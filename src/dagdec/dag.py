@@ -32,6 +32,8 @@ class Dag:
 
     emissions[u]  : tuple of (token_id, logprob <= 0), descending probability
     transitions[u]: tuple of (target > u, logprob <= 0), descending probability
+    (ties: smaller index first). Pruning and beam search take top-k entries
+    as prefixes, so every constructor must keep this order.
     """
 
     num_vertices: int
@@ -238,20 +240,19 @@ def prune_dag(dag: Dag, cfg: PruneConfig) -> Dag:
     predecessors: list[set[int]] = [set() for _ in range(dag.num_vertices)]
 
     for u in range(dag.num_vertices):
-        em_sorted = _sort_sparse(dag.emissions[u])
-        kept = dict(em_sorted[: cfg.k_e])
+        kept = dict(dag.emissions[u][: cfg.k_e])
         forced = force_emit(u, cfg.constraints, kept_em_sets, predecessors)
         if forced:
-            table = dict(em_sorted)
+            table = dict(dag.emissions[u])
             for t in forced:
                 if t in table:
                     kept[t] = table[t]
         kept_em.append(_sort_sparse(kept.items()))
         kept_em_sets.append(set(kept))
 
-        tr_sorted = _sort_sparse(dag.transitions[u])[: cfg.k_t]
-        kept_tr.append(tr_sorted)
-        for v, _ in tr_sorted:
+        kept_transitions = dag.transitions[u][: cfg.k_t]
+        kept_tr.append(kept_transitions)
+        for v, _ in kept_transitions:
             predecessors[v].add(u)
 
     return Dag(

@@ -58,7 +58,10 @@ def load_length_predictor(path: str) -> LengthPredictor:
         lines = fh.read().splitlines()
     if len(lines) < 2:
         raise ValueError("predictor file must have two lines: slope, intercept")
-    return LengthPredictor(slope=float(lines[0]), intercept=float(lines[1]))
+    slope, intercept = float(lines[0]), float(lines[1])
+    if not (math.isfinite(slope) and math.isfinite(intercept)):
+        raise ValueError(f"predictor slope and intercept must be finite, got {slope}, {intercept}")
+    return LengthPredictor(slope=slope, intercept=intercept)
 
 
 def default_upper_bound(target_length: int) -> int:

@@ -349,6 +349,8 @@ def intersect(w: Wfsa, a: Wfsa) -> Wfsa:
     whenever w is. Each lattice arc finds its constraint arcs through a
     label index of the constraint state, built once per call, so its cost
     follows the arcs it matches, not the constraint state's out-degree.
+    The product is trimmed, so it has a final state exactly when it
+    accepts some string.
     """
     if w.has_sigma():
         raise ValueError("weighted operand must not contain sigma arcs")

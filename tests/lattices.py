@@ -5,10 +5,10 @@ from __future__ import annotations
 import math
 import random
 
-from dagdec.constraints import ConstraintPhrase
-from dagdec.dag import Dag, PruneConfig, prune_dag
+from dagdec.constraints import ConstraintPhrase, build_hlc_fsa, build_vocab_fsa
+from dagdec.dag import Dag, PruneConfig, generate_synthetic_dag, prune_dag
 from dagdec.tokens import TokenTable
-from dagdec.wfsa import EPSILON, Wfsa
+from dagdec.wfsa import EPSILON, Wfsa, dag_to_wfsa, intersect
 
 
 def build_dag(emission_probs, transition_probs) -> Dag:
@@ -125,6 +125,54 @@ def plant_phrases(
         phrases.append(ConstraintPhrase(tokens=path[start : start + width]))
         pos = start + width
     return phrases
+
+
+def random_constrained_lattice(rng: random.Random, vocab_size: int) -> tuple[Dag, PruneConfig]:
+    """A lattice of 1-7 vertices over a few tokens, so phrases repeat
+    tokens and overlap, with random pruning degrees and one or two phrases
+    in the config's constraints: planted on a kept path (none on a single
+    vertex), or drawn at random and often infeasible."""
+    n = rng.randint(1, 7)
+    if n == 1:
+        dag = build_dag([[(rng.randrange(vocab_size), 1.0)]], [[]])
+    else:
+        dag = generate_synthetic_dag(
+            seed=rng.randrange(2**32),
+            num_vertices=n,
+            emission_degree=rng.randint(1, vocab_size),
+            transition_degree=rng.randint(1, min(3, n - 1)),
+            concentration=rng.choice((0.3, 1.0, 5.0)),
+            vocab_size=vocab_size,
+        )
+    k_e, k_t = rng.randint(1, 3), rng.randint(1, 3)
+    count = rng.randint(1, 2)
+    if rng.random() < 0.6:
+        phrases = plant_phrases(dag, PruneConfig(k_e=k_e, k_t=k_t), rng.randrange(2**32), count)
+    else:
+        phrases = [
+            ConstraintPhrase(tokens=tuple(rng.choices(range(vocab_size), k=rng.randint(1, 3))))
+            for _ in range(count)
+        ]
+    return dag, PruneConfig(k_e=k_e, k_t=k_t, constraints=tuple(phrases))
+
+
+def random_constrained_product(seed: int, vocab_size: int = 4) -> Wfsa:
+    """The acceptor an lc or control-dag decode searches: a random
+    constrained lattice, converted and intersected with its phrase
+    acceptors and, half the time, with a vocabulary closure of
+    single-token words plus multi-word entities."""
+    rng = random.Random(seed)
+    dag, cfg = random_constrained_lattice(rng, vocab_size)
+    w = dag_to_wfsa(dag, cfg)
+    for phrase in cfg.constraints:
+        w = intersect(w, build_hlc_fsa(phrase))
+    if rng.random() < 0.5:
+        table = toy_table(vocab_size)
+        words = [f"w{i:03d}" for i in range(vocab_size)]
+        dictionary = rng.sample(words, rng.randint(1, vocab_size))
+        entities = [" ".join(rng.choices(words, k=rng.randint(2, 3))) for _ in range(rng.randint(0, 2))]
+        w = intersect(w, build_vocab_fsa(dictionary, [], entities, table).automaton)
+    return w
 
 
 def toy_table(vocab_size: int, width: int = 3) -> TokenTable:

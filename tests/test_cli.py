@@ -3,8 +3,14 @@
 from __future__ import annotations
 
 import json
+import math
+import os
+import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dagdec.cli import (
     EXIT_ERROR,
@@ -14,12 +20,19 @@ from dagdec.cli import (
     main,
     run_decode,
 )
-from dagdec.dag import PruneConfig, write_dag
+from dagdec.dag import PruneConfig, prune_dag, write_dag
+from dagdec.length import default_upper_bound, length_penalty
 from dagdec.tokens import write_token_table
 from dagdec.wfsa import dag_to_wfsa, shortest_path
 
-from .lattices import control_fixture, tiny4, toy_table, vocab_fixture
-from .oracles import contains_subsequence
+from .lattices import (
+    control_fixture,
+    random_constrained_lattice,
+    tiny4,
+    toy_table,
+    vocab_fixture,
+)
+from .oracles import contains_subsequence, enumerate_dag_paths
 
 
 def phrase_surface(table, tokens):
@@ -156,6 +169,69 @@ class TestDecodeModes:
             run_decode(DecodeJob(dag_path=dag_path, table_path=table_path, mode="nope"))
 
 
+class TestDecodeMatchesEnumeration:
+    """run_decode, end to end, against every path of the pruned lattice."""
+
+    @staticmethod
+    def assert_optimal(got, paths, score):
+        """got is ok, its cost is its cheapest path's, and score is minimal."""
+        assert got.status == "ok"
+        own = [c for t, c in paths if t == got.tokens]
+        assert own and math.isclose(got.cost, min(own), abs_tol=1e-9)
+        best = min(score(t, c) for t, c in paths)
+        assert math.isclose(score(got.tokens, got.cost), best, abs_tol=1e-9)
+
+    @given(st.integers(min_value=0, max_value=10**9))
+    @settings(max_examples=80, deadline=None)
+    def test_shortest_hlc_and_lc(self, seed):
+        rng = random.Random(seed)
+        dag, cfg = random_constrained_lattice(rng, vocab_size=4)
+        k_e, k_t, phrases = cfg.k_e, cfg.k_t, cfg.constraints
+        table = toy_table(4)
+        target = rng.randint(1, 6)
+        with tempfile.TemporaryDirectory() as tmp:
+            dag_path = os.path.join(tmp, "dag.json")
+            table_path = os.path.join(tmp, "toy.table")
+            cons = os.path.join(tmp, "constraints.jsonl")
+            write_dag(dag, dag_path)
+            write_token_table(table, table_path)
+            surfaces = [phrase_surface(table, p.tokens) for p in phrases]
+            with open(cons, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps({"phrases": surfaces}) + "\n")
+
+            def decode(mode, **kw):
+                return run_decode(DecodeJob(dag_path=dag_path, table_path=table_path,
+                                            mode=mode, k_e=k_e, k_t=k_t, **kw))
+
+            shortest = decode("wfsa-shortest")
+            hlc = decode("hlc", constraints_path=cons)
+            lc = decode("lc", target_length=target, edge_prune_threshold=1.0)
+
+        paths = enumerate_dag_paths(prune_dag(dag, PruneConfig(k_e=k_e, k_t=k_t)))
+        self.assert_optimal(shortest, paths, lambda t, c: c)
+
+        hlc_paths = [
+            (t, c) for t, c in enumerate_dag_paths(prune_dag(dag, cfg))
+            if all(contains_subsequence(t, p.tokens) for p in phrases)
+        ]
+        if hlc_paths:
+            self.assert_optimal(hlc, hlc_paths, lambda t, c: c)
+            assert all(hlc.constraints_met)
+        else:
+            assert hlc.status == "empty_intersection"
+
+        upper = default_upper_bound(target)
+        lc_paths = [(t, c) for t, c in paths if 1 <= len(t) <= upper]
+        if lc_paths:
+            self.assert_optimal(lc, lc_paths, lambda t, c: length_penalty(len(t), target, 1.0) * c)
+            assert math.isclose(
+                lc.adjusted_cost, length_penalty(len(lc.tokens), target, 1.0) * lc.cost,
+                abs_tol=1e-9,
+            )
+        else:
+            assert lc.status == "infeasible"
+
+
 class TestMainEntry:
     def test_decode_writes_json_line(self, workspace, capsys):
         _, dag_path, table_path, _ = workspace
@@ -270,23 +346,6 @@ class TestBatch:
         assert summary["decoded"] == 3
         assert summary["metrics"]["ser"] == 0.0
 
-    def test_parallel_matches_sequential(self, workspace, tmp_path):
-        manifest = self._manifest(tmp_path, workspace, n=6)
-        out1 = tmp_path / "seq.jsonl"
-        out4 = tmp_path / "par.jsonl"
-        assert main(["batch", "--manifest", manifest, "--ke", "2", "--kt", "2",
-                     "--parallel", "1", "--out", str(out1)]) == EXIT_OK
-        assert main(["batch", "--manifest", manifest, "--ke", "2", "--kt", "2",
-                     "--parallel", "4", "--out", str(out4)]) == EXIT_OK
-
-        def normalize(text):
-            docs = [json.loads(l) for l in text.splitlines()]
-            for d in docs:
-                d.pop("wall_time_s", None)
-            return docs
-
-        assert normalize(out1.read_text()) == normalize(out4.read_text())
-
     def test_job_failure_recorded_batch_continues(self, workspace, tmp_path):
         _, dag_path, table_path, _ = workspace
         entries = [
@@ -322,6 +381,29 @@ class TestBatch:
         assert "token table" in lines[0]["error"]
         assert lines[1]["error_type"] == "TypeError"
         assert lines[3]["summary"]["errors"] == 2
+
+    def test_malformed_manifest_line_is_one_failed_job(self, workspace, tmp_path):
+        _, dag_path, table_path, _ = workspace
+        job = {"dag": dag_path, "table": table_path, "mode": "greedy"}
+        lines = [
+            json.dumps(job),
+            json.dumps([job]),
+            '"greedy"',
+            '{"dag": ',
+            json.dumps(dict(job, references="w001 w004")),
+            json.dumps(job),
+        ]
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text("".join(l + "\n" for l in lines), encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        assert main(["batch", "--manifest", str(manifest), "--out", str(out)]) == EXIT_OK
+        docs = [json.loads(l) for l in out.read_text().splitlines()]
+        assert [d.get("status") for d in docs[:-1]] == ["ok", "error", "error", "error", "error", "ok"]
+        assert [d["job"] for d in docs[:-1]] == list(range(6))
+        assert "JSON object" in docs[1]["error"] and "JSON object" in docs[2]["error"]
+        assert docs[3]["error_type"] == "JSONDecodeError"
+        assert "list of strings" in docs[4]["error"]
+        assert docs[-1]["summary"] == dict(docs[-1]["summary"], jobs=6, decoded=2, errors=4)
 
 
 class TestDeterminismAndSummary:
@@ -402,3 +484,57 @@ class TestConstraintFileHandling:
         got = run_decode(job)
         assert got.status == "ok"
         assert got.constraints_met == (True,)
+
+
+class TestBadInput:
+    """Malformed input files exit 1 with a one-line message."""
+
+    @staticmethod
+    def assert_one_line_error(capsys, code, fragment):
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and fragment in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "line, fragment",
+        [
+            ('["w001"]', "JSON object"),
+            ('"w001"', "JSON object"),
+            ('{"phrases": "w001"}', "list of strings"),
+            ('{"phrases": [1]}', "list of strings"),
+            ('{"phrases": ["w001"], "entities": "w001"}', "list of strings"),
+        ],
+        ids=["list", "string", "phrases-string", "phrases-number", "entities-string"],
+    )
+    def test_malformed_constraint_line(self, workspace, capsys, line, fragment):
+        tmp_path, dag_path, table_path, _ = workspace
+        cons = tmp_path / "c.jsonl"
+        cons.write_text(line + "\n", encoding="utf-8")
+        code = main(["decode", "--dag", dag_path, "--table", table_path, "--mode", "hlc",
+                     "--constraints", str(cons), "--ke", "2", "--kt", "2"])
+        self.assert_one_line_error(capsys, code, fragment)
+
+    @pytest.mark.parametrize(
+        "record",
+        ['{"required_values": ["a"]}', '["a b"]', '{"output": 3}'],
+        ids=["no-output", "list", "number-output"],
+    )
+    def test_malformed_evaluation_record(self, tmp_path, capsys, record):
+        records = tmp_path / "records.jsonl"
+        records.write_text(json.dumps({"output": "a b"}) + "\n" + record + "\n",
+                           encoding="utf-8")
+        code = main(["evaluate", "--records", str(records)])
+        self.assert_one_line_error(capsys, code, "line 2")
+
+    @pytest.mark.parametrize(
+        "text", ["inf\n1.0\n", "0.5\nnan\n", "-1e999\n0\n"], ids=["inf", "nan", "overflow"]
+    )
+    def test_non_finite_length_predictor(self, workspace, capsys, text):
+        tmp_path, dag_path, table_path, _ = workspace
+        pred = tmp_path / "pred.txt"
+        pred.write_text(text, encoding="utf-8")
+        code = main(["decode", "--dag", dag_path, "--table", table_path, "--mode", "lc",
+                     "--len-predictor", str(pred), "--input-len", "2",
+                     "--ke", "2", "--kt", "2"])
+        self.assert_one_line_error(capsys, code, "finite")

@@ -6,7 +6,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dagdec.length import (
@@ -23,9 +23,9 @@ from dagdec.length import (
     save_length_predictor,
 )
 from dagdec.result import STATUS_INFEASIBLE, STATUS_OK
-from dagdec.wfsa import EPSILON, Wfsa, linear_acceptor
+from dagdec.wfsa import EPSILON, Wfsa, linear_acceptor, rm_epsilon, topological_sort
 
-from .lattices import random_acyclic_wfsa
+from .lattices import random_acyclic_wfsa, random_constrained_product
 from .oracles import MemoLengthSearch, length_bucket_minima, ols_closed_form
 
 
@@ -194,6 +194,24 @@ class TestMatchesMemoSearch:
             for threshold in (0.7, 1.0):
                 cfg = LcConfig(target_length=6, edge_prune_threshold=threshold)
                 assert_matches_memo_search(w, cfg)
+
+
+class TestSearchesTheProductAsIs:
+    """The search needs no epsilon removal or topological sort first."""
+
+    @given(
+        st.integers(min_value=0, max_value=10**9),
+        st.sampled_from((3, 4)),
+        st.sampled_from((0.7, 1.0)),
+        st.integers(min_value=1, max_value=6),
+    )
+    @example(seed=37, vocab_size=3, threshold=0.7, target=2)
+    @example(seed=916, vocab_size=3, threshold=0.7, target=3)
+    @settings(max_examples=300, deadline=None)
+    def test_same_result_as_after_rm_epsilon_and_sort(self, seed, vocab_size, threshold, target):
+        w = random_constrained_product(seed, vocab_size)
+        cfg = LcConfig(target_length=target, edge_prune_threshold=threshold)
+        assert dfs_viterbi(w, cfg) == dfs_viterbi(topological_sort(rm_epsilon(w)), cfg)
 
 
 class TestDfsViterbi:

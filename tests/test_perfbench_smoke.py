@@ -2,8 +2,9 @@
 
 The harness checks every output against the digests pinned in
 perfbench/digests.json, so these runs guard the bit-identical decode of the
-control-dag path (phrases, cached vocabulary, target length) and of the
-length search on ~900-vertex lattices (lc-long).
+control-dag path (phrases, cached vocabulary, target length), of the
+length search on ~900-vertex lattices (lc-long) and of the constrained
+beam search over the lattice itself (cbs-phrases).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("workload", ("control-warm", "lc-long"))
+@pytest.mark.parametrize("workload", ("control-warm", "lc-long", "cbs-phrases"))
 def test_smoke_run_is_correct(workload):
     cmd = [
         sys.executable, "perfbench/run.py",

@@ -35,7 +35,13 @@ from dagdec.wfsa import (
     union,
 )
 
-from .lattices import build_dag, random_acyclic_wfsa, random_nfa, tiny4
+from .lattices import (
+    build_dag,
+    random_acyclic_wfsa,
+    random_constrained_product,
+    random_nfa,
+    tiny4,
+)
 from .oracles import arc_scan_intersect, min_wfsa_path, nfa_accepts
 
 INF = float("inf")
@@ -233,6 +239,35 @@ class TestIntersectArcOrder:
         before = [list(a.arcs_from(s)) for s in range(a.num_states)]
         intersect(weighted_two_string(), a)
         assert [a.arcs_from(s) for s in range(a.num_states)] == before
+
+
+class TestConstrainedProduct:
+    """Decoding searches the intersection as it comes out: no epsilon
+    removal, re-sort or separate path check runs in between."""
+
+    @given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_hlc_token_arc_never_parallels_a_sigma_arc(self, tokens):
+        a = build_hlc_fsa(ConstraintPhrase(tokens=tuple(tokens)))
+        for s in range(a.num_states):
+            sigma_dsts = {arc.dst for arc in a.arcs_from(s) if arc.label == SIGMA}
+            for arc in a.arcs_from(s):
+                assert arc.label == SIGMA or arc.dst not in sigma_dsts, (s, arc)
+
+    @given(st.integers(min_value=0, max_value=10**9), st.sampled_from((3, 4)))
+    @settings(max_examples=200, deadline=None)
+    def test_epsilon_free_without_parallel_duplicates(self, seed, vocab_size):
+        w = random_constrained_product(seed, vocab_size)
+        assert not w.has_epsilon()
+        for s in range(w.num_states):
+            pairs = [(arc.label, arc.dst) for arc in w.arcs_from(s)]
+            assert len(pairs) == len(set(pairs)), s
+
+    @given(st.integers(min_value=0, max_value=10**9), st.sampled_from((3, 4)))
+    @settings(max_examples=200, deadline=None)
+    def test_has_finals_exactly_when_accepting(self, seed, vocab_size):
+        w = random_constrained_product(seed, vocab_size)
+        assert bool(w.finals) == has_accepting_path(w)
 
 
 _piece = st.lists(st.integers(min_value=0, max_value=2), max_size=2).map(tuple)

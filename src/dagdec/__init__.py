@@ -8,7 +8,6 @@ lattice and the matching constraint-error metrics round out the toolkit.
 """
 
 from .cbs import (
-    BeamItem,
     beam_decode,
     cbs_dag_decode,
     effective_beam_size,

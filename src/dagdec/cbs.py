@@ -11,8 +11,6 @@ per bank.
 from __future__ import annotations
 
 import functools
-import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .constraints import ConstraintPhrase, kmp_failure, kmp_step
@@ -37,20 +35,6 @@ def effective_beam_size(base_beam: int, total_constraint_tokens: int) -> int:
     return max(base_beam, total_constraint_tokens + 1)
 
 
-@dataclass(frozen=True)
-class BeamItem:
-    """One hypothesis: its lattice position, score, and matcher states."""
-
-    vertex: int
-    score: float
-    tokens: tuple[int, ...]
-    match_states: tuple[int, ...] = ()
-
-    @property
-    def met_tokens(self) -> int:
-        return sum(self.match_states)
-
-
 def greedy_decode(dag: Dag) -> DecodeResult:
     """Local argmax walk: best transition, then best emission at its target."""
     tokens = []
@@ -59,8 +43,10 @@ def greedy_decode(dag: Dag) -> DecodeResult:
     while u != dag.final_vertex:
         if not dag.transitions[u]:
             raise ValueError(f"vertex {u} has no outgoing transitions")
-        v, tlp = max(dag.transitions[u], key=lambda p: (p[1], -p[0]))
-        token, elp = max(dag.emissions[v], key=lambda p: (p[1], -p[0]))
+        v, tlp = dag.transitions[u][0]
+        if not dag.emissions[v]:
+            raise ValueError(f"vertex {v} has no emissions")
+        token, elp = dag.emissions[v][0]
         tokens.append(token)
         score += tlp + elp
         u = v
@@ -99,90 +85,133 @@ def _beam_search(
     beam_width: int,
     use_banks: bool,
 ) -> DecodeResult:
-    total = sum(len(p) for p in constraints)
-    beams: list[list[BeamItem]] = [[] for _ in range(dag.num_vertices)]
-    beams[dag.start_vertex] = [
-        BeamItem(
-            vertex=dag.start_vertex,
-            score=0.0,
-            tokens=(),
-            match_states=(0,) * len(constraints),
-        )
-    ]
-
-    for u in range(dag.num_vertices):
-        items = _retain(beams[u], beam_width, total, use_banks)
-        beams[u] = items
-        if not items or u == dag.final_vertex:
-            continue
-        for v, tlp in dag.transitions[u][:beam_width]:
-            menu = dag.emissions[v][:beam_width]
-            for item in items:
-                for token, elp in _candidate_tokens(dag, v, menu, item, constraints):
-                    states = tuple(
-                        kmp_advance(s, token, p) for s, p in zip(item.match_states, constraints)
-                    )
-                    beams[v].append(
-                        BeamItem(
-                            vertex=v,
-                            score=item.score + tlp + elp,
-                            tokens=item.tokens + (token,),
-                            match_states=states,
-                        )
-                    )
-
-    finals = beams[dag.final_vertex]
+    cap = 1 if use_banks else beam_width
+    finals = _sweep(dag, constraints, beam_width, cap)[dag.final_vertex]
     if not finals:
         return DecodeResult(status=STATUS_EMPTY, note="no path reached the final vertex")
-    satisfied = [it for it in finals if it.met_tokens == total]
-    pool = satisfied if satisfied else finals
-    best = min(pool, key=_item_order)
-    flags = tuple(s == len(p) for s, p in zip(best.match_states, constraints))
+    if 0 in finals:  # the bank with every constraint token met
+        best = finals[0][0]
+    else:  # banks differ in met tokens, so (-score, unmet) never ties
+        best = min((bank[0] for bank in finals.values()), key=lambda it: (-it[0], it[2][1]))
+    flags = tuple(s == len(p) for s, p in zip(best[2][0], constraints))
     return DecodeResult(
         status=STATUS_OK,
-        tokens=best.tokens,
-        cost=-best.score + 0.0,
+        tokens=_tokens(best[1]),
+        cost=-best[0] + 0.0,
         constraints_met=flags,
         note=None if all(flags) else "constraints unmet",
     )
 
 
-def _candidate_tokens(
+def _sweep(
     dag: Dag,
-    v: int,
-    menu: tuple[tuple[int, float], ...],
-    item: BeamItem,
     constraints: tuple[ConstraintPhrase, ...],
-) -> list[tuple[int, float]]:
-    candidates = dict(menu)
-    for state, phrase in zip(item.match_states, constraints):
-        if state == len(phrase.tokens):
-            continue  # completed, nothing to push
-        # Next token of an active match; first token of an inactive one.
-        token = phrase.tokens[state]
-        if token not in candidates:
-            lp = dag.emission_logprob(v, token)
-            if math.isfinite(lp):
-                candidates[token] = lp
-    return sorted(candidates.items())
+    beam_width: int,
+    cap: int,
+) -> list[dict[int, list[tuple]]]:
+    """Each vertex's banks, filled in topological order as candidates are made.
+
+    `banks[v]` maps a count of unmet constraint tokens to at most `cap`
+    items, best first in the order `(-score, -met tokens, tokens)`. An item
+    is `(score, path, matcher state)`, where a path is `(token, parent path)`
+    or None at the start. A candidate that cannot enter its bank is dropped
+    before anything is allocated for it, and token tuples are built only to
+    break a score tie. Items with equal keys spell the same tokens to the
+    same vertex, so they are interchangeable, and the order in which
+    candidates arrive does not change what a bank keeps.
+    """
+    matchers = _Matchers(constraints)
+    banks: list[dict[int, list[tuple]]] = [{} for _ in range(dag.num_vertices)]
+    banks[dag.start_vertex][matchers.total] = [(0.0, None, matchers.start)]
+
+    for u in range(dag.final_vertex):
+        # cbs_dag_decode's width exceeds the number of banks, so every bank expands.
+        items = [item for bank in banks[u].values() for item in bank]
+        for v, tlp in dag.transitions[u][:beam_width]:
+            menu = dag.emissions[v][:beam_width]
+            rest = dict(dag.emissions[v][beam_width:])
+            target = banks[v]
+            for score, path, state in items:
+                base = score + tlp
+                moves = state[2]
+                candidates = menu
+                if rest:
+                    # Continuation tokens emittable at v but outside the menu.
+                    candidates += tuple(
+                        (tokens[s], rest[tokens[s]])
+                        for s, (tokens, _) in zip(state[0], matchers.tables)
+                        if s < len(tokens) and tokens[s] in rest
+                    )
+                for token, elp in candidates:
+                    new_score = base + elp
+                    nxt = moves.get(token) or matchers.step(state, token)
+                    bank = target.get(nxt[1])
+                    if bank is None:
+                        bank = target[nxt[1]] = []
+                    elif len(bank) == cap and new_score < bank[-1][0]:
+                        continue
+                    item = (new_score, (token, path), nxt)
+                    i = len(bank)
+                    while i and _precedes(item, bank[i - 1]):
+                        i -= 1
+                    bank.insert(i, item)
+                    del bank[cap:]
+
+    return banks
 
 
-def _item_order(item: BeamItem) -> tuple:
-    # Higher score first; ties: fewer unmet tokens, then lexicographic tokens.
-    return (-item.score, -item.met_tokens, item.tokens)
+class _Matchers:
+    """The constraint phrases' KMP matchers, stepped together.
+
+    A joint state is `(match_states, unmet tokens, moves)`; `moves` caches
+    `token -> next joint state`, so each (state, token) pair goes through the
+    per-phrase tables once per search. A phrase table holds, per state short
+    of completion, `{token: next}` for the phrase tokens whose next state is
+    not 0; any other token resets the matcher to 0, and a completed phrase
+    stays completed.
+    """
+
+    def __init__(self, constraints: tuple[ConstraintPhrase, ...]) -> None:
+        self.tables = [(p.tokens, _step_table(p.tokens)) for p in constraints]
+        self.total = sum(len(p) for p in constraints)
+        self._joint: dict[tuple[int, ...], tuple] = {}
+        self.start = self._state((0,) * len(constraints))
+
+    def _state(self, match_states: tuple[int, ...]) -> tuple:
+        state = self._joint.get(match_states)
+        if state is None:
+            state = (match_states, self.total - sum(match_states), {})
+            self._joint[match_states] = state
+        return state
+
+    def step(self, state: tuple, token: int) -> tuple:
+        nxt = self._state(tuple(
+            table[s].get(token, 0) if s < len(tokens) else s
+            for s, (tokens, table) in zip(state[0], self.tables)
+        ))
+        state[2][token] = nxt
+        return nxt
 
 
-def _retain(
-    items: list[BeamItem], beam_width: int, total: int, use_banks: bool
-) -> list[BeamItem]:
-    if not items:
-        return items
-    if not use_banks:
-        return sorted(items, key=_item_order)[:beam_width]
-    banks: dict[int, BeamItem] = {}
-    for item in sorted(items, key=_item_order):
-        unmet = total - item.met_tokens
-        if unmet not in banks:
-            banks[unmet] = item
-    kept = sorted(banks.values(), key=_item_order)
-    return kept[:beam_width]
+def _step_table(tokens: tuple[int, ...]) -> list[dict[int, int]]:
+    failure = _failure_table(tokens)
+    return [
+        {t: n for t in set(tokens) if (n := kmp_step(tokens, failure, s, t))}
+        for s in range(len(tokens))
+    ]
+
+
+def _precedes(item: tuple, other: tuple) -> bool:
+    """Whether `item` sorts strictly before `other` of the same bank."""
+    if item[0] != other[0]:
+        return item[0] > other[0]
+    return _tokens(item[1]) < _tokens(other[1])
+
+
+def _tokens(path: tuple | None) -> tuple[int, ...]:
+    out = []
+    while path is not None:
+        token, path = path
+        out.append(token)
+    out.reverse()
+    return tuple(out)

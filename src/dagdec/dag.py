@@ -58,12 +58,6 @@ class Dag:
                 return lp
         return -math.inf
 
-    def transition_logprob(self, u: int, v: int) -> float:
-        for t, lp in self.transitions[u]:
-            if t == v:
-                return lp
-        return -math.inf
-
 
 @dataclass(frozen=True)
 class PruneConfig:

@@ -34,10 +34,6 @@ class DecodeResult:
     def ok(self) -> bool:
         return self.status == STATUS_OK
 
-    @property
-    def all_constraints_met(self) -> bool:
-        return all(self.constraints_met)
-
     def to_dict(self) -> dict:
         d = {
             "status": self.status,

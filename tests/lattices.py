@@ -175,6 +175,73 @@ def random_constrained_product(seed: int, vocab_size: int = 4) -> Wfsa:
     return w
 
 
+def uniform_lattice(rng: random.Random) -> tuple[Dag, tuple[ConstraintPhrase, ...]]:
+    """A tie-heavy lattice of 1-8 vertices: uniform emission and transition
+    probabilities over 2-4 tokens, now and then a vertex with no emissions,
+    and 0-3 random phrases of 1-3 tokens, so tokens repeat within and
+    across phrases."""
+    n = rng.randint(1, 8)
+    vocab_size = rng.randint(2, 4)
+    emissions = []
+    transitions = []
+    for u in range(n):
+        size = 0 if u and rng.random() < 0.05 else rng.randint(1, vocab_size)
+        emissions.append([(t, 1.0 / size) for t in rng.sample(range(vocab_size), size)])
+        targets = rng.sample(range(u + 1, n), min(rng.randint(1, 3), n - 1 - u))
+        transitions.append([(v, 1.0 / len(targets)) for v in targets])
+    phrases = tuple(
+        ConstraintPhrase(tokens=tuple(rng.choices(range(vocab_size), k=rng.randint(1, 3))))
+        for _ in range(rng.randint(0, 3))
+    )
+    return build_dag(emissions, transitions), phrases
+
+
+def window_lattice(seed: int, gold_tokens: int = 40) -> tuple[Dag, tuple[ConstraintPhrase, ...]]:
+    """A smaller lattice of the benchmark's cbs-phrases shape.
+
+    Transitions are local (u -> u+1..u+8), each vertex has 6 emissions, and
+    a planted gold path has the top emission and the top transition at each
+    of its vertices. The 2-3 phrases are disjoint 3-token windows of the
+    gold tokens, one per equal slice of them.
+    """
+    rng = random.Random(seed)
+    window, degree, vocab_size = 8, 6, 60
+    gold = [rng.randrange(vocab_size) for _ in range(gold_tokens)]
+    jumps = [1 + i % window for i in range(gold_tokens)]
+    rng.shuffle(jumps)
+    n = 1 + sum(jumps)
+    plan = {}
+    u = 0
+    for token, jump in zip(gold, jumps):
+        plan[u] = (token, u + jump)
+        u += jump
+    emissions = []
+    transitions = []
+    for u in range(n):
+        token, succ = plan.get(u, (None, None))
+        tokens = [t for t in rng.sample(range(vocab_size), degree) if t != token][: degree - 1]
+        tokens = [token if token is not None else rng.randrange(vocab_size)] + tokens
+        targets = [v for v in range(u + 1, min(u + window, n - 1) + 1) if v != succ]
+        rng.shuffle(targets)
+        if succ is not None:
+            targets.insert(0, succ)
+        emissions.append(list(zip(tokens, _descending_probs(rng, len(tokens)))))
+        transitions.append(list(zip(targets, _descending_probs(rng, len(targets)))))
+    count = 2 + seed % 2
+    size = gold_tokens // count
+    phrases = []
+    for k in range(count):
+        start = rng.randint(k * size, (k + 1) * size - 3)
+        phrases.append(ConstraintPhrase(tokens=tuple(gold[start : start + 3])))
+    return build_dag(emissions, transitions), tuple(phrases)
+
+
+def _descending_probs(rng: random.Random, size: int) -> list[float]:
+    weights = sorted((rng.random() + 1e-9 for _ in range(size)), reverse=True)
+    total = sum(weights)
+    return [w / total for w in weights]
+
+
 def toy_table(vocab_size: int, width: int = 3) -> TokenTable:
     """Single-token words w000..; ids beyond vocab_size are sos/eos."""
     surfaces = [f"▁w{i:0{width}d}" for i in range(vocab_size)]

@@ -10,9 +10,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import dataclass
 
+from dagdec.cbs import kmp_advance
+from dagdec.constraints import ConstraintPhrase
 from dagdec.dag import Dag
 from dagdec.length import LcConfig, length_penalty
+from dagdec.result import STATUS_EMPTY, STATUS_OK, DecodeResult
 from dagdec.wfsa import EPSILON, SIGMA, Arc, Wfsa, _rm_epsilon_unweighted, topological_sort, trim
 
 
@@ -173,6 +177,121 @@ def enumerate_dag_paths(dag: Dag) -> list[tuple[tuple[int, ...], float]]:
 
     walk(dag.start_vertex, (), 0.0)
     return out
+
+
+@dataclass(frozen=True)
+class BeamItem:
+    """One hypothesis: its lattice position, score, and matcher states."""
+
+    vertex: int
+    score: float
+    tokens: tuple[int, ...]
+    match_states: tuple[int, ...] = ()
+
+    @property
+    def met_tokens(self) -> int:
+        return sum(self.match_states)
+
+
+def reference_beam_search(
+    dag: Dag,
+    constraints: tuple[ConstraintPhrase, ...],
+    beam_width: int,
+    use_banks: bool,
+) -> DecodeResult:
+    """The beam search as first written: every candidate built, then sorted.
+
+    Each candidate copies its token tuple and steps every matcher with
+    `kmp_advance`; each vertex's list is fully sorted by `_item_order`
+    before the first item per bank (or the top `beam_width`) is kept.
+    """
+    total = sum(len(p) for p in constraints)
+    beams: list[list[BeamItem]] = [[] for _ in range(dag.num_vertices)]
+    beams[dag.start_vertex] = [
+        BeamItem(
+            vertex=dag.start_vertex,
+            score=0.0,
+            tokens=(),
+            match_states=(0,) * len(constraints),
+        )
+    ]
+
+    for u in range(dag.num_vertices):
+        items = _retain(beams[u], beam_width, total, use_banks)
+        beams[u] = items
+        if not items or u == dag.final_vertex:
+            continue
+        for v, tlp in dag.transitions[u][:beam_width]:
+            menu = dag.emissions[v][:beam_width]
+            for item in items:
+                for token, elp in _candidate_tokens(dag, v, menu, item, constraints):
+                    states = tuple(
+                        kmp_advance(s, token, p) for s, p in zip(item.match_states, constraints)
+                    )
+                    beams[v].append(
+                        BeamItem(
+                            vertex=v,
+                            score=item.score + tlp + elp,
+                            tokens=item.tokens + (token,),
+                            match_states=states,
+                        )
+                    )
+
+    finals = beams[dag.final_vertex]
+    if not finals:
+        return DecodeResult(status=STATUS_EMPTY, note="no path reached the final vertex")
+    satisfied = [it for it in finals if it.met_tokens == total]
+    pool = satisfied if satisfied else finals
+    best = min(pool, key=_item_order)
+    flags = tuple(s == len(p) for s, p in zip(best.match_states, constraints))
+    return DecodeResult(
+        status=STATUS_OK,
+        tokens=best.tokens,
+        cost=-best.score + 0.0,
+        constraints_met=flags,
+        note=None if all(flags) else "constraints unmet",
+    )
+
+
+def _candidate_tokens(
+    dag: Dag,
+    v: int,
+    menu: tuple[tuple[int, float], ...],
+    item: BeamItem,
+    constraints: tuple[ConstraintPhrase, ...],
+) -> list[tuple[int, float]]:
+    candidates = dict(menu)
+    for state, phrase in zip(item.match_states, constraints):
+        if state == len(phrase.tokens):
+            continue  # completed, nothing to push
+        # Next token of an active match; first token of an inactive one.
+        token = phrase.tokens[state]
+        if token not in candidates:
+            lp = dag.emission_logprob(v, token)
+            if math.isfinite(lp):
+                candidates[token] = lp
+    return sorted(candidates.items())
+
+
+def _item_order(item: BeamItem) -> tuple:
+    # Higher score first; ties: fewer unmet tokens, then lexicographic tokens.
+    return (-item.score, -item.met_tokens, item.tokens)
+
+
+def _retain(
+    items: list[BeamItem], beam_width: int, total: int, use_banks: bool
+) -> list[BeamItem]:
+    if not items:
+        return items
+    if not use_banks:
+        return sorted(items, key=_item_order)[:beam_width]
+    banks: dict[int, BeamItem] = {}
+    for item in sorted(items, key=_item_order):
+        unmet = total - item.met_tokens
+        if unmet not in banks:
+            banks[unmet] = item
+    kept = sorted(banks.values(), key=_item_order)
+    return kept[:beam_width]
 
 
 def nfa_accepts(a: Wfsa, tokens: tuple[int, ...]) -> bool:

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dagdec.cbs import (
+    _sweep,
+    _tokens,
     beam_decode,
     cbs_dag_decode,
     effective_beam_size,
@@ -17,8 +22,8 @@ from dagdec.constraints import ConstraintPhrase
 from dagdec.dag import PruneConfig, generate_synthetic_dag, prune_dag
 from dagdec.result import STATUS_OK
 
-from .lattices import build_dag, plant_phrases, tiny4
-from .oracles import contains_subsequence, naive_find_all
+from .lattices import build_dag, plant_phrases, tiny4, uniform_lattice, window_lattice
+from .oracles import contains_subsequence, naive_find_all, reference_beam_search
 
 
 class TestKmpAdvance:
@@ -83,6 +88,14 @@ class TestGreedy:
             transition_probs=[[(1, 0.6), (2, 0.4)], [(2, 1.0)], []],
         )
         assert greedy_decode(dag).tokens == (1, 2)
+
+    def test_vertex_without_emissions_is_named(self):
+        dag = build_dag(
+            emission_probs=[[(0, 1.0)], [], [(2, 1.0)]],
+            transition_probs=[[(1, 1.0)], [(2, 1.0)], []],
+        )
+        with pytest.raises(ValueError, match="^vertex 1 has no emissions$"):
+            greedy_decode(dag)
 
     def test_tiny4_hand_trace(self):
         # 0 -(.75)-> 1 emits 2(.8); 1 -(.6)-> 2 emits 4(.9); 2 -(1.0)-> 3 emits 6(.7)
@@ -195,22 +208,83 @@ class TestPlainBeam:
             cbs_dag_decode(tiny4(), [], 0)
 
 
-class TestBankRetention:
-    def test_one_item_per_bank_within_beam(self):
-        from dagdec.cbs import BeamItem, _retain
+def offered_candidates(dag, constraints, banks, v, beam_width):
+    """Every candidate the search makes at v from the items kept upstream, as
+    (unmet tokens, score, tokens), rebuilt with the public matcher."""
+    total = sum(len(p) for p in constraints)
+    menu = dict(dag.emissions[v][:beam_width])
+    out = []
+    for u in range(v):
+        for target, tlp in dag.transitions[u][:beam_width]:
+            if target != v:
+                continue
+            for item in (it for bank in banks[u].values() for it in bank):
+                tokens = _tokens(item[1])
+                states = [0] * len(constraints)
+                for token in tokens:
+                    states = [kmp_advance(s, token, p) for s, p in zip(states, constraints)]
+                candidates = dict(menu)
+                for state, phrase in zip(states, constraints):
+                    if state < len(phrase) and math.isfinite(
+                        lp := dag.emission_logprob(v, phrase.tokens[state])
+                    ):
+                        candidates.setdefault(phrase.tokens[state], lp)
+                for token, elp in candidates.items():
+                    met = sum(kmp_advance(s, token, p) for s, p in zip(states, constraints))
+                    out.append((total - met, item[0] + tlp + elp, tokens + (token,)))
+    return out
 
-        phrase_len = 3  # one phrase of three tokens -> banks 0..3
-        items = [
-            BeamItem(vertex=1, score=-float(i), tokens=(i,), match_states=(i % (phrase_len + 1),))
-            for i in range(12)
-        ]
-        kept = _retain(items, beam_width=6, total=phrase_len, use_banks=True)
-        assert len(kept) <= 6
-        unmet_counts = [phrase_len - it.met_tokens for it in kept]
-        assert len(unmet_counts) == len(set(unmet_counts))  # one per bank
-        # each bank keeps its highest-scoring member
-        for it in kept:
-            rivals = [
-                r for r in items if phrase_len - r.met_tokens == phrase_len - it.met_tokens
-            ]
-            assert it.score == max(r.score for r in rivals)
+
+class TestBankRetention:
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=200, deadline=None)
+    def test_one_item_per_bank_within_beam(self, seed):
+        dag, phrases = uniform_lattice(random.Random(seed))
+        width = effective_beam_size(2, sum(len(p) for p in phrases))
+        banks = _sweep(dag, phrases, width, cap=1)
+        for v in range(1, dag.num_vertices):
+            kept = {unmet: [(it[0], _tokens(it[1])) for it in bank]
+                    for unmet, bank in banks[v].items()}
+            assert sum(len(bank) for bank in kept.values()) <= width
+            best = {}
+            for unmet, score, tokens in offered_candidates(dag, phrases, banks, v, width):
+                if unmet not in best or (-score, tokens) < (-best[unmet][0], best[unmet][1]):
+                    best[unmet] = (score, tokens)
+            # exactly one survivor per bank that got a candidate: its best
+            assert kept == {unmet: [item] for unmet, item in best.items()}
+
+    @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=5))
+    @settings(max_examples=200, deadline=None)
+    def test_plain_beam_keeps_the_top_width(self, seed, width):
+        dag, _ = uniform_lattice(random.Random(seed))
+        banks = _sweep(dag, (), width, cap=width)
+        for v in range(1, dag.num_vertices):
+            kept = [(it[0], _tokens(it[1])) for it in banks[v].get(0, [])]
+            offered = [(-score, tokens) for _, score, tokens in
+                       offered_candidates(dag, (), banks, v, width)]
+            assert kept == [(-key, tokens) for key, tokens in sorted(offered)[:width]]
+
+
+class TestMatchesReferenceSearch:
+    """The search as first written (every candidate built, then sorted) is
+    the reference: results must be equal field for field."""
+
+    @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=5))
+    @settings(max_examples=400, deadline=None)
+    def test_tie_heavy_lattices(self, seed, beam):
+        dag, phrases = uniform_lattice(random.Random(seed))
+        width = effective_beam_size(beam, sum(len(p) for p in phrases))
+        assert cbs_dag_decode(dag, phrases, beam) == reference_beam_search(
+            dag, phrases, width, use_banks=True
+        )
+        assert beam_decode(dag, beam) == reference_beam_search(dag, (), beam, use_banks=False)
+
+    @pytest.mark.parametrize("seed", range(48))
+    def test_benchmark_shaped_lattices(self, seed):
+        dag, phrases = window_lattice(seed)
+        pruned = prune_dag(dag, PruneConfig(k_e=3, k_t=3, constraints=phrases))
+        width = effective_beam_size(4, sum(len(p) for p in phrases))
+        assert cbs_dag_decode(pruned, phrases, 4) == reference_beam_search(
+            pruned, phrases, width, use_banks=True
+        )
+        assert beam_decode(pruned, 4) == reference_beam_search(pruned, (), 4, use_banks=False)

@@ -26,6 +26,7 @@ from dagdec.tokens import write_token_table
 from dagdec.wfsa import dag_to_wfsa, shortest_path
 
 from .lattices import (
+    build_dag,
     control_fixture,
     random_constrained_lattice,
     tiny4,
@@ -270,6 +271,20 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "token table" in err
         assert len(err.strip().splitlines()) == 1
+
+    def test_greedy_vertex_without_emissions_exits_1_with_one_line(self, tmp_path, capsys):
+        dag_path = tmp_path / "gap.json"
+        dag = build_dag(
+            emission_probs=[[(0, 1.0)], [], [(2, 1.0)]],
+            transition_probs=[[(1, 1.0)], [(2, 1.0)], []],
+        )
+        write_dag(dag, str(dag_path))
+        table_path = tmp_path / "t.table"
+        write_token_table(toy_table(5), str(table_path))
+        code = main(["decode", "--dag", str(dag_path), "--table", str(table_path),
+                     "--mode", "greedy"])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == "error: vertex 1 has no emissions\n"
 
     def test_lexicon_command(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.txt"

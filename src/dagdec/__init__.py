@@ -19,6 +19,7 @@ from .constraints import (
     LexiconFsa,
     build_hlc_fsa,
     build_vocab_fsa,
+    constrained_product,
     default_specials,
     extract_lexicon,
     tokenize_phrase,

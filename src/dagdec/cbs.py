@@ -10,17 +10,11 @@ per bank.
 
 from __future__ import annotations
 
-import functools
 from typing import Sequence
 
-from .constraints import ConstraintPhrase, kmp_failure, kmp_step
+from .constraints import ConstraintPhrase, _failure_table, _Matchers, kmp_step
 from .dag import Dag
 from .result import STATUS_EMPTY, STATUS_OK, DecodeResult
-
-
-@functools.lru_cache(maxsize=4096)
-def _failure_table(tokens: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(kmp_failure(tokens))
 
 
 def kmp_advance(state: int, token: int, phrase: ConstraintPhrase) -> int:
@@ -158,47 +152,6 @@ def _sweep(
                     del bank[cap:]
 
     return banks
-
-
-class _Matchers:
-    """The constraint phrases' KMP matchers, stepped together.
-
-    A joint state is `(match_states, unmet tokens, moves)`; `moves` caches
-    `token -> next joint state`, so each (state, token) pair goes through the
-    per-phrase tables once per search. A phrase table holds, per state short
-    of completion, `{token: next}` for the phrase tokens whose next state is
-    not 0; any other token resets the matcher to 0, and a completed phrase
-    stays completed.
-    """
-
-    def __init__(self, constraints: tuple[ConstraintPhrase, ...]) -> None:
-        self.tables = [(p.tokens, _step_table(p.tokens)) for p in constraints]
-        self.total = sum(len(p) for p in constraints)
-        self._joint: dict[tuple[int, ...], tuple] = {}
-        self.start = self._state((0,) * len(constraints))
-
-    def _state(self, match_states: tuple[int, ...]) -> tuple:
-        state = self._joint.get(match_states)
-        if state is None:
-            state = (match_states, self.total - sum(match_states), {})
-            self._joint[match_states] = state
-        return state
-
-    def step(self, state: tuple, token: int) -> tuple:
-        nxt = self._state(tuple(
-            table[s].get(token, 0) if s < len(tokens) else s
-            for s, (tokens, table) in zip(state[0], self.tables)
-        ))
-        state[2][token] = nxt
-        return nxt
-
-
-def _step_table(tokens: tuple[int, ...]) -> list[dict[int, int]]:
-    failure = _failure_table(tokens)
-    return [
-        {t: n for t in set(tokens) if (n := kmp_step(tokens, failure, s, t))}
-        for s in range(len(tokens))
-    ]
 
 
 def _precedes(item: tuple, other: tuple) -> bool:

@@ -16,8 +16,9 @@ from dataclasses import dataclass, replace
 
 from .cbs import beam_decode, cbs_dag_decode, greedy_decode
 from .constraints import (
-    build_hlc_fsa,
+    ConstraintPhrase,
     build_vocab_fsa,
+    constrained_product,
     extract_lexicon,
     tokenize_phrase,
 )
@@ -33,7 +34,7 @@ from .length import (
 from .metrics import EvalRecord, build_eval_vocabulary, compute_report
 from .result import STATUS_EMPTY_INTERSECTION, STATUS_OK, DecodeResult
 from .tokens import TokenTable, read_token_table, write_token_table
-from .wfsa import dag_to_wfsa, intersect, shortest_path
+from .wfsa import Wfsa, dag_to_wfsa, has_accepting_path, shortest_path
 
 MODES = ("greedy", "beam", "cbs-dag", "wfsa-shortest", "hlc", "vc", "lc", "control-dag")
 
@@ -149,16 +150,14 @@ def run_decode(job: DecodeJob) -> DecodeResult:
     elif job.mode == "cbs-dag":
         result = cbs_dag_decode(prune_dag(dag, prune_cfg), phrases, job.beam)
     else:
-        w = dag_to_wfsa(dag, prune_cfg)
-        if use_hlc:
-            for phrase in phrases:
-                w = intersect(w, build_hlc_fsa(phrase))
-        if use_vc:
-            w = intersect(w, vocab_fsa.automaton)
+        lattice = dag_to_wfsa(dag, prune_cfg)
+        hlc_phrases = phrases if use_hlc else []
+        vocab = vocab_fsa.automaton if use_vc else None
+        w = constrained_product(lattice, hlc_phrases, vocab) if use_hlc or use_vc else lattice
         if not w.finals:
             result = DecodeResult(
                 status=STATUS_EMPTY_INTERSECTION,
-                note="constraint intersection has no accepting path",
+                note=_empty_product_note(lattice, hlc_phrases, vocab),
             )
         elif use_lc:
             cfg = LcConfig(
@@ -180,6 +179,21 @@ def run_decode(job: DecodeJob) -> DecodeResult:
     extra = dict(result.extra)
     extra.update({"mode": job.mode, "wall_time_s": elapsed, "dag": job.dag_path})
     return replace(result, extra=extra)
+
+
+def _empty_product_note(
+    lattice: Wfsa, phrases: list[ConstraintPhrase], vocab: Wfsa | None
+) -> str:
+    """Names the first constraint that alone empties the product: each
+    phrase in turn, then the vocabulary."""
+    if not has_accepting_path(lattice):
+        return "the pruned lattice has no accepting path"
+    for i, phrase in enumerate(phrases):
+        if not constrained_product(lattice, [phrase]).finals:
+            return f"phrase {i} ({phrase.surface!r}) cannot appear in the pruned lattice"
+    if vocab is not None and not constrained_product(lattice, [], vocab).finals:
+        return "no path of the pruned lattice stays inside the vocabulary"
+    return "no path of the pruned lattice meets every constraint together"
 
 
 def _check_token_ids(dag: Dag, table: TokenTable) -> None:

@@ -4,11 +4,14 @@ A hard lexical constraint compiles to an acceptor for "anything, then the
 phrase, then anything", built from the phrase's string-matching automaton.
 A vocabulary constraint is the Kleene closure of the union of a dictionary
 automaton, a special-token automaton, and per-input entity automata; only
-token sequences that concatenate permitted word units survive it.
+token sequences that concatenate permitted word units survive it. A
+decode intersects a lattice acceptor with all of its constraints at once,
+in one product over the lattice, the phrase matchers and the vocabulary.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import tempfile
@@ -18,7 +21,7 @@ from typing import Iterable, Sequence
 
 from . import wfsa
 from .tokens import TokenTable, dump_token_table
-from .wfsa import SIGMA, Wfsa, lexicon_dfa
+from .wfsa import SIGMA, Arc, Wfsa, _label_index, lexicon_dfa
 from .words import is_numeric_token, strip_punct
 
 # Punctuation accepted by the default special-token automaton.
@@ -75,6 +78,53 @@ def kmp_step(tokens: Sequence[int], failure: Sequence[int], state: int, token: i
     return j + 1 if tokens[j] == token else 0
 
 
+@functools.lru_cache(maxsize=4096)
+def _failure_table(tokens: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(kmp_failure(tokens))
+
+
+def _step_table(tokens: tuple[int, ...]) -> list[dict[int, int]]:
+    failure = _failure_table(tokens)
+    return [
+        {t: n for t in set(tokens) if (n := kmp_step(tokens, failure, s, t))}
+        for s in range(len(tokens))
+    ]
+
+
+class _Matchers:
+    """The constraint phrases' KMP matchers, stepped together.
+
+    A joint state is `(match_states, unmet tokens, moves, index)`; `moves`
+    caches `token -> next joint state`, so each (state, token) pair goes
+    through the per-phrase tables once per matcher set, and `index` numbers
+    the joint states in the order they are first made. A phrase table
+    holds, per state short of completion, `{token: next}` for the phrase
+    tokens whose next state is not 0; any other token resets the matcher to
+    0, and a completed phrase stays completed.
+    """
+
+    def __init__(self, constraints: tuple[ConstraintPhrase, ...]) -> None:
+        self.tables = [(p.tokens, _step_table(p.tokens)) for p in constraints]
+        self.total = sum(len(p) for p in constraints)
+        self._joint: dict[tuple[int, ...], tuple] = {}
+        self.start = self._state((0,) * len(constraints))
+
+    def _state(self, match_states: tuple[int, ...]) -> tuple:
+        state = self._joint.get(match_states)
+        if state is None:
+            state = (match_states, self.total - sum(match_states), {}, len(self._joint))
+            self._joint[match_states] = state
+        return state
+
+    def step(self, state: tuple, token: int) -> tuple:
+        nxt = self._state(tuple(
+            table[s].get(token, 0) if s < len(tokens) else s
+            for s, (tokens, table) in zip(state[0], self.tables)
+        ))
+        state[2][token] = nxt
+        return nxt
+
+
 def build_hlc_fsa(phrase: ConstraintPhrase) -> Wfsa:
     """Acceptor for all strings containing the phrase contiguously.
 
@@ -97,6 +147,91 @@ def build_hlc_fsa(phrase: ConstraintPhrase) -> Wfsa:
         a.add_arc(state, SIGMA, 0.0, 0)
     a.add_arc(m, SIGMA, 0.0, m)
     return a
+
+
+# Accepts every string: the vocabulary side of a product without one.
+_ANY_STRING = Wfsa(num_states=1, start=0, finals={0}, arcs=[[Arc(SIGMA, 0.0, 0)]])
+
+
+def constrained_product(
+    w: Wfsa, phrases: Sequence[ConstraintPhrase], vocab: Wfsa | None = None
+) -> Wfsa:
+    """The lattice acceptor intersected with every constraint at once.
+
+    Accepts the strings of `w` that contain every phrase and, when `vocab`
+    is given, that `vocab` accepts, each at its cost in `w`. One
+    breadth-first pass explores the joint states `(lattice state, matcher
+    state, vocab state)` reachable from the start: the phrases step
+    together through their deterministic `_Matchers` tables, and the vocab
+    state through a label index built once per vocab state. A joint state
+    is final when its lattice and vocab states are and every phrase has
+    completed. A backward pass from the finals then keeps the states that
+    can still accept, numbered in the order they were found; every found
+    state is reachable from the start, so no forward pass is needed. The
+    result is epsilon-free, and acyclic whenever `w` is; it has a final
+    state exactly when it accepts some string.
+    """
+    if w.has_epsilon() or w.has_sigma():
+        raise ValueError("lattice acceptor must have no epsilon or sigma arcs")
+    if vocab is None:
+        vocab = _ANY_STRING
+    elif vocab.has_epsilon():
+        vocab = wfsa._rm_epsilon_unweighted(vocab)
+    if w.num_states == 0 or vocab.num_states == 0:
+        return Wfsa(num_states=1, start=0)
+    matchers = _Matchers(tuple(phrases))
+    lattice_finals, vocab_finals = w.finals, vocab.finals
+    vocab_index: dict[int, tuple[dict[int, list[int]], list[int]]] = {}
+
+    # A state's id is its position in `queue`.
+    queue = [(w.start, matchers.start, vocab.start)]
+    ids = {(w.start, matchers.start[3], vocab.start): 0}
+    arcs: list[list[tuple[int, float, int]]] = [[]]
+    preds: list[list[int]] = [[]]
+    finals = []
+    for src, (p, match, q) in enumerate(queue):  # grows as states are found
+        if not match[1] and p in lattice_finals and q in vocab_finals:
+            finals.append(src)
+        index = vocab_index.get(q)
+        if index is None:
+            index = vocab_index[q] = _label_index(vocab.arcs_from(q))
+        by_label, sigma = index
+        moves = match[2]
+        out = arcs[src]
+        for label, weight, p_dst in w.arcs_from(p):
+            q_dsts = by_label.get(label, sigma)
+            if not q_dsts:
+                continue
+            nxt = moves.get(label) or matchers.step(match, label)
+            for q_dst in q_dsts:
+                key = (p_dst, nxt[3], q_dst)
+                dst = ids.get(key)
+                if dst is None:
+                    dst = ids[key] = len(queue)
+                    queue.append((p_dst, nxt, q_dst))
+                    arcs.append([])
+                    preds.append([])
+                out.append((label, weight, dst))
+                preds[dst].append(src)
+
+    live = [False] * len(queue)
+    for f in finals:
+        live[f] = True
+    stack = list(finals)
+    while stack:
+        for src in preds[stack.pop()]:
+            if not live[src]:
+                live[src] = True
+                stack.append(src)
+    alive = [s for s, keep in enumerate(live) if keep]
+    if not alive:
+        return Wfsa(num_states=1, start=0)
+    renum = {old: new for new, old in enumerate(alive)}
+    kept = [
+        [Arc(label, weight, renum[dst]) for label, weight, dst in arcs[s] if live[dst]]
+        for s in alive
+    ]
+    return Wfsa(num_states=len(alive), start=0, finals={renum[f] for f in finals}, arcs=kept)
 
 
 def tokenize_phrase(surface: str, table: TokenTable) -> ConstraintPhrase:

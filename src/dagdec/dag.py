@@ -107,7 +107,7 @@ def load_dag(source: str | bytes) -> Dag:
             raise DagFormatError(f"vertex {u}: not an object")
         em = []
         seen_tokens: set[int] = set()
-        for pair in vertex.get("emissions", []):
+        for pair in _pair_list(u, vertex, "emissions"):
             token, logp = _parse_pair(u, pair, "emission")
             if token < 0:
                 raise DagFormatError(f"vertex {u}: negative token id {token}")
@@ -117,7 +117,7 @@ def load_dag(source: str | bytes) -> Dag:
             em.append((token, logp))
         tr = []
         seen_targets: set[int] = set()
-        for pair in vertex.get("transitions", []):
+        for pair in _pair_list(u, vertex, "transitions"):
             target, logp = _parse_pair(u, pair, "transition")
             if target <= u:
                 raise DagFormatError(f"vertex {u}: backward edge {u}->{target}")
@@ -138,6 +138,13 @@ def load_dag(source: str | bytes) -> Dag:
         emissions=tuple(emissions),
         transitions=tuple(transitions),
     )
+
+
+def _pair_list(u: int, vertex: dict, key: str) -> list:
+    pairs = vertex.get(key, [])
+    if not isinstance(pairs, list):
+        raise DagFormatError(f"vertex {u}: {key} must be a list")
+    return pairs
 
 
 def _parse_pair(u: int, pair: object, kind: str) -> tuple[int, float]:

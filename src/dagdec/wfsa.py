@@ -77,10 +77,10 @@ class Wfsa:
         return state in self.finals
 
     def has_epsilon(self) -> bool:
-        return any(arc.label == EPSILON for _, arc in self.all_arcs())
+        return any(arc.label == EPSILON for arcs in self._arcs for arc in arcs)
 
     def has_sigma(self) -> bool:
-        return any(arc.label == SIGMA for _, arc in self.all_arcs())
+        return any(arc.label == SIGMA for arcs in self._arcs for arc in arcs)
 
     def copy(self) -> "Wfsa":
         return Wfsa(

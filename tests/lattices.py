@@ -5,7 +5,12 @@ from __future__ import annotations
 import math
 import random
 
-from dagdec.constraints import ConstraintPhrase, build_hlc_fsa, build_vocab_fsa
+from dagdec.constraints import (
+    ConstraintPhrase,
+    build_hlc_fsa,
+    build_vocab_fsa,
+    constrained_product,
+)
 from dagdec.dag import Dag, PruneConfig, generate_synthetic_dag, prune_dag
 from dagdec.tokens import TokenTable
 from dagdec.wfsa import EPSILON, Wfsa, dag_to_wfsa, intersect
@@ -156,23 +161,40 @@ def random_constrained_lattice(rng: random.Random, vocab_size: int) -> tuple[Dag
     return dag, PruneConfig(k_e=k_e, k_t=k_t, constraints=tuple(phrases))
 
 
-def random_constrained_product(seed: int, vocab_size: int = 4) -> Wfsa:
-    """The acceptor an lc or control-dag decode searches: a random
-    constrained lattice, converted and intersected with its phrase
-    acceptors and, half the time, with a vocabulary closure of
-    single-token words plus multi-word entities."""
+def random_constraint_draw(
+    seed: int, vocab_size: int = 4
+) -> tuple[Wfsa, tuple[ConstraintPhrase, ...], Wfsa | None]:
+    """A random constrained lattice, converted, with its phrases and, half
+    the time, a vocabulary closure of single-token words plus multi-word
+    entities."""
     rng = random.Random(seed)
     dag, cfg = random_constrained_lattice(rng, vocab_size)
-    w = dag_to_wfsa(dag, cfg)
-    for phrase in cfg.constraints:
-        w = intersect(w, build_hlc_fsa(phrase))
+    vocab = None
     if rng.random() < 0.5:
         table = toy_table(vocab_size)
         words = [f"w{i:03d}" for i in range(vocab_size)]
         dictionary = rng.sample(words, rng.randint(1, vocab_size))
         entities = [" ".join(rng.choices(words, k=rng.randint(2, 3))) for _ in range(rng.randint(0, 2))]
-        w = intersect(w, build_vocab_fsa(dictionary, [], entities, table).automaton)
+        vocab = build_vocab_fsa(dictionary, [], entities, table).automaton
+    return dag_to_wfsa(dag, cfg), cfg.constraints, vocab
+
+
+def random_constrained_product(seed: int, vocab_size: int = 4) -> Wfsa:
+    """A random constraint draw intersected one constraint at a time: one
+    `intersect` per phrase acceptor, then one with the vocabulary."""
+    w, phrases, vocab = random_constraint_draw(seed, vocab_size)
+    for phrase in phrases:
+        w = intersect(w, build_hlc_fsa(phrase))
+    if vocab is not None:
+        w = intersect(w, vocab)
     return w
+
+
+def random_joint_product(seed: int, vocab_size: int = 4) -> Wfsa:
+    """The acceptor an lc or control-dag decode searches: the same draw
+    as `random_constrained_product`, in one `constrained_product`."""
+    w, phrases, vocab = random_constraint_draw(seed, vocab_size)
+    return constrained_product(w, phrases, vocab)
 
 
 def uniform_lattice(rng: random.Random) -> tuple[Dag, tuple[ConstraintPhrase, ...]]:

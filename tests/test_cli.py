@@ -20,6 +20,7 @@ from dagdec.cli import (
     main,
     run_decode,
 )
+from dagdec.constraints import constrained_product
 from dagdec.dag import PruneConfig, prune_dag, write_dag
 from dagdec.length import default_upper_bound, length_penalty
 from dagdec.tokens import write_token_table
@@ -168,6 +169,76 @@ class TestDecodeModes:
             run_decode(DecodeJob(dag_path=dag_path, table_path=table_path, mode="lc"))
         with pytest.raises(ValueError, match="unknown mode"):
             run_decode(DecodeJob(dag_path=dag_path, table_path=table_path, mode="nope"))
+
+
+class TestEmptyIntersectionNote:
+    """An empty product names the first constraint that alone empties it:
+    each phrase in turn, then the vocabulary. tiny4 pruned at k=2 spells
+    [0|1][2|3][4|5], [0|1][2|3] and [0|1][4|5]."""
+
+    @staticmethod
+    def decode(workspace, mode, phrases, lexicon=None, target_length=None):
+        tmp_path, dag_path, table_path, table = workspace
+        cons = write_constraints(
+            tmp_path, [{"phrases": [phrase_surface(table, p) for p in phrases]}]
+        )
+        lex = None if lexicon is None else write_lexicon(
+            tmp_path, [phrase_surface(table, (t,)) for t in lexicon]
+        )
+        return run_decode(DecodeJob(dag_path=dag_path, table_path=table_path, mode=mode,
+                                    constraints_path=cons, lexicon_path=lex,
+                                    target_length=target_length, k_e=2, k_t=2))
+
+    def test_names_the_phrase_that_cannot_appear(self, workspace):
+        got = self.decode(workspace, "hlc", [(0, 2), (2, 0)])
+        assert got.status == "empty_intersection"
+        assert got.note == "phrase 1 ('w002 w000') cannot appear in the pruned lattice"
+
+    def test_phrases_feasible_alone_but_not_together(self, workspace):
+        got = self.decode(workspace, "hlc", [(0,), (1,)])
+        assert got.status == "empty_intersection"
+        assert got.note == "no path of the pruned lattice meets every constraint together"
+
+    def test_names_the_vocabulary(self, workspace):
+        got = self.decode(workspace, "vc", [], lexicon=(0, 1))
+        assert got.status == "empty_intersection"
+        assert got.note == "no path of the pruned lattice stays inside the vocabulary"
+
+    def test_phrase_before_vocabulary(self, workspace):
+        got = self.decode(workspace, "control-dag", [(3, 2)], lexicon=(0,), target_length=3)
+        assert got.note == "phrase 0 ('w003 w002') cannot appear in the pruned lattice"
+
+    def test_phrase_and_vocabulary_feasible_alone(self, workspace):
+        got = self.decode(workspace, "control-dag", [(0,)], lexicon=(1, 2, 3, 4, 5),
+                          target_length=3)
+        assert got.status == "empty_intersection"
+        assert got.note == "no path of the pruned lattice meets every constraint together"
+
+    def test_lattice_without_a_path(self, workspace):
+        tmp_path, _, table_path, table = workspace
+        dag_path = tmp_path / "dead_end.json"  # vertex 1 has no way on to vertex 2
+        write_dag(build_dag([[(0, 1.0)], [(1, 1.0)], [(2, 1.0)]], [[(1, 1.0)], [], []]),
+                  str(dag_path))
+        cons = write_constraints(tmp_path, [{"phrases": [phrase_surface(table, (0,))]}])
+        got = run_decode(DecodeJob(dag_path=str(dag_path), table_path=table_path, mode="hlc",
+                                   constraints_path=cons))
+        assert got.status == "empty_intersection"
+        assert got.note == "the pruned lattice has no accepting path"
+
+    def test_success_builds_one_product(self, workspace, monkeypatch):
+        from dagdec import cli
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return constrained_product(*args)
+
+        monkeypatch.setattr(cli, "constrained_product", counting)
+        got = self.decode(workspace, "control-dag", [(0, 2)], lexicon=(0, 2, 4),
+                          target_length=3)
+        assert got.status == "ok" and got.tokens == (0, 2, 4)
+        assert len(calls) == 1
 
 
 class TestDecodeMatchesEnumeration:
@@ -553,3 +624,14 @@ class TestBadInput:
                      "--len-predictor", str(pred), "--input-len", "2",
                      "--ke", "2", "--kt", "2"])
         self.assert_one_line_error(capsys, code, "finite")
+
+    @pytest.mark.parametrize("mode", ("greedy", "wfsa-shortest"))
+    @pytest.mark.parametrize("key", ("emissions", "transitions"))
+    def test_pair_list_that_is_not_a_list(self, workspace, capsys, mode, key):
+        tmp_path, dag_path, table_path, _ = workspace
+        doc = json.loads(open(dag_path, encoding="utf-8").read())
+        doc["vertices"][0][key] = 5
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["decode", "--dag", str(bad), "--table", table_path, "--mode", mode])
+        self.assert_one_line_error(capsys, code, f"vertex 0: {key} must be a list")

@@ -5,30 +5,49 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dagdec.constraints as constraints_mod
 from dagdec.constraints import (
     ConstraintPhrase,
     build_hlc_fsa,
     build_vocab_fsa,
+    constrained_product,
     default_specials,
     extract_lexicon,
     tokenize_phrase,
 )
+from dagdec.length import LcConfig, dfs_viterbi
 from dagdec.tokens import TokenTable
 from dagdec.wfsa import (
+    EPSILON,
+    SIGMA,
+    Wfsa,
     closure,
     determinize_min,
     dump_wfsa,
+    has_accepting_path,
     intersect,
     linear_acceptor,
+    shortest_path,
     string_cost,
     trim,
     union,
 )
 
-from .lattices import random_acyclic_wfsa
-from .oracles import arc_scan_intersect, contains_subsequence, nfa_accepts, word_frequencies
+from .lattices import (
+    random_acyclic_wfsa,
+    random_constrained_product,
+    random_joint_product,
+)
+from .oracles import (
+    arc_scan_intersect,
+    contains_subsequence,
+    enumerate_wfsa_paths,
+    nfa_accepts,
+    word_frequencies,
+)
 
 
 @pytest.fixture()
@@ -294,3 +313,96 @@ class TestVocabFsa:
         lex = build_vocab_fsa(["cat"], None, [], table)
         assert nfa_accepts(lex.automaton, (0, 1))  # "cat 1984"
         assert nfa_accepts(lex.automaton, (2,))    # bare digit token
+
+
+def _cost_map(w: Wfsa) -> dict[tuple[int, ...], float]:
+    """Each accepted string of an acyclic acceptor at its cheapest cost."""
+    out: dict[tuple[int, ...], float] = {}
+    for tokens, cost in enumerate_wfsa_paths(w):
+        out[tokens] = min(cost, out.get(tokens, cost))
+    return out
+
+
+_draws = st.integers(min_value=0, max_value=10**9), st.sampled_from((3, 4))
+
+
+class TestConstrainedProduct:
+    """One product over the lattice, every phrase matcher and the
+    vocabulary, against one `intersect` per constraint."""
+
+    @given(*_draws)
+    @settings(max_examples=300, deadline=None)
+    def test_same_language_costs_and_decodes_as_sequential(self, seed, vocab_size):
+        seq = random_constrained_product(seed, vocab_size)
+        joint = random_joint_product(seed, vocab_size)
+        assert bool(joint.finals) == bool(seq.finals)
+        assert _cost_map(joint) == _cost_map(seq)
+        assert shortest_path(joint) == shortest_path(seq)
+        for target in range(1, 7):
+            cfg = LcConfig(target_length=target, edge_prune_threshold=1.0)
+            assert dfs_viterbi(joint, cfg) == dfs_viterbi(seq, cfg), target
+
+    @given(*_draws)
+    @settings(max_examples=200, deadline=None)
+    def test_trim_epsilon_free_without_parallel_duplicates(self, seed, vocab_size):
+        w = random_joint_product(seed, vocab_size)
+        assert not w.has_epsilon() and not w.has_sigma()
+        for s in range(w.num_states):
+            pairs = [(arc.label, arc.dst) for arc in w.arcs_from(s)]
+            assert len(pairs) == len(set(pairs)), s
+        assert bool(w.finals) == has_accepting_path(w)
+        if w.finals:  # every state lies on a start-to-final path
+            assert trim(w).num_states == w.num_states
+            assert w.start == 0
+
+    def test_redundant_sigma_branches_no_longer_skew_arc_pruning(self):
+        # The sequential product also follows each HLC sigma arc on a token
+        # with its own arc, so one lattice arc appears twice in a state's
+        # out-arcs and counts twice in the 0.7 pruning mass.
+        cfg = LcConfig(target_length=1, edge_prune_threshold=0.7)
+        seq = dfs_viterbi(random_constrained_product(106, 3), cfg)
+        joint = dfs_viterbi(random_joint_product(106, 3), cfg)
+        assert seq.status == "infeasible"
+        assert joint.status == "ok" and joint.tokens == (2,)
+        assert joint.cost == pytest.approx(1.4481009410513033)
+
+    def test_completed_phrase_stays_completed(self):
+        w = linear_acceptor((0, 1, 0, 2), weight=0.5)
+        got = constrained_product(w, [ConstraintPhrase(tokens=(0, 1))])
+        assert _cost_map(got) == {(0, 1, 0, 2): 2.0}
+
+    def test_every_phrase_must_complete(self):
+        w = linear_acceptor((0, 1, 2))
+        phrases = [ConstraintPhrase(tokens=(0, 1)), ConstraintPhrase(tokens=(1, 2))]
+        assert _cost_map(constrained_product(w, phrases)) == {(0, 1, 2): 0.0}
+        assert not constrained_product(w, phrases + [ConstraintPhrase(tokens=(2, 0))]).finals
+
+    def test_final_needs_a_final_vocab_state(self):
+        w = linear_acceptor((0, 1), weight=0.25)
+        assert not constrained_product(w, [], linear_acceptor((0, 1, 1))).finals
+        assert _cost_map(constrained_product(w, [], linear_acceptor((0, 1)))) == {(0, 1): 0.5}
+
+    def test_keeps_every_state_that_can_still_accept(self):
+        # 0 -a-> 1 -b-> 3 and 0 -a-> 2 -c-> 3; only "a c" contains "c".
+        w = Wfsa(num_states=4, start=0, finals={3})
+        w.add_arc(0, 0, 1.0, 1)
+        w.add_arc(0, 0, 2.0, 2)
+        w.add_arc(1, 1, 0.0, 3)
+        w.add_arc(2, 2, 0.0, 3)
+        got = constrained_product(w, [ConstraintPhrase(tokens=(2,))])
+        assert got.num_states == 3
+        assert _cost_map(got) == {(0, 2): 2.0}
+
+    def test_vocab_epsilons_are_removed(self):
+        vocab = closure(union(linear_acceptor((0,)), linear_acceptor((1,))))
+        assert vocab.has_epsilon()
+        got = constrained_product(linear_acceptor((0, 1, 0), weight=0.5), [], vocab)
+        assert not got.has_epsilon()
+        assert _cost_map(got) == {(0, 1, 0): 1.5}
+
+    @pytest.mark.parametrize("label", (EPSILON, SIGMA))
+    def test_lattice_with_epsilon_or_sigma_is_rejected(self, label):
+        w = linear_acceptor((0,))
+        w.add_arc(0, label, 0.0, 1)
+        with pytest.raises(ValueError, match="epsilon or sigma"):
+            constrained_product(w, [])

@@ -89,6 +89,15 @@ class TestLoadDag:
         with pytest.raises(DagFormatError, match=f"vertex 0: {kind} log-probability"):
             load_dag(src)
 
+    @pytest.mark.parametrize("key", ("emissions", "transitions"))
+    @pytest.mark.parametrize("value", (5, "5", {"0": -0.5}, None),
+                             ids=("number", "string", "object", "null"))
+    def test_pair_list_must_be_a_json_list(self, key, value):
+        vertex = {"emissions": [[0, 0.0]], "transitions": [[1, 0.0]], key: value}
+        src = doc(2, [vertex, {"emissions": [], "transitions": []}])
+        with pytest.raises(DagFormatError, match=f"^vertex 0: {key} must be a list$"):
+            load_dag(src)
+
     def test_integer_log_probability_accepted(self):
         dag = load_dag(doc(2, [
             {"emissions": [[0, 0]], "transitions": [[1, -1]]},

@@ -2,9 +2,10 @@
 
 The harness checks every output against the digests pinned in
 perfbench/digests.json, so these runs guard the bit-identical decode of the
-control-dag path (phrases, cached vocabulary, target length), of the
-length search on ~900-vertex lattices (lc-long) and of the constrained
-beam search over the lattice itself (cbs-phrases).
+control-dag path (phrases, cached vocabulary, target length), of the vc
+path (a lexicon compiled per job, and a product without phrases;
+vocab-cold), of the length search on ~900-vertex lattices (lc-long) and of
+the constrained beam search over the lattice itself (cbs-phrases).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("workload", ("control-warm", "lc-long", "cbs-phrases"))
+@pytest.mark.parametrize("workload", ("control-warm", "vocab-cold", "lc-long", "cbs-phrases"))
 def test_smoke_run_is_correct(workload):
     cmd = [
         sys.executable, "perfbench/run.py",

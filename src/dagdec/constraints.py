@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import wfsa
-from .tokens import TokenTable, dump_token_table
+from .tokens import TokenTable
 from .wfsa import SIGMA, Arc, Wfsa, _label_index, lexicon_dfa
 from .words import is_numeric_token, strip_punct
 
@@ -347,7 +347,7 @@ def _static_cache_key(
     for s in specials:
         h.update(s.encode("utf-8") + b"\x00")
     h.update(b"\x02" + (b"1" if include_numeric else b"0"))
-    h.update(dump_token_table(table).encode("utf-8"))
+    h.update(table.digest.encode("ascii"))
     return h.hexdigest()
 
 

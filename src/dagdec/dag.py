@@ -20,6 +20,7 @@ if TYPE_CHECKING:
     from .constraints import ConstraintPhrase
 
 DAG_FORMAT_VERSION = 1
+_MIN_LOGPROB = -sys.float_info.max
 
 
 class DagFormatError(ValueError):
@@ -33,7 +34,9 @@ class Dag:
     emissions[u]  : tuple of (token_id, logprob <= 0), descending probability
     transitions[u]: tuple of (target > u, logprob <= 0), descending probability
     (ties: smaller index first). Pruning and beam search take top-k entries
-    as prefixes, so every constructor must keep this order.
+    as prefixes, so every constructor must keep this order. `load_dag` keeps
+    a row as the document lists it when it is already in this order (as
+    `dump_dag` writes it) and sorts it only otherwise.
     """
 
     num_vertices: int
@@ -90,10 +93,11 @@ def load_dag(source: str | bytes) -> Dag:
         raise DagFormatError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DagFormatError("top-level document must be an object")
-    if doc.get("version") != DAG_FORMAT_VERSION:
-        raise DagFormatError(f"unsupported version {doc.get('version')!r}")
+    version = doc.get("version")
+    if isinstance(version, bool) or version != DAG_FORMAT_VERSION:
+        raise DagFormatError(f"unsupported version {version!r}")
     num_vertices = doc.get("num_vertices")
-    if not isinstance(num_vertices, int) or num_vertices < 1:
+    if type(num_vertices) is not int or num_vertices < 1:
         raise DagFormatError("num_vertices must be a positive integer")
     vertices = doc.get("vertices")
     if not isinstance(vertices, list) or len(vertices) != num_vertices:
@@ -101,43 +105,92 @@ def load_dag(source: str | bytes) -> Dag:
 
     emissions = []
     transitions = []
-    final = num_vertices - 1
     for u, vertex in enumerate(vertices):
-        if not isinstance(vertex, dict):
-            raise DagFormatError(f"vertex {u}: not an object")
-        em = []
-        seen_tokens: set[int] = set()
-        for pair in _pair_list(u, vertex, "emissions"):
-            token, logp = _parse_pair(u, pair, "emission")
-            if token < 0:
-                raise DagFormatError(f"vertex {u}: negative token id {token}")
-            if token in seen_tokens:
-                raise DagFormatError(f"vertex {u}: duplicate emission token {token}")
-            seen_tokens.add(token)
-            em.append((token, logp))
-        tr = []
-        seen_targets: set[int] = set()
-        for pair in _pair_list(u, vertex, "transitions"):
-            target, logp = _parse_pair(u, pair, "transition")
-            if target <= u:
-                raise DagFormatError(f"vertex {u}: backward edge {u}->{target}")
-            if target >= num_vertices:
-                raise DagFormatError(
-                    f"vertex {u}: dangling vertex index {target} (num_vertices={num_vertices})"
-                )
-            if target in seen_targets:
-                raise DagFormatError(f"vertex {u}: duplicate transition target {target}")
-            seen_targets.add(target)
-            tr.append((target, logp))
-        if u == final and tr:
-            raise DagFormatError(f"vertex {u}: final vertex has outgoing transitions")
-        emissions.append(_sort_sparse(em))
-        transitions.append(_sort_sparse(tr))
+        em = tr = None
+        if type(vertex) is dict:
+            em = _read_row(vertex.get("emissions", []), 0, sys.maxsize)
+            if em is not None:
+                tr = _read_row(vertex.get("transitions", []), u + 1, num_vertices)
+        if tr is None:
+            em, tr = _check_vertex(u, vertex, num_vertices)
+        emissions.append(em)
+        transitions.append(tr)
     return Dag(
         num_vertices=num_vertices,
         emissions=tuple(emissions),
         transitions=tuple(transitions),
     )
+
+
+def _read_row(pairs: object, lo: int, hi: int) -> tuple[tuple[int, float], ...] | None:
+    """One row of (index in [lo, hi), finite float log-prob <= 0) pairs,
+    sorted only if the document does not list it in order.
+
+    Returns None on anything else (not a list, an int or bool, NaN, a
+    malformed pair, a duplicate index, an index out of range) so that the
+    caller checks the vertex entry by entry and words the error.
+    """
+    if type(pairs) is not list:
+        return None
+    row = []
+    append = row.append
+    seen = set()
+    add = seen.add
+    last = 1.0  # above any log-prob, so the first pair is in order
+    ordered = True
+    try:
+        for i, lp in pairs:
+            if (type(i) is not int or type(lp) is not float
+                    or not lo <= i < hi or not _MIN_LOGPROB <= lp <= 0.0):
+                return None
+            if lp >= last:  # a tie or a rise: let the sort settle it
+                ordered = False
+            last = lp
+            add(i)
+            append((i, lp))
+    except (TypeError, ValueError):  # an entry that is not a pair
+        return None
+    if len(seen) != len(row):
+        return None
+    return tuple(row) if ordered else _sort_sparse(row)
+
+
+def _check_vertex(
+    u: int, vertex: object, num_vertices: int
+) -> tuple[tuple[tuple[int, float], ...], tuple[tuple[int, float], ...]]:
+    """Validate one vertex entry by entry, raising the first error it finds.
+
+    Also accepts what `_read_row` leaves to it, such as integer log-probs.
+    """
+    if not isinstance(vertex, dict):
+        raise DagFormatError(f"vertex {u}: not an object")
+    em = []
+    seen_tokens: set[int] = set()
+    for pair in _pair_list(u, vertex, "emissions"):
+        token, logp = _parse_pair(u, pair, "emission")
+        if token < 0:
+            raise DagFormatError(f"vertex {u}: negative token id {token}")
+        if token in seen_tokens:
+            raise DagFormatError(f"vertex {u}: duplicate emission token {token}")
+        seen_tokens.add(token)
+        em.append((token, logp))
+    tr = []
+    seen_targets: set[int] = set()
+    for pair in _pair_list(u, vertex, "transitions"):
+        target, logp = _parse_pair(u, pair, "transition")
+        if target <= u:
+            raise DagFormatError(f"vertex {u}: backward edge {u}->{target}")
+        if target >= num_vertices:
+            raise DagFormatError(
+                f"vertex {u}: dangling vertex index {target} (num_vertices={num_vertices})"
+            )
+        if target in seen_targets:
+            raise DagFormatError(f"vertex {u}: duplicate transition target {target}")
+        seen_targets.add(target)
+        tr.append((target, logp))
+    if u == num_vertices - 1 and tr:
+        raise DagFormatError(f"vertex {u}: final vertex has outgoing transitions")
+    return _sort_sparse(em), _sort_sparse(tr)
 
 
 def _pair_list(u: int, vertex: dict, key: str) -> list:
@@ -157,7 +210,7 @@ def _parse_pair(u: int, pair: object, kind: str) -> tuple[int, float]:
         raise DagFormatError(f"vertex {u}: {kind} log-probability must be a number, not {logp!r}")
     if logp > 0.0:
         raise DagFormatError(f"vertex {u}: {kind} probability > 0 in log space ({logp})")
-    if not logp >= -sys.float_info.max:  # -inf, NaN, or an int below the float range
+    if not logp >= _MIN_LOGPROB:  # -inf, NaN, or an int below the float range
         raise DagFormatError(f"vertex {u}: {kind} log-probability {logp} is not a finite float")
     return idx, float(logp)
 
@@ -233,34 +286,39 @@ def prune_dag(dag: Dag, cfg: PruneConfig) -> Dag:
     Emission sets are augmented with forced constraint continuations;
     log-probabilities are kept raw (no renormalization). A forced token
     absent from a vertex's emission table has probability zero there and
-    cannot be added.
+    cannot be added. The forcing is the one `force_emit` defines, computed
+    forward: each vertex pushes the phrase tokens that follow its kept
+    emissions to the targets of its kept transitions.
     """
-    kept_em: list[tuple[tuple[int, float], ...]] = []
-    kept_em_sets: list[set[int]] = []
-    kept_tr: list[tuple[tuple[int, float], ...]] = []
-    predecessors: list[set[int]] = [set() for _ in range(dag.num_vertices)]
+    k_e, k_t = cfg.k_e, cfg.k_t
+    kept_tr = tuple(row[:k_t] for row in dag.transitions)
+    follow: dict[int, set[int]] = {}
+    for phrase in cfg.constraints:
+        toks = phrase.tokens
+        for j in range(len(toks) - 1):
+            follow.setdefault(toks[j], set()).add(toks[j + 1])
+    if not follow:
+        kept_rows = tuple(row[:k_e] for row in dag.emissions)
+        return Dag(num_vertices=dag.num_vertices, emissions=kept_rows, transitions=kept_tr)
 
-    for u in range(dag.num_vertices):
-        kept = dict(dag.emissions[u][: cfg.k_e])
-        forced = force_emit(u, cfg.constraints, kept_em_sets, predecessors)
+    forced_at: list[set[int]] = [set() for _ in range(dag.num_vertices)]
+    kept_em = []
+    for u, row in enumerate(dag.emissions):
+        kept = row[:k_e]
+        forced = forced_at[u]
         if forced:
-            table = dict(dag.emissions[u])
-            for t in forced:
-                if t in table:
-                    kept[t] = table[t]
-        kept_em.append(_sort_sparse(kept.items()))
-        kept_em_sets.append(set(kept))
-
-        kept_transitions = dag.transitions[u][: cfg.k_t]
-        kept_tr.append(kept_transitions)
-        for v, _ in kept_transitions:
-            predecessors[v].add(u)
-
-    return Dag(
-        num_vertices=dag.num_vertices,
-        emissions=tuple(kept_em),
-        transitions=tuple(kept_tr),
-    )
+            extra = [p for p in row[k_e:] if p[0] in forced]
+            if extra:
+                kept = _sort_sparse(kept + tuple(extra))
+        kept_em.append(kept)
+        pushed: set[int] = set()
+        for t, _ in kept:
+            if t in follow:
+                pushed |= follow[t]
+        if pushed:
+            for v, _ in kept_tr[u]:
+                forced_at[v] |= pushed
+    return Dag(num_vertices=dag.num_vertices, emissions=tuple(kept_em), transitions=kept_tr)
 
 
 def generate_synthetic_dag(

@@ -7,7 +7,10 @@ word-initial subword pieces, and the end/start-of-sequence token ids.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 TOKEN_TABLE_VERSION = 1
 
@@ -46,6 +49,13 @@ class TokenTable:
 
     def __len__(self) -> int:
         return len(self.surfaces)
+
+    @cached_property
+    def digest(self) -> str:
+        """SHA-256 of the table's content (surfaces and markers), computed
+        once per table on first use."""
+        content = json.dumps([self.sow_mark, self.eos_id, self.sos_id, self.surfaces])
+        return hashlib.sha256(content.encode("utf-8")).hexdigest()
 
     def surface(self, token_id: int) -> str:
         return self.surfaces[token_id]

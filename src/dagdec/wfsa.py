@@ -113,12 +113,22 @@ def dag_to_wfsa(dag: Dag, cfg: PruneConfig) -> Wfsa:
     vertex as the unique final state.
     """
     pruned = prune_dag(dag, cfg)
-    w = Wfsa(num_states=pruned.num_vertices, start=0, finals={pruned.final_vertex})
-    for u in range(pruned.num_vertices):
+    n = pruned.num_vertices
+    new_arc = tuple.__new__  # Arc(...) without the generated __new__ call
+    arcs = []
+    for u, transitions in enumerate(pruned.transitions):
+        for v, _ in transitions:
+            if not 0 <= v < n:
+                raise ValueError(f"arc {u}->{v} references an unknown state")
+        row = []
         for token, elp in pruned.emissions[u]:
-            for v, tlp in pruned.transitions[u]:
-                w.add_arc(u, token, -(elp + tlp) + 0.0, v)
-    return w
+            for v, tlp in transitions:
+                weight = -(elp + tlp) + 0.0
+                if not 0.0 <= weight < _INF:
+                    raise ValueError(f"arc weight {weight} is not a finite cost >= 0")
+                row.append(new_arc(Arc, (token, weight, v)))
+        arcs.append(row)
+    return Wfsa(num_states=n, start=0, finals={pruned.final_vertex}, arcs=arcs)
 
 
 def _copy_into(dst: Wfsa, src: Wfsa, offset: int) -> None:

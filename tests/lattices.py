@@ -241,8 +241,9 @@ def window_lattice(seed: int, gold_tokens: int = 40) -> tuple[Dag, tuple[Constra
     transitions = []
     for u in range(n):
         token, succ = plan.get(u, (None, None))
-        tokens = [t for t in rng.sample(range(vocab_size), degree) if t != token][: degree - 1]
-        tokens = [token if token is not None else rng.randrange(vocab_size)] + tokens
+        sample = rng.sample(range(vocab_size), degree)
+        head = token if token is not None else rng.randrange(vocab_size)
+        tokens = [head] + [t for t in sample if t != head][: degree - 1]
         targets = [v for v in range(u + 1, min(u + window, n - 1) + 1) if v != succ]
         rng.shuffle(targets)
         if succ is not None:

@@ -8,13 +8,22 @@ instead of the fitting routine, and naive counting for the metrics.
 
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
 from dataclasses import dataclass
 
 from dagdec.cbs import kmp_advance
 from dagdec.constraints import ConstraintPhrase
-from dagdec.dag import Dag
+from dagdec.dag import (
+    DAG_FORMAT_VERSION,
+    Dag,
+    DagFormatError,
+    PruneConfig,
+    _check_vertex,
+    _sort_sparse,
+    force_emit,
+)
 from dagdec.length import LcConfig, length_penalty
 from dagdec.result import STATUS_EMPTY, STATUS_OK, DecodeResult
 from dagdec.wfsa import EPSILON, SIGMA, Arc, Wfsa, _rm_epsilon_unweighted, topological_sort, trim
@@ -177,6 +186,64 @@ def enumerate_dag_paths(dag: Dag) -> list[tuple[tuple[int, ...], float]]:
 
     walk(dag.start_vertex, (), 0.0)
     return out
+
+
+def reference_load_dag(source: str | bytes) -> Dag:
+    """The lattice reader that checks every vertex entry by entry and sorts
+    every row, whatever order the file lists it in."""
+    if isinstance(source, bytes):
+        source = source.decode("utf-8")
+    try:
+        doc = json.loads(source)
+    except json.JSONDecodeError as exc:
+        raise DagFormatError(f"malformed JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DagFormatError("top-level document must be an object")
+    if doc.get("version") != DAG_FORMAT_VERSION:
+        raise DagFormatError(f"unsupported version {doc.get('version')!r}")
+    num_vertices = doc.get("num_vertices")
+    if not isinstance(num_vertices, int) or num_vertices < 1:
+        raise DagFormatError("num_vertices must be a positive integer")
+    vertices = doc.get("vertices")
+    if not isinstance(vertices, list) or len(vertices) != num_vertices:
+        raise DagFormatError("vertices list does not match num_vertices")
+    rows = [_check_vertex(u, vertex, num_vertices) for u, vertex in enumerate(vertices)]
+    return Dag(
+        num_vertices=num_vertices,
+        emissions=tuple(em for em, _ in rows),
+        transitions=tuple(tr for _, tr in rows),
+    )
+
+
+def reference_prune_dag(dag: Dag, cfg: PruneConfig) -> Dag:
+    """Top-k pruning that asks `force_emit` at every vertex which phrase
+    continuations its kept predecessors force, and re-sorts every row."""
+    kept_em: list[tuple[tuple[int, float], ...]] = []
+    kept_em_sets: list[set[int]] = []
+    kept_tr: list[tuple[tuple[int, float], ...]] = []
+    predecessors: list[set[int]] = [set() for _ in range(dag.num_vertices)]
+
+    for u in range(dag.num_vertices):
+        kept = dict(dag.emissions[u][: cfg.k_e])
+        forced = force_emit(u, cfg.constraints, kept_em_sets, predecessors)
+        if forced:
+            table = dict(dag.emissions[u])
+            for t in forced:
+                if t in table:
+                    kept[t] = table[t]
+        kept_em.append(_sort_sparse(kept.items()))
+        kept_em_sets.append(set(kept))
+
+        kept_transitions = dag.transitions[u][: cfg.k_t]
+        kept_tr.append(kept_transitions)
+        for v, _ in kept_transitions:
+            predecessors[v].add(u)
+
+    return Dag(
+        num_vertices=dag.num_vertices,
+        emissions=tuple(kept_em),
+        transitions=tuple(kept_tr),
+    )
 
 
 @dataclass(frozen=True)

@@ -625,6 +625,20 @@ class TestBadInput:
                      "--ke", "2", "--kt", "2"])
         self.assert_one_line_error(capsys, code, "finite")
 
+    @pytest.mark.parametrize("mode", ("wfsa-shortest", "lc"))
+    def test_log_probs_whose_sums_overflow(self, workspace, capsys, mode):
+        # each log-prob is finite, but an emission plus a transition is -inf
+        tmp_path, dag_path, table_path, _ = workspace
+        doc = json.loads(open(dag_path, encoding="utf-8").read())
+        for vertex in doc["vertices"]:
+            for key in ("emissions", "transitions"):
+                vertex[key] = [[i, -1.7e308] for i, _ in vertex[key]]
+        bad = tmp_path / "overflow.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["decode", "--dag", str(bad), "--table", table_path, "--mode", mode,
+                     "--target-len", "3", "--ke", "2", "--kt", "2"])
+        self.assert_one_line_error(capsys, code, "arc weight inf is not a finite cost >= 0")
+
     @pytest.mark.parametrize("mode", ("greedy", "wfsa-shortest"))
     @pytest.mark.parametrize("key", ("emissions", "transitions"))
     def test_pair_list_that_is_not_a_list(self, workspace, capsys, mode, key):

@@ -307,6 +307,15 @@ class TestVocabFsa:
         monkeypatch.setattr(constraints_mod, "STATIC_CACHE_FORMAT", "an older format")
         assert constraints_mod._static_cache_key(*args) != key
 
+    def test_cache_key_follows_the_table_content(self, subword_table):
+        def key(table):
+            return constraints_mod._static_cache_key(["cat"], ["."], True, table)
+
+        same = TokenTable(surfaces=subword_table.surfaces, sow_mark="▁", eos_id=8, sos_id=7)
+        swapped = TokenTable(surfaces=subword_table.surfaces, sow_mark="▁", eos_id=7, sos_id=8)
+        assert key(same) == key(subword_table)
+        assert key(swapped) != key(subword_table)
+
     def test_numeric_tokens_accepted(self):
         surfaces = ("▁cat", "▁1984", "7", "<s>", "</s>", "▁")
         table = TokenTable(surfaces=surfaces, sow_mark="▁", eos_id=4, sos_id=3)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,8 @@ from dagdec.dag import (
     validate_normalized,
 )
 
-from .lattices import build_dag
+from .lattices import build_dag, uniform_lattice
+from .oracles import reference_load_dag, reference_prune_dag
 
 
 def doc(num_vertices, vertices, version=1):
@@ -126,6 +128,15 @@ class TestLoadDag:
     def test_malformed_json(self):
         with pytest.raises(DagFormatError, match="malformed JSON"):
             load_dag(b"{nope")
+
+    @pytest.mark.parametrize("header, message", [
+        ({"version": True, "num_vertices": 1}, "unsupported version True"),
+        ({"version": 1, "num_vertices": True}, "num_vertices must be a positive integer"),
+    ], ids=("version", "num_vertices"))
+    def test_boolean_header_rejected(self, header, message):
+        src = json.dumps({**header, "vertices": [{}]})
+        with pytest.raises(DagFormatError, match=f"^{message}$"):
+            load_dag(src)
 
     def test_missing_version(self):
         with pytest.raises(DagFormatError, match="version"):
@@ -332,3 +343,150 @@ class TestDuplicateEntries:
         ])
         with pytest.raises(DagFormatError, match="duplicate transition target 1"):
             load_dag(src)
+
+
+# Log-probs for generated rows: ties, both zeros, integers and tiny or huge
+# magnitudes, so rows come in order, tied or out of order.
+_LOGPROBS = st.sampled_from((0.0, -0.0, 0, -1, -0.5, -1.25, -3.0, -1e-300, -1.7e308)) | st.floats(
+    min_value=-6.0, max_value=0.0
+)
+
+_MUTATIONS = (
+    "bool index", "bool log-prob", "string log-prob", "nan", "-inf", "huge int", "positive",
+    "negative id", "duplicate", "backward", "dangling", "final transition", "non-list pair",
+    "1-item pair", "3-item pair", "pairs not a list", "vertex not an object", "missing key",
+)
+
+
+@st.composite
+def lattice_documents(draw):
+    """A valid lattice document, its rows sorted, shuffled or as drawn, and
+    in about half the draws one field of it broken."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    vertices = []
+    for u in range(n):
+        vertex = {}
+        for key, ids in (
+            ("emissions", st.integers(min_value=0, max_value=9)),
+            ("transitions", st.integers(min_value=u + 1, max_value=max(u + 1, n - 1))),
+        ):
+            indices = [] if key == "transitions" and u == n - 1 else draw(
+                st.lists(ids, unique=True, max_size=5)
+            )
+            pairs = [[i, draw(_LOGPROBS)] for i in indices]
+            order = draw(st.sampled_from(("sorted", "shuffled", "drawn")))
+            if order == "sorted":
+                pairs.sort(key=lambda p: (-p[1], p[0]))
+            elif order == "shuffled":
+                pairs = draw(st.permutations(pairs))
+            vertex[key] = pairs
+        vertices.append(vertex)
+    mutation = draw(st.none() | st.sampled_from(_MUTATIONS))
+    if mutation is not None:
+        _mutate(draw, vertices, n, mutation)
+    return json.dumps({"version": 1, "num_vertices": n, "vertices": vertices})
+
+
+def _mutate(draw, vertices, n, mutation):
+    u = draw(st.integers(min_value=0, max_value=n - 1))
+    vertex = vertices[u]
+    key = draw(st.sampled_from(("emissions", "transitions")))
+    if mutation == "pairs not a list":
+        vertex[key] = draw(st.sampled_from((5, "ab", {"0": -0.5}, None)))
+        return
+    if mutation == "vertex not an object":
+        vertices[u] = [vertex.get("emissions", [])]
+        return
+    if mutation == "missing key":
+        del vertex[key]
+        return
+    if mutation == "backward":
+        vertex["transitions"].append([draw(st.integers(min_value=0, max_value=u)), -0.5])
+        return
+    if mutation == "dangling":
+        vertex["transitions"].append([n + draw(st.integers(min_value=0, max_value=3)), -0.5])
+        return
+    if mutation == "final transition":
+        vertices[-1]["transitions"].append([n - 1, -0.5])
+        return
+    if not vertex[key]:
+        key = "emissions"
+        vertex[key].append([0, -0.5])
+    pairs = vertex[key]
+    j = draw(st.integers(min_value=0, max_value=len(pairs) - 1))
+    if mutation == "bool index":
+        pairs[j][0] = draw(st.booleans())
+    elif mutation == "bool log-prob":
+        pairs[j][1] = draw(st.booleans())
+    elif mutation == "string log-prob":
+        pairs[j][1] = "-0.5"
+    elif mutation == "nan":
+        pairs[j][1] = math.nan
+    elif mutation == "-inf":
+        pairs[j][1] = -math.inf
+    elif mutation == "huge int":
+        pairs[j][1] = -(10**400)
+    elif mutation == "positive":
+        pairs[j][1] = 0.25
+    elif mutation == "negative id":
+        pairs[j][0] = -1
+    elif mutation == "duplicate":
+        pairs.append([pairs[j][0], -4.0])
+    elif mutation == "non-list pair":
+        pairs[j] = draw(st.sampled_from((5, "ab", {"a": 1}, None)))
+    elif mutation == "1-item pair":
+        pairs[j] = pairs[j][:1]
+    elif mutation == "3-item pair":
+        pairs[j] = pairs[j] + [0]
+
+
+def _load_outcome(load, src):
+    try:
+        dag = load(src)
+    except DagFormatError as exc:
+        return "error", str(exc)
+    return "ok", dag, dump_dag(dag)
+
+
+class TestAgainstReference:
+    """The one-pass loader and the forward prune against the pair-by-pair
+    reader and the per-vertex `force_emit` prune they replaced."""
+
+    @given(lattice_documents())
+    @settings(max_examples=600, deadline=None)
+    def test_loader_matches_reference(self, src):
+        # dump_dag tells -0.0 from 0.0, which Dag equality does not
+        assert _load_outcome(load_dag, src) == _load_outcome(reference_load_dag, src)
+
+    @given(st.integers(min_value=0, max_value=10**6), st.booleans(),
+           st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=3))
+    @settings(max_examples=400, deadline=None)
+    def test_prune_matches_reference(self, seed, ties, k_e, k_t):
+        rng = random.Random(seed)
+        if ties:
+            dag, phrases = uniform_lattice(rng)
+        else:
+            n = rng.randint(2, 12)
+            dag = generate_synthetic_dag(seed, n, rng.randint(1, 6), rng.randint(1, n - 1),
+                                         0.6, vocab_size=8)
+            phrases = tuple(
+                ConstraintPhrase(tokens=tuple(rng.choices(range(8), k=rng.randint(1, 3))))
+                for _ in range(rng.randint(0, 2))
+            )
+        phrases += tuple(_planted_below_top_k(rng, dag, k_e, k_t) for _ in range(2))
+        cfg = PruneConfig(k_e=k_e, k_t=k_t, constraints=phrases)
+        assert prune_dag(dag, cfg) == reference_prune_dag(dag, cfg)
+
+
+def _planted_below_top_k(rng, dag, k_e, k_t):
+    """A phrase along kept transitions whose tokens after the first sit
+    below the top k_e at their vertex wherever the lattice allows it."""
+    u = rng.randrange(dag.num_vertices)
+    tokens = [rng.choice(dag.emissions[u])[0]] if dag.emissions[u] else [0]
+    while len(tokens) < 4 and dag.transitions[u][:k_t]:
+        u = rng.choice(dag.transitions[u][:k_t])[0]
+        row = dag.emissions[u][k_e:] or dag.emissions[u]
+        if not row:
+            break
+        tokens.append(rng.choice(row)[0])
+    return ConstraintPhrase(tokens=tuple(tokens))

@@ -5,7 +5,10 @@ perfbench/digests.json, so these runs guard the bit-identical decode of the
 control-dag path (phrases, cached vocabulary, target length), of the vc
 path (a lexicon compiled per job, and a product without phrases;
 vocab-cold), of the length search on ~900-vertex lattices (lc-long) and of
-the constrained beam search over the lattice itself (cbs-phrases).
+the constrained beam search over the lattice itself (cbs-phrases). Every
+workload reads its lattices through `load_dag` and prunes them with
+`prune_dag`, so the digests also guard the one-pass loader (rows kept as
+the generator writes them) and the forward forced-emission prune.
 """
 
 from __future__ import annotations

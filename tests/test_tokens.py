@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from dagdec import tokens as tokens_mod
 from dagdec.tokens import (
     TokenTable,
     TokenTableError,
@@ -64,6 +65,36 @@ class TestLoad:
         text = "#version 1\n#sow _\n#eos 0\n#sos 0\n0 <s>\n"
         with pytest.raises(TokenTableError, match="id<TAB>surface"):
             load_token_table(text)
+
+
+class TestDigest:
+    def test_equal_tables_share_a_digest(self):
+        a = load_token_table(table_text(BASIC))
+        b = load_token_table(dump_token_table(a))
+        assert a is not b and a.digest == b.digest
+
+    @pytest.mark.parametrize("change", ("surface", "order", "sow", "eos", "sos"))
+    def test_any_change_moves_the_digest(self, change):
+        base = load_token_table(table_text(BASIC))
+        entries = list(BASIC)
+        kwargs = {}
+        if change == "surface":
+            entries[4] = (4, "es")
+        elif change == "order":
+            entries[2], entries[3] = (2, "▁dog"), (3, "▁cat")
+        elif change == "sow":
+            kwargs["sow"] = "_"
+        elif change == "eos":
+            kwargs["eos"] = 4
+        else:
+            kwargs["sos"] = 4
+        assert load_token_table(table_text(entries, **kwargs)).digest != base.digest
+
+    def test_computed_once_per_table(self, monkeypatch):
+        table = load_token_table(table_text(BASIC))
+        first = table.digest
+        monkeypatch.setattr(tokens_mod.hashlib, "sha256", None)  # a second hash would fail
+        assert table.digest == first
 
 
 class TestDetokenize:

@@ -15,7 +15,8 @@ import functools
 import hashlib
 import os
 import tempfile
-from collections import Counter
+import threading
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -318,20 +319,16 @@ def default_specials(table: TokenTable) -> list[str]:
     return out
 
 
-def _numeric_token_ids(table: TokenTable) -> list[int]:
-    ids = []
-    for tid, surface in enumerate(table.surfaces):
-        bare = surface[len(table.sow_mark):] if surface.startswith(table.sow_mark) else surface
-        if bare.isdigit():
-            ids.append(tid)
-    return ids
-
-
 # Versions the on-disk cache files: the key hashes this tag, so files
 # written by a build with another format are never loaded.
 STATIC_CACHE_FORMAT = "lexicon-dfa 1"
 
-_static_cache: dict[str, Wfsa] = {}
+# Static closures kept in memory per process, keyed by content and
+# evicted least recently used first, like the token table cache.
+STATIC_CACHE_SIZE = 16
+
+_static_cache: OrderedDict[str, Wfsa] = OrderedDict()
+_static_lock = threading.Lock()
 
 
 def _static_cache_key(
@@ -369,7 +366,7 @@ def build_static_vocab_fsa(
             raise ValueError(f"special token {s!r} is not in the token table")
         words.append((tid,))
     if include_numeric:
-        words.extend((tid,) for tid in _numeric_token_ids(table))
+        words.extend((tid,) for tid in table.numeric_ids)
     return lexicon_dfa(words)
 
 
@@ -429,21 +426,30 @@ def _static_closure(
 ) -> Wfsa:
     """Closure of the static component, cached by content hash.
 
-    The closure is kept in memory. Under cache_dir the DFA itself is kept
-    on disk, because the dump format sorts arcs and would lose the order
-    of the copied start arcs; it is closed again on load.
+    The closure is kept in memory for the STATIC_CACHE_SIZE most recently
+    used lexicons. Under cache_dir the DFA itself is kept on disk, because
+    the dump format sorts arcs and would lose the order of the copied start
+    arcs; it is closed again on load.
     """
     key = _static_cache_key(dictionary, specials, include_numeric, table)
-    closed = _static_cache.get(key)
-    if closed is not None:
-        return closed
+    with _static_lock:
+        closed = _static_cache.get(key)
+        if closed is not None:
+            _static_cache.move_to_end(key)
+            return closed
     path = None if cache_dir is None else os.path.join(cache_dir, f"{key}.fsa")
     dfa = None if path is None else _read_cached_dfa(path)
     if dfa is None:
         dfa = build_static_vocab_fsa(dictionary, specials, table, include_numeric)
         if path is not None:
             _write_cached_dfa(path, dfa)
-    closed = _static_cache[key] = _lexicon_closure(dfa)
+    closed = _lexicon_closure(dfa)
+    with _static_lock:
+        # a thread that built the same lexicon first keeps its closure
+        closed = _static_cache.setdefault(key, closed)
+        _static_cache.move_to_end(key)
+        while len(_static_cache) > STATIC_CACHE_SIZE:
+            _static_cache.popitem(last=False)
     return closed
 
 

@@ -10,9 +10,13 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 TOKEN_TABLE_VERSION = 1
+
+# Distinct table texts whose parsed tables `read_token_table` keeps per
+# process, least recently used first out.
+TOKEN_TABLE_CACHE_SIZE = 8
 
 
 class TokenTableError(ValueError):
@@ -56,6 +60,16 @@ class TokenTable:
         once per table on first use."""
         content = json.dumps([self.sow_mark, self.eos_id, self.sos_id, self.surfaces])
         return hashlib.sha256(content.encode("utf-8")).hexdigest()
+
+    @cached_property
+    def numeric_ids(self) -> tuple[int, ...]:
+        """Ids of the tokens whose surface, less a leading start-of-word
+        mark, is all digits; computed once per table on first use."""
+        return tuple(
+            tid
+            for tid, surface in enumerate(self.surfaces)
+            if surface.removeprefix(self.sow_mark).isdigit()
+        )
 
     def surface(self, token_id: int) -> str:
         return self.surfaces[token_id]
@@ -127,9 +141,18 @@ def dump_token_table(table: TokenTable) -> str:
     return "\n".join(lines) + "\n"
 
 
+_load_shared = lru_cache(maxsize=TOKEN_TABLE_CACHE_SIZE)(load_token_table)
+
+
 def read_token_table(path: str) -> TokenTable:
+    """Read and parse the table at path.
+
+    The file is read on every call, so an edit shows at once. A text read
+    before returns the table already parsed from it, shared and immutable;
+    a text that fails to parse is never kept.
+    """
     with open(path, encoding="utf-8") as fh:
-        return load_token_table(fh.read())
+        return _load_shared(fh.read())
 
 
 def write_token_table(table: TokenTable, path: str) -> None:

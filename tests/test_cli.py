@@ -401,6 +401,36 @@ class TestMainEntry:
         assert report["ser"] == 0.0 and report["neo"] == 0.0 and report["bp"] == 1.0
 
 
+class TestTokenTableReuse:
+    def test_table_rewritten_between_decodes_is_read_anew(self, workspace):
+        _, dag_path, table_path, _ = workspace
+        job = DecodeJob(dag_path=dag_path, table_path=table_path,
+                        mode="wfsa-shortest", k_e=2, k_t=2)
+        before = run_decode(job)
+        write_token_table(toy_table(10, width=4), table_path)  # same path, new surfaces
+        after = run_decode(job)
+        assert after.tokens == before.tokens
+        assert before.text.split() == [f"w{t:03d}" for t in before.tokens]
+        assert after.text.split() == [f"w{t:04d}" for t in after.tokens]
+
+    def test_malformed_table_fails_every_time_until_fixed(self, workspace, capsys):
+        _, dag_path, table_path, table = workspace
+        with open(table_path, encoding="utf-8") as fh:
+            bad = fh.read().replace("#version 1", "#version 2")
+        with open(table_path, "w", encoding="utf-8") as fh:
+            fh.write(bad)
+        argv = ["decode", "--dag", dag_path, "--table", table_path,
+                "--mode", "wfsa-shortest", "--ke", "2", "--kt", "2"]
+        for _ in range(2):
+            assert main(argv) == EXIT_ERROR
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "version" in err
+            assert len(err.strip().splitlines()) == 1
+        write_token_table(table, table_path)
+        assert main(argv) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["status"] == "ok"
+
+
 class TestBatch:
     def _manifest(self, tmp_path, workspace, n=3):
         _, dag_path, table_path, table = workspace

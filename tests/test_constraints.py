@@ -269,6 +269,56 @@ class TestVocabFsa:
             assert nfa_accepts(a, (4, 5, 6)) == ("Kong" in entities)
             assert not nfa_accepts(a, (3,))
 
+    # Single-word lexicons over subword_table, each with the tokens of its word.
+    LEXICONS = {"cat": (0,), "ca": (1,), "Hong": (3,), "Kong": (4,), "photo": (5,),
+                "photosynthesis": (5, 6)}
+
+    def test_cache_evicts_the_least_recently_used(self, subword_table, monkeypatch):
+        compiled = []
+        real = constraints_mod.build_static_vocab_fsa
+
+        def counting(dictionary, *args):
+            compiled.append(dictionary[0])
+            return real(dictionary, *args)
+
+        monkeypatch.setattr(constraints_mod, "build_static_vocab_fsa", counting)
+        monkeypatch.setattr(constraints_mod, "STATIC_CACHE_SIZE", 2)
+        constraints_mod._static_cache.clear()
+        for word in ("cat", "ca", "cat", "Hong", "cat", "ca"):
+            build_vocab_fsa([word], ["."], [], subword_table)
+        # "ca" was the least recently used when "Hong" came, so it was rebuilt
+        assert compiled == ["cat", "ca", "Hong", "ca"]
+        assert len(constraints_mod._static_cache) == 2
+
+    def test_eviction_under_threads_keeps_the_bound_and_the_content(
+        self, subword_table, monkeypatch
+    ):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        monkeypatch.setattr(constraints_mod, "STATIC_CACHE_SIZE", 3)
+        constraints_mod._static_cache.clear()
+        words = list(self.LEXICONS) * 8
+
+        def build(word):
+            return build_vocab_fsa([word], ["."], [], subword_table).automaton
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(build, words, timeout=60))
+        finally:
+            sys.setswitchinterval(old_interval)
+        for word, a in zip(words, results):
+            for other, tokens in self.LEXICONS.items():
+                assert nfa_accepts(a, tokens + (2,)) == (other == word), (word, other)
+        assert len(constraints_mod._static_cache) <= 3
+        keys = {constraints_mod._static_cache_key([w], ["."], True, subword_table): w
+                for w in self.LEXICONS}
+        for key, closed in constraints_mod._static_cache.items():
+            assert nfa_accepts(closed, self.LEXICONS[keys[key]])
+
     @pytest.mark.parametrize("damage", ["truncate", "truncate_at_line", "garbage", "bad_utf8"])
     def test_corrupt_cache_file_is_a_miss(self, subword_table, tmp_path, damage):
         args = (["cat", "photosynthesis"], ["."], ["Hong Kong"], subword_table)

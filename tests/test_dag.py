@@ -344,6 +344,13 @@ class TestDuplicateEntries:
         with pytest.raises(DagFormatError, match="duplicate transition target 1"):
             load_dag(src)
 
+    def test_fixture_builder_rejects_duplicates(self):
+        with pytest.raises(ValueError, match="vertex 0: duplicate emission token 5"):
+            build_dag([[(5, 0.5), (5, 0.5)], []], [[(1, 1.0)], []])
+        with pytest.raises(ValueError, match="vertex 1: duplicate transition target 2"):
+            build_dag([[(0, 1.0)], [(0, 1.0)], []],
+                      [[(1, 1.0)], [(2, 0.5), (2, 0.5)], []])
+
 
 # Log-probs for generated rows: ties, both zeros, integers and tiny or huge
 # magnitudes, so rows come in order, tied or out of order.

@@ -10,6 +10,7 @@ from dagdec.tokens import (
     TokenTableError,
     dump_token_table,
     load_token_table,
+    read_token_table,
 )
 
 
@@ -95,6 +96,84 @@ class TestDigest:
         first = table.digest
         monkeypatch.setattr(tokens_mod.hashlib, "sha256", None)  # a second hash would fail
         assert table.digest == first
+
+
+class TestNumericIds:
+    def test_digit_surfaces_with_or_without_the_mark(self):
+        entries = BASIC + [(5, "▁1984"), (6, "7"), (7, "▁"), (8, "1a"), (9, "▁▁3")]
+        assert load_token_table(table_text(entries)).numeric_ids == (5, 6)
+
+    def test_computed_once_per_table(self):
+        table = load_token_table(table_text(BASIC + [(5, "42")]))
+        assert table.numeric_ids is table.numeric_ids == (5,)
+
+
+class TestReadCache:
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        tokens_mod._load_shared.cache_clear()
+        yield
+        tokens_mod._load_shared.cache_clear()
+
+    def test_same_content_shares_one_table(self, tmp_path):
+        a, b, c = tmp_path / "a.table", tmp_path / "b.table", tmp_path / "c.table"
+        a.write_text(table_text(BASIC), encoding="utf-8")
+        b.write_text(table_text(BASIC), encoding="utf-8")
+        c.write_text(table_text(BASIC, sow="_"), encoding="utf-8")
+        first = read_token_table(str(a))
+        assert read_token_table(str(a)) is first
+        assert read_token_table(str(b)) is first  # another path, same text
+        other = read_token_table(str(c))
+        assert other is not first and other.sow_mark == "_"
+
+    def test_file_is_read_on_every_call(self, tmp_path):
+        path = tmp_path / "t.table"
+        path.write_text(table_text(BASIC), encoding="utf-8")
+        assert read_token_table(str(path)).surface(4) == "s"
+        path.write_text(table_text(BASIC[:4] + [(4, "es")]), encoding="utf-8")
+        assert read_token_table(str(path)).surface(4) == "es"
+
+    def test_a_table_that_fails_to_parse_is_not_kept(self, tmp_path):
+        path = tmp_path / "t.table"
+        path.write_text(table_text(BASIC, version="2"), encoding="utf-8")
+        for _ in range(2):
+            with pytest.raises(TokenTableError, match="version"):
+                read_token_table(str(path))
+        assert tokens_mod._load_shared.cache_info().currsize == 0
+
+    def test_keeps_at_most_the_bound(self, tmp_path):
+        size = tokens_mod.TOKEN_TABLE_CACHE_SIZE
+        paths = []
+        for i in range(size + 3):
+            path = tmp_path / f"{i}.table"
+            path.write_text(table_text(BASIC + [(5, f"w{i}")]), encoding="utf-8")
+            paths.append(str(path))
+        tables = [read_token_table(p) for p in paths]
+        assert tokens_mod._load_shared.cache_info().currsize == size
+        assert read_token_table(paths[-1]) is tables[-1]  # recent: kept
+        assert read_token_table(paths[0]) is not tables[0]  # oldest: evicted
+        assert read_token_table(paths[0]) == tables[0]
+
+    def test_concurrent_reads_return_equal_tables(self, tmp_path):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        texts = {}
+        for i in range(3):
+            path = tmp_path / f"{i}.table"
+            texts[str(path)] = table_text(BASIC + [(5, f"w{i}")])
+            path.write_text(texts[str(path)], encoding="utf-8")
+        jobs = list(texts) * 16
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(read_token_table, jobs, timeout=60))
+        finally:
+            sys.setswitchinterval(old_interval)
+        for path, table in zip(jobs, results):
+            assert table == load_token_table(texts[path])
+        assert tokens_mod._load_shared.cache_info().currsize == 3
 
 
 class TestDetokenize:

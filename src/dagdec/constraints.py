@@ -476,21 +476,21 @@ def build_vocab_fsa(
         specials = default_specials(table)
     lex = _static_closure(dictionary, specials, table, include_numeric, cache_dir).copy()
     static_start_arcs = list(lex.arcs_from(lex.start))
-    heads: list[tuple[int, int]] = []
+    head_arcs: list[Arc] = []
     for entity in dynamic_entities:
         tokens = tokenize_phrase(entity, table).tokens
         state = lex.add_state()
-        heads.append((tokens[0], state))
+        head_arcs.append(Arc(tokens[0], 0.0, state))
         for token in tokens[1:]:
             nxt = lex.add_state()
             lex.add_arc(state, token, 0.0, nxt)
             state = nxt
-        for arc in static_start_arcs:
-            lex.add_arc(state, arc.label, 0.0, arc.dst)
+        # the copy's arc lists are its own, so extending them leaves the
+        # cached closure as it was
+        lex.arcs_from(state).extend(static_start_arcs)
         lex.finals.add(state)
     for f in lex.finals:
-        for label, dst in heads:
-            lex.add_arc(f, label, 0.0, dst)
+        lex.arcs_from(f).extend(head_arcs)
     return LexiconFsa(
         automaton=lex,
         dictionary_words=len(dictionary),

@@ -13,6 +13,7 @@ falling short of the target length.
 from __future__ import annotations
 
 import math
+import operator
 import statistics
 from dataclasses import dataclass
 from typing import Sequence
@@ -84,8 +85,8 @@ class LcConfig:
     def __post_init__(self) -> None:
         if self.target_length < 1:
             raise ValueError("target_length must be >= 1")
-        if self.strictness < 0:
-            raise ValueError("strictness must be >= 0")
+        if not (math.isfinite(self.strictness) and self.strictness >= 0):
+            raise ValueError(f"strictness must be a finite number >= 0, got {self.strictness}")
         if not 0.0 < self.edge_prune_threshold <= 1.0:
             raise ValueError("edge_prune_threshold must be in (0, 1]")
         if self.upper_bound is None:
@@ -103,19 +104,24 @@ def length_penalty(l: int, target_length: int, strictness: float) -> float:
     return math.exp(strictness * (target_length / l - 1.0))
 
 
+# (weight, label, dst) on Arc(label, weight, dst)
+_ARC_ORDER = operator.itemgetter(1, 0, 2)
+
+
 def _prune_arcs(arcs: list[Arc], threshold: float) -> list[Arc]:
     """Arcs in (weight, label, dst) order, cut to the minimal cheapest-first
     prefix whose renormalized probability mass exceeds the threshold; kept
     in full if the mass never does."""
-    ordered = sorted(arcs, key=lambda a: (a.weight, a.label, a.dst))
+    ordered = sorted(arcs, key=_ARC_ORDER)
     if threshold >= 1.0 or not ordered:
         return ordered
-    total = math.fsum(math.exp(-a.weight) for a in ordered)
+    probs = [math.exp(-arc.weight) for arc in ordered]
+    total = math.fsum(probs)
     if total <= 0.0:
         return ordered
     mass = 0.0
-    for i, arc in enumerate(ordered):
-        mass += math.exp(-arc.weight) / total
+    for i, p in enumerate(probs):
+        mass += p / total
         if mass > threshold:
             return ordered[: i + 1]
     return ordered
@@ -130,14 +136,22 @@ def _length_rows(
     A forward pass finds the fewest pruned arcs from the start to each
     state; a backward pass then fills each state's row up to the bound less
     that depth, trying arcs in pruned order and replacing only on strict <.
+    Only the first pruned arc into each successor is relaxed: any later arc
+    to it weighs at least as much, so it can never offer a strictly lower
+    cost, and the work is one row scan per distinct successor.
     Returns the acceptor the rows index (renumbered topologically if it was
     not), the cost rows and the back-pointer rows.
     """
-    if any(arc.label == EPSILON for _, arc in w.all_arcs()):
-        raise ValueError("epsilon arcs must be removed before length-constrained decoding")
-    if any(src >= arc.dst for src, arc in w.all_arcs()):
-        w = topological_sort(w)
     n = w.num_states
+    forward = True
+    for u in range(n):
+        for label, _, dst in w.arcs_from(u):
+            if label == EPSILON:
+                raise ValueError("epsilon arcs must be removed before length-constrained decoding")
+            if dst <= u:
+                forward = False
+    if not forward:
+        w = topological_sort(w)
     bound = cfg.upper_bound
     pruned = [_prune_arcs(w.arcs_from(u), cfg.edge_prune_threshold) for u in range(n)]
     depth = [bound + 1] * n
@@ -158,9 +172,14 @@ def _length_rows(
         row_back = back[u]
         if u in w.finals:
             row[0] = 0.0
+        relaxed = set()
         for arc in pruned[u]:
+            dst = arc.dst
+            if dst in relaxed:
+                continue
+            relaxed.add(dst)
             weight = arc.weight
-            for l, tail in costs[arc.dst].items():
+            for l, tail in costs[dst].items():
                 if l < limit:
                     c = weight + tail
                     if c < row.get(l + 1, inf):

@@ -655,6 +655,15 @@ class TestBadInput:
                      "--ke", "2", "--kt", "2"])
         self.assert_one_line_error(capsys, code, "finite")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+    def test_strictness_must_be_finite_and_non_negative(self, workspace, capsys, value):
+        # a NaN strictness used to pass validation and drop every candidate
+        # shorter than the target, reporting a false infeasibility (exit 3)
+        _, dag_path, table_path, _ = workspace
+        code = main(["decode", "--dag", dag_path, "--table", table_path, "--mode", "lc",
+                     "--target-len", "3", "--strictness", value, "--ke", "2", "--kt", "2"])
+        self.assert_one_line_error(capsys, code, "strictness")
+
     @pytest.mark.parametrize("mode", ("wfsa-shortest", "lc"))
     def test_log_probs_whose_sums_overflow(self, workspace, capsys, mode):
         # each log-prob is finite, but an emission plus a transition is -inf

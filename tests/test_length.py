@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dagdec.dag import PruneConfig
 from dagdec.length import (
     LcConfig,
     LengthPredictor,
@@ -23,9 +24,9 @@ from dagdec.length import (
     save_length_predictor,
 )
 from dagdec.result import STATUS_INFEASIBLE, STATUS_OK
-from dagdec.wfsa import EPSILON, Wfsa, linear_acceptor, rm_epsilon, topological_sort
+from dagdec.wfsa import EPSILON, Wfsa, dag_to_wfsa, linear_acceptor, rm_epsilon, topological_sort
 
-from .lattices import random_acyclic_wfsa, random_constrained_product
+from .lattices import random_acyclic_wfsa, random_constrained_product, window_lattice
 from .oracles import MemoLengthSearch, length_bucket_minima, ols_closed_form
 
 
@@ -116,6 +117,11 @@ class TestLcConfig:
         with pytest.raises(ValueError):
             LcConfig(target_length=5, edge_prune_threshold=0.0)
 
+    @pytest.mark.parametrize("strictness", (math.nan, math.inf, -math.inf, -0.5))
+    def test_strictness_must_be_finite_and_non_negative(self, strictness):
+        with pytest.raises(ValueError, match="strictness"):
+            LcConfig(target_length=5, strictness=strictness)
+
 
 def two_lengths_wfsa() -> Wfsa:
     """A 2-arc path at cost 1.0 and a 4-arc path at cost 1.2."""
@@ -150,6 +156,13 @@ def tie_prone_acceptor(seed: int) -> Wfsa:
 def assert_matches_memo_search(w: Wfsa, cfg: LcConfig) -> None:
     ref = MemoLengthSearch(w, cfg)
     assert length_cost_table(w, cfg) == ref.table()
+    # every finite (state, l) the memo visited, with the arc that starts it
+    finite = {key: c for key, c in ref.delta.items() if math.isfinite(c)}
+    _, costs, back = _length_rows(w, cfg)
+    assert {(s, l): c for s, row in enumerate(costs) for l, c in row.items() if l > 0} == finite
+    assert {(s, l): arc for s, row in enumerate(back) for l, arc in row.items()} == {
+        key: ref.parent[key] for key in finite
+    }
     r = dfs_viterbi(w, cfg)
     expected = ref.decode()
     if expected is None:
@@ -194,6 +207,18 @@ class TestMatchesMemoSearch:
             for threshold in (0.7, 1.0):
                 cfg = LcConfig(target_length=6, edge_prune_threshold=threshold)
                 assert_matches_memo_search(w, cfg)
+
+    @pytest.mark.parametrize("threshold", (0.7, 1.0))
+    def test_benchmark_shaped_lattices(self, threshold):
+        # The lc-long shape: k_e = k_t = 3 gives 9 arcs per state into 3
+        # destinations, so most arcs share their destination with another.
+        for seed in range(4):
+            dag, _ = window_lattice(seed, gold_tokens=24)
+            w = dag_to_wfsa(dag, PruneConfig(k_e=3, k_t=3))
+            assert max(len(w.arcs_from(u)) - len({a.dst for a in w.arcs_from(u)})
+                       for u in range(w.num_states)) == 6
+            cfg = LcConfig(target_length=24, edge_prune_threshold=threshold)
+            assert_matches_memo_search(w, cfg)
 
 
 class TestSearchesTheProductAsIs:

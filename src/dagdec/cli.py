@@ -215,34 +215,48 @@ def _contains(haystack: tuple[int, ...], needle: tuple[int, ...]) -> bool:
 # Batch running
 
 
+_PATH = ((str,), "a path string")
+_INTEGER = ((int,), "an integer")
+_NUMBER = ((int, float), "a number")
+
+# manifest key -> (DecodeJob field, accepted kind, whether null leaves the
+# field unset); mode is checked by DecodeJob.validate, references below
+_MANIFEST_FIELDS = {
+    "dag": ("dag_path", _PATH, False),
+    "table": ("table_path", _PATH, False),
+    "mode": ("mode", None, False),
+    "constraints": ("constraints_path", _PATH, True),
+    "constraint_line": ("constraint_line", _INTEGER, False),
+    "lexicon": ("lexicon_path", _PATH, True),
+    "specials": ("specials_path", _PATH, True),
+    "ke": ("k_e", _INTEGER, False),
+    "kt": ("k_t", _INTEGER, False),
+    "beam": ("beam", _INTEGER, False),
+    "target_len": ("target_length", _INTEGER, True),
+    "len_predictor": ("predictor_path", _PATH, True),
+    "input_len": ("input_length", _INTEGER, True),
+    "strictness": ("strictness", _NUMBER, False),
+    "edge_prune_p": ("edge_prune_threshold", _NUMBER, False),
+    "len_upper": ("upper_bound", _INTEGER, True),
+    "references": ("references", None, False),
+}
+
+
 def _job_from_manifest(line: str, where: str, defaults: DecodeJob) -> DecodeJob:
     entry = _json_object(line, where)
-    fields = {
-        "dag": "dag_path",
-        "table": "table_path",
-        "mode": "mode",
-        "constraints": "constraints_path",
-        "constraint_line": "constraint_line",
-        "lexicon": "lexicon_path",
-        "specials": "specials_path",
-        "ke": "k_e",
-        "kt": "k_t",
-        "beam": "beam",
-        "target_len": "target_length",
-        "len_predictor": "predictor_path",
-        "input_len": "input_length",
-        "strictness": "strictness",
-        "edge_prune_p": "edge_prune_threshold",
-        "len_upper": "upper_bound",
-        "references": "references",
-    }
     overrides = {}
-    for key, attr in fields.items():
-        if key in entry:
-            value = entry[key]
-            if attr == "references":
-                value = tuple(_string_list(entry, key, where))
-            overrides[attr] = value
+    for key, (attr, kind, nullable) in _MANIFEST_FIELDS.items():
+        if key not in entry:
+            continue
+        value = entry[key]
+        if attr == "references":
+            value = tuple(_string_list(entry, key, where))
+        elif kind is not None and not (value is None and nullable):
+            types, name = kind
+            if not isinstance(value, types) or isinstance(value, bool):
+                also = " or null" if nullable else ""
+                raise ValueError(f"{where}: {key!r} must be {name}{also}, got {json.dumps(value)}")
+        overrides[attr] = value
     return replace(defaults, **overrides)
 
 

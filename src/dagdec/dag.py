@@ -51,9 +51,6 @@ class Dag:
     def final_vertex(self) -> int:
         return self.num_vertices - 1
 
-    def emission_tokens(self, u: int) -> set[int]:
-        return {t for t, _ in self.emissions[u]}
-
     def emission_logprob(self, u: int, token: int) -> float:
         """Log-probability of `token` at vertex u; -inf if not emittable."""
         for t, lp in self.emissions[u]:
@@ -71,10 +68,12 @@ class PruneConfig:
     constraints: tuple["ConstraintPhrase", ...] = ()
 
     def __post_init__(self) -> None:
-        if self.k_e < 1:
-            raise ValueError("k_e must be >= 1")
-        if self.k_t < 1:
-            raise ValueError("k_t must be >= 1")
+        for name in ("k_e", "k_t"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
         object.__setattr__(self, "constraints", tuple(self.constraints))
 
 

@@ -2,12 +2,13 @@
 
 The decoder finds, for every candidate length l up to an upper bound, the
 cheapest accepting path with exactly l arcs. One backward sweep over the
-states in reverse topological order keeps, per state, a sparse row of the
-finite costs delta(state, l) and the arc that starts each best path: this
-is Mohri's topological shortest distance (2002) over the product of the
-acceptor with a length counter, with cumulative-probability arc pruning.
-Candidates then compete on their cost scaled by an exponential penalty for
-falling short of the target length.
+states in reverse topological order keeps, per state, a dense row of the
+costs delta(state, l) over a contiguous range of lengths: this is Mohri's
+topological shortest distance (2002) over the product of the acceptor
+with a length counter, with cumulative-probability arc pruning. The
+finite entries of the start row then compete on their cost scaled by an
+exponential penalty for falling short of the target length, and the arcs
+of the winner are recovered from the rows along its path alone.
 """
 
 from __future__ import annotations
@@ -83,6 +84,10 @@ class LcConfig:
     upper_bound: int | None = None
 
     def __post_init__(self) -> None:
+        for name in ("target_length", "upper_bound"):
+            value = getattr(self, name)
+            if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.target_length < 1:
             raise ValueError("target_length must be >= 1")
         if not (math.isfinite(self.strictness) and self.strictness >= 0):
@@ -96,12 +101,16 @@ class LcConfig:
 
 
 def length_penalty(l: int, target_length: int, strictness: float) -> float:
-    """exp(A * (L_tgt / l - 1)) for strings shorter than target, else 1."""
+    """exp(A * (L_tgt / l - 1)) for strings shorter than target, else 1;
+    inf when that exceeds the largest float."""
     if l < 1:
         raise ValueError("length must be >= 1")
     if l >= target_length:
         return 1.0
-    return math.exp(strictness * (target_length / l - 1.0))
+    try:
+        return math.exp(strictness * (target_length / l - 1.0))
+    except OverflowError:
+        return math.inf
 
 
 # (weight, label, dst) on Arc(label, weight, dst)
@@ -129,18 +138,20 @@ def _prune_arcs(arcs: list[Arc], threshold: float) -> list[Arc]:
 
 def _length_rows(
     w: Wfsa, cfg: LcConfig
-) -> tuple[Wfsa, list[dict[int, float]], list[dict[int, Arc]]]:
-    """delta(state, l), finite entries only, with the arc each entry starts
-    with, for the lengths that can still fit under the bound.
+) -> tuple[Wfsa, list[list[Arc]], list[int], list[list[float]]]:
+    """delta(state, l) for the lengths that can still fit under the bound,
+    as one dense row per state: rows[s][i] is delta(s, first[s] + i), inf
+    only where a length in between has no path.
 
     A forward pass finds the fewest pruned arcs from the start to each
     state; a backward pass then fills each state's row up to the bound less
     that depth, trying arcs in pruned order and replacing only on strict <.
     Only the first pruned arc into each successor is relaxed: any later arc
     to it weighs at least as much, so it can never offer a strictly lower
-    cost, and the work is one row scan per distinct successor.
+    cost, and the work is one row scan per distinct successor. No
+    back-pointers are kept; `_best_arc` recovers them along one path.
     Returns the acceptor the rows index (renumbered topologically if it was
-    not), the cost rows and the back-pointer rows.
+    not), its pruned arcs, and each state's first length and cost row.
     """
     n = w.num_states
     forward = True
@@ -162,37 +173,80 @@ def _length_rows(
             if d < depth[arc.dst]:
                 depth[arc.dst] = d
     inf = math.inf
-    costs: list[dict[int, float]] = [{} for _ in range(n)]
-    back: list[dict[int, Arc]] = [{} for _ in range(n)]
+    finals = w.finals
+    first = [0] * n
+    rows: list[list[float]] = [[] for _ in range(n)]
     for u in range(n - 1, -1, -1):
         limit = bound - depth[u]
         if limit < 0:
             continue
-        row = costs[u]
-        row_back = back[u]
-        if u in w.finals:
-            row[0] = 0.0
+        row = [0.0] if u in finals else []
+        lo = 0
         relaxed = set()
         for arc in pruned[u]:
             dst = arc.dst
             if dst in relaxed:
                 continue
             relaxed.add(dst)
+            tail = rows[dst]
+            start = first[dst] + 1
+            keep = limit - start + 1
+            if not tail or keep <= 0:
+                continue
+            if keep < len(tail):
+                tail = tail[:keep]
+                while tail and tail[-1] == inf:
+                    tail.pop()
+                if not tail:
+                    continue
             weight = arc.weight
-            for l, tail in costs[dst].items():
-                if l < limit:
-                    c = weight + tail
-                    if c < row.get(l + 1, inf):
-                        row[l + 1] = c
-                        row_back[l + 1] = arc
-    return w, costs, back
+            if not row:
+                row = [weight + c for c in tail]
+                lo = start
+                continue
+            if start < lo:
+                row[:0] = [inf] * (lo - start)
+                lo = start
+            i = start - lo
+            j = i + len(tail)
+            if j > len(row):
+                row.extend([inf] * (j - len(row)))
+            row[i:j] = [y if (y := weight + c) < x else x for x, c in zip(row[i:j], tail)]
+        rows[u] = row
+        first[u] = lo
+    return w, pruned, first, rows
+
+
+def _best_arc(
+    pruned: list[list[Arc]], first: list[int], rows: list[list[float]], u: int, l: int
+) -> Arc | None:
+    """The arc that starts the best length-l path from u: the first pruned
+    arc whose weight plus delta(dst, l - 1) is strictly least, the same
+    sum and tie rule the backward sweep applied."""
+    inf = math.inf
+    best = inf
+    best_arc = None
+    for arc in pruned[u]:
+        dst = arc.dst
+        i = l - 1 - first[dst]
+        row = rows[dst]
+        c = arc.weight + (row[i] if 0 <= i < len(row) else inf)
+        if c < best:
+            best = c
+            best_arc = arc
+    return best_arc
+
+
+def _start_costs(w: Wfsa, first: list[int], rows: list[list[float]]) -> dict[int, float]:
+    """delta(start, l) for l >= 1, finite entries of the start row only."""
+    lo = first[w.start]
+    return {lo + i: c for i, c in enumerate(rows[w.start]) if lo + i >= 1 and c != math.inf}
 
 
 def length_cost_table(w: Wfsa, cfg: LcConfig) -> dict[int, float]:
     """delta(start, l) for l = 1..upper_bound, finite entries only."""
-    w, costs, _ = _length_rows(w, cfg)
-    row = costs[w.start]
-    return {l: row[l] for l in range(1, cfg.upper_bound + 1) if l in row}
+    w, _, first, rows = _length_rows(w, cfg)
+    return _start_costs(w, first, rows)
 
 
 def dfs_viterbi(w: Wfsa, cfg: LcConfig) -> DecodeResult:
@@ -200,39 +254,44 @@ def dfs_viterbi(w: Wfsa, cfg: LcConfig) -> DecodeResult:
 
     Returns the candidate minimizing length_penalty(l) * delta(start, l),
     preferring longer candidates on exact ties; the result carries both the
-    raw path cost and the penalty-adjusted cost. When no accepting path of
-    any permitted length exists, reports infeasibility along with what the
-    unconstrained cheapest path would have looked like.
+    raw path cost and the penalty-adjusted cost. A candidate whose adjusted
+    cost is not a finite float loses to every other. When no accepting path
+    of any permitted length exists, or no candidate has a finite adjusted
+    cost, reports infeasibility along with what the unconstrained cheapest
+    path would have looked like.
     """
-    sorted_w, costs, back = _length_rows(w, cfg)
-    row = costs[sorted_w.start]
+    sorted_w, pruned, first, rows = _length_rows(w, cfg)
+    candidates = _start_costs(sorted_w, first, rows)
     best_l = None
     best_cost = math.inf
     best_adjusted = math.inf
-    for l in range(1, cfg.upper_bound + 1):
-        if l not in row:
-            continue
-        c = row[l]
+    for l, c in candidates.items():
         adjusted = length_penalty(l, cfg.target_length, cfg.strictness) * c
-        if adjusted <= best_adjusted:
+        if adjusted <= best_adjusted and adjusted < math.inf:
             best_adjusted = adjusted
             best_cost = c
             best_l = l
     if best_l is None:
-        unconstrained = shortest_path(w)
-        if unconstrained.status != STATUS_OK:
-            note = "no accepting path of any length"
-        else:
+        if candidates:
             note = (
-                f"no accepting path with length <= {cfg.upper_bound}; unconstrained "
-                f"shortest path has {len(unconstrained.tokens)} tokens at cost "
-                f"{unconstrained.cost}"
+                f"no candidate length up to {cfg.upper_bound} has a finite length-penalized "
+                f"cost at target length {cfg.target_length} and strictness {cfg.strictness}"
             )
+        else:
+            unconstrained = shortest_path(w)
+            if unconstrained.status != STATUS_OK:
+                note = "no accepting path of any length"
+            else:
+                note = (
+                    f"no accepting path with length <= {cfg.upper_bound}; unconstrained "
+                    f"shortest path has {len(unconstrained.tokens)} tokens at cost "
+                    f"{unconstrained.cost}"
+                )
         return DecodeResult(status=STATUS_INFEASIBLE, note=note)
     tokens = []
     state = sorted_w.start
     for l in range(best_l, 0, -1):
-        arc = back[state][l]
+        arc = _best_arc(pruned, first, rows, state, l)
         tokens.append(arc.label)
         state = arc.dst
     return DecodeResult(

@@ -484,7 +484,7 @@ class TestBatch:
         write_token_table(toy_table(5), str(small_table))
         entries = [
             {"dag": dag_path, "table": str(small_table), "mode": "greedy"},
-            {"dag": dag_path, "table": table_path, "mode": "beam", "ke": "two"},
+            {"dag": str(tmp_path), "table": table_path, "mode": "beam"},
             {"dag": dag_path, "table": table_path, "mode": "greedy"},
         ]
         manifest = tmp_path / "m.jsonl"
@@ -495,8 +495,59 @@ class TestBatch:
         assert [d.get("status") for d in lines[:3]] == ["error", "error", "ok"]
         assert lines[0]["error_type"] == "ValueError"
         assert "token table" in lines[0]["error"]
-        assert lines[1]["error_type"] == "TypeError"
+        assert lines[1]["error_type"] == "IsADirectoryError"
         assert lines[3]["summary"]["errors"] == 2
+
+    @pytest.mark.parametrize(
+        "key, value, kind",
+        [
+            ("len_upper", 12.5, "an integer"),
+            ("ke", 2.5, "an integer"),
+            ("kt", "two", "an integer"),
+            ("target_len", 8.5, "an integer"),
+            ("beam", True, "an integer"),
+            ("constraint_line", 0.0, "an integer"),
+            ("input_len", False, "an integer"),
+            ("ke", None, "an integer"),
+            ("strictness", "1.0", "a number"),
+            ("edge_prune_p", True, "a number"),
+            ("dag", 5, "a path string"),
+            ("table", None, "a path string"),
+            ("lexicon", ["words.txt"], "a path string"),
+        ],
+        ids=["len_upper-float", "ke-float", "kt-string", "target_len-float", "beam-bool",
+             "constraint_line-float", "input_len-bool", "ke-null", "strictness-string",
+             "edge_prune_p-bool", "dag-number", "table-null", "lexicon-list"],
+    )
+    def test_manifest_value_of_the_wrong_kind_is_one_value_error(
+        self, workspace, tmp_path, key, value, kind
+    ):
+        _, dag_path, table_path, _ = workspace
+        job = {"dag": dag_path, "table": table_path, "mode": "lc", "target_len": 3,
+               "ke": 2, "kt": 2}
+        entries = [dict(job, **{key: value}), job]
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text("".join(json.dumps(e) + "\n" for e in entries), encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        assert main(["batch", "--manifest", str(manifest), "--out", str(out)]) == EXIT_OK
+        docs = [json.loads(l) for l in out.read_text().splitlines()]
+        assert [d.get("status") for d in docs[:2]] == ["error", "ok"]
+        assert docs[0]["error_type"] == "ValueError"
+        assert f"{key!r} must be {kind}" in docs[0]["error"]
+        assert "\n" not in docs[0]["error"]
+
+    def test_manifest_null_leaves_an_optional_field_unset(self, workspace, tmp_path):
+        _, dag_path, table_path, _ = workspace
+        job = {"dag": dag_path, "table": table_path, "mode": "lc", "target_len": 3,
+               "ke": 2, "kt": 2, "strictness": 1, "len_upper": None, "input_len": None,
+               "constraints": None, "lexicon": None}
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text(json.dumps(job) + "\n", encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        assert main(["batch", "--manifest", str(manifest), "--out", str(out)]) == EXIT_OK
+        docs = [json.loads(l) for l in out.read_text().splitlines()]
+        assert docs[0]["status"] == "ok"
+        assert len(docs[0]["tokens"]) <= default_upper_bound(3)
 
     def test_malformed_manifest_line_is_one_failed_job(self, workspace, tmp_path):
         _, dag_path, table_path, _ = workspace
@@ -663,6 +714,20 @@ class TestBadInput:
         code = main(["decode", "--dag", dag_path, "--table", table_path, "--mode", "lc",
                      "--target-len", "3", "--strictness", value, "--ke", "2", "--kt", "2"])
         self.assert_one_line_error(capsys, code, "strictness")
+
+    def test_target_too_far_for_a_float_penalty_exits_3(self, tmp_path, capsys):
+        # every candidate's penalty exp(A * (L_tgt / l - 1)) overflows a float
+        dag_path, table_path = str(tmp_path / "d.json"), str(tmp_path / "t.txt")
+        assert main(["synth", "--seed", "1", "--vertices", "12", "--out", dag_path,
+                     "--table-out", table_path]) == EXIT_OK
+        code = main(["decode", "--dag", dag_path, "--table", table_path, "--mode", "lc",
+                     "--target-len", "50000000"])
+        assert code == EXIT_INFEASIBLE
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        doc = json.loads(captured.out)
+        assert doc["status"] == "infeasible"
+        assert "finite length-penalized cost" in doc["note"] and "\n" not in doc["note"]
 
     @pytest.mark.parametrize("mode", ("wfsa-shortest", "lc"))
     def test_log_probs_whose_sums_overflow(self, workspace, capsys, mode):

@@ -190,7 +190,7 @@ class TestPrune:
             transition_probs=[[(1, 1.0)], []],
         )
         pruned = prune_dag(dag, PruneConfig(k_e=2, k_t=1))
-        assert pruned.emission_tokens(0) == {0, 1}
+        assert {t for t, _ in pruned.emissions[0]} == {0, 1}
 
     def test_force_emit_keeps_constraint_continuation(self):
         # Vertex 1 emits (a=0.6, b=0.3, c=0.1); predecessor vertex 0 keeps b.
@@ -204,9 +204,15 @@ class TestPrune:
         )
         phrase = ConstraintPhrase(tokens=(1, 2))
         pruned = prune_dag(dag, PruneConfig(k_e=2, k_t=1, constraints=(phrase,)))
-        assert pruned.emission_tokens(1) == {0, 1, 2}
+        assert {t for t, _ in pruned.emissions[1]} == {0, 1, 2}
         # the forced token keeps its original raw log-probability
         assert pruned.emission_logprob(1, 2) == pytest.approx(math.log(0.1))
+
+    @pytest.mark.parametrize("field", ("k_e", "k_t"))
+    @pytest.mark.parametrize("value", (2.0, 2.5, True))
+    def test_degrees_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            PruneConfig(**{"k_e": 2, "k_t": 2, field: value})
 
     def test_noop_thresholds_identity(self):
         dag = generate_synthetic_dag(seed=4, num_vertices=8, emission_degree=3,
@@ -256,10 +262,11 @@ class TestPrune:
                     preds[v].add(u)
             for u in range(dag.num_vertices):
                 for j in range(len(phrase.tokens) - 1):
-                    if any(phrase.tokens[j] in pruned.emission_tokens(v) for v in preds[u]):
+                    if any(phrase.tokens[j] in {t for t, _ in pruned.emissions[v]}
+                           for v in preds[u]):
                         nxt = phrase.tokens[j + 1]
                         if math.isfinite(dag.emission_logprob(u, nxt)):
-                            assert nxt in pruned.emission_tokens(u)
+                            assert nxt in {t for t, _ in pruned.emissions[u]}
 
 
 class TestForceEmit:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dagdec.length as length_module
 from dagdec.dag import PruneConfig
 from dagdec.length import (
     LcConfig,
@@ -16,6 +17,7 @@ from dagdec.length import (
     default_upper_bound,
     dfs_viterbi,
     fit_length_predictor,
+    _best_arc,
     _length_rows,
     length_cost_table,
     length_penalty,
@@ -89,6 +91,12 @@ class TestPenalty:
         assert length_penalty(9, 8, 1.0) == 1.0
         assert length_penalty(80, 8, 2.5) == 1.0
 
+    def test_too_large_for_a_float_is_inf(self):
+        assert length_penalty(1, 50_000_000, 1.0) == math.inf
+        assert length_penalty(1, 1000, 1.0) == math.inf
+        assert length_penalty(2, 1000, 1.0) == pytest.approx(math.exp(499.0), rel=1e-12)
+        assert length_penalty(1, 50_000_000, 0.0) == 1.0
+
     def test_requires_positive_length(self):
         with pytest.raises(ValueError):
             length_penalty(0, 8, 1.0)
@@ -116,6 +124,12 @@ class TestLcConfig:
             LcConfig(target_length=0)
         with pytest.raises(ValueError):
             LcConfig(target_length=5, edge_prune_threshold=0.0)
+
+    @pytest.mark.parametrize("field", ("target_length", "upper_bound"))
+    @pytest.mark.parametrize("value", (8.0, 8.5, True))
+    def test_lengths_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            LcConfig(**{"target_length": 8, field: value})
 
     @pytest.mark.parametrize("strictness", (math.nan, math.inf, -math.inf, -0.5))
     def test_strictness_must_be_finite_and_non_negative(self, strictness):
@@ -153,14 +167,24 @@ def tie_prone_acceptor(seed: int) -> Wfsa:
     return w
 
 
+def finite_entries(first: list[int], rows: list[list[float]]) -> dict[tuple[int, int], float]:
+    """{(state, l): delta(state, l)} over the finite entries of the dense rows."""
+    return {
+        (s, first[s] + i): c
+        for s, row in enumerate(rows)
+        for i, c in enumerate(row)
+        if math.isfinite(c)
+    }
+
+
 def assert_matches_memo_search(w: Wfsa, cfg: LcConfig) -> None:
     ref = MemoLengthSearch(w, cfg)
     assert length_cost_table(w, cfg) == ref.table()
     # every finite (state, l) the memo visited, with the arc that starts it
     finite = {key: c for key, c in ref.delta.items() if math.isfinite(c)}
-    _, costs, back = _length_rows(w, cfg)
-    assert {(s, l): c for s, row in enumerate(costs) for l, c in row.items() if l > 0} == finite
-    assert {(s, l): arc for s, row in enumerate(back) for l, arc in row.items()} == {
+    _, pruned, first, rows = _length_rows(w, cfg)
+    assert {key: c for key, c in finite_entries(first, rows).items() if key[1] > 0} == finite
+    assert {key: _best_arc(pruned, first, rows, *key) for key in finite} == {
         key: ref.parent[key] for key in finite
     }
     r = dfs_viterbi(w, cfg)
@@ -198,7 +222,13 @@ class TestMatchesMemoSearch:
         backward.add_arc(2, 4, 0.5, 1)
         backward.add_arc(1, 5, 0.5, 0)
         backward.add_arc(2, 6, 1.0, 0)
-        for w in (single_final, single, no_finals, too_long, backward):
+        # 1e308 + 1e308 is inf: state 2's row starts with it, and the
+        # bound leaves state 1 only that entry of it
+        overflowing = Wfsa(num_states=7, start=0, finals={6})
+        for src, weight, dst in ((0, 0.5, 2), (0, 0.5, 1), (1, 0.5, 2), (2, 1e308, 3),
+                                 (3, 1e308, 6), (2, 0.1, 4), (4, 0.1, 5), (5, 0.1, 6)):
+            overflowing.add_arc(src, dst, weight, dst)
+        for w in (single_final, single, no_finals, too_long, backward, overflowing):
             assert_matches_memo_search(w, cfg)
 
     def test_lattice_acceptors(self):
@@ -219,6 +249,116 @@ class TestMatchesMemoSearch:
                        for u in range(w.num_states)) == 6
             cfg = LcConfig(target_length=24, edge_prune_threshold=threshold)
             assert_matches_memo_search(w, cfg)
+
+
+def hole_wfsa() -> Wfsa:
+    """Paths of length 1 (cost 2.0) and 4 (cost 0.4) only: the start row
+    has a hole at lengths 2 and 3."""
+    w = Wfsa(num_states=5, start=0, finals={4})
+    w.add_arc(0, 1, 2.0, 4)
+    w.add_arc(0, 2, 0.1, 1)
+    w.add_arc(1, 3, 0.1, 2)
+    w.add_arc(2, 4, 0.1, 3)
+    w.add_arc(3, 5, 0.1, 4)
+    return w
+
+
+class TestDenseRows:
+    """Rows are contiguous lists from their first finite length, inf only in
+    real gaps, and match the memoized search entry for entry."""
+
+    def test_hole_between_finite_lengths(self):
+        w = hole_wfsa()
+        cfg = LcConfig(target_length=4, edge_prune_threshold=1.0, upper_bound=6)
+        _, _, first, rows = _length_rows(w, cfg)
+        assert first[0] == 1
+        assert rows[0][1:3] == [math.inf, math.inf] and len(rows[0]) == 4
+        assert set(length_cost_table(w, cfg)) == {1, 4}
+        assert_matches_memo_search(w, cfg)
+
+    def test_bound_that_cuts_a_row_inside_its_hole(self):
+        # H (state 2) has lengths 1 and 4. U (state 1) sits as deep as H,
+        # so the bound keeps H's lengths 1-3 for U: the cut ends in the
+        # hole, and U's row must end at its last finite entry.
+        w = Wfsa(num_states=7, start=0, finals={6})
+        w.add_arc(0, 1, 0.5, 2)
+        w.add_arc(0, 2, 0.5, 1)
+        w.add_arc(1, 3, 0.5, 2)
+        w.add_arc(2, 4, 2.0, 6)
+        for i, s in enumerate((2, 3, 4, 5)):
+            w.add_arc(s, 5 + i, 0.1, s + 1)
+        cfg = LcConfig(target_length=5, edge_prune_threshold=1.0, upper_bound=5)
+        _, _, first, rows = _length_rows(w, cfg)
+        assert (first[2], rows[2][1:3]) == (1, [math.inf, math.inf])
+        assert (first[1], rows[1]) == (2, [2.5])
+        assert first[0] == 2 and rows[0][2] == math.inf and len(rows[0]) == 4
+        assert_matches_memo_search(w, cfg)
+
+    def test_merge_extends_a_row_left_and_right(self):
+        # Out of 0, in pruned order: A (lengths 2, 3), then B (length 1),
+        # then C (length 4). Seen from 0 the first row covers 3-4, B
+        # extends it left to 2 and C extends it right to 5.
+        w = Wfsa(num_states=11, start=0, finals={10})
+        w.add_arc(0, 1, 0.1, 1)  # A
+        w.add_arc(1, 2, 0.1, 2)
+        w.add_arc(2, 3, 0.1, 10)
+        w.add_arc(1, 4, 0.2, 3)
+        w.add_arc(3, 5, 0.1, 4)
+        w.add_arc(4, 6, 0.1, 10)
+        w.add_arc(0, 7, 0.2, 5)  # B
+        w.add_arc(5, 8, 0.5, 10)
+        w.add_arc(0, 9, 0.3, 6)  # C
+        w.add_arc(6, 1, 0.1, 7)
+        w.add_arc(7, 2, 0.1, 8)
+        w.add_arc(8, 3, 0.1, 9)
+        w.add_arc(9, 4, 0.1, 10)
+        cfg = LcConfig(target_length=5, strictness=3.0, edge_prune_threshold=1.0, upper_bound=7)
+        _, _, first, rows = _length_rows(w, cfg)
+        assert (first[1], first[5], first[6]) == (2, 1, 4)
+        assert first[0] == 2 and len(rows[0]) == 4 and all(map(math.isfinite, rows[0]))
+        assert_matches_memo_search(w, cfg)
+        assert dfs_viterbi(w, cfg).tokens == (9, 1, 2, 3, 4)
+
+    @pytest.mark.parametrize("threshold", (0.7, 1.0))
+    def test_final_states_with_out_arcs(self, threshold):
+        # 0 and 1 are final and both go on; 2 is not final, so from 1 the
+        # lengths are 0 and 2 and from 0 they are 0, 1 and 3
+        w = Wfsa(num_states=4, start=0, finals={0, 1, 3})
+        w.add_arc(0, 1, 0.5, 1)
+        w.add_arc(1, 2, 0.25, 2)
+        w.add_arc(2, 3, 0.25, 3)
+        cfg = LcConfig(target_length=3, edge_prune_threshold=threshold)
+        _, _, first, rows = _length_rows(w, cfg)
+        assert (first[1], rows[1]) == (0, [0.0, math.inf, 0.5])
+        assert (first[0], rows[0]) == (0, [0.0, 0.5, math.inf, 1.0])
+        assert length_cost_table(w, cfg) == {1: 0.5, 3: 1.0}
+        assert dfs_viterbi(w, cfg).tokens == (1, 2, 3)
+        assert_matches_memo_search(w, cfg)
+
+    def test_upper_bound_below_the_shortest_path(self):
+        w = linear_acceptor((3, 1, 4, 1, 5), weight=0.2)
+        cfg = LcConfig(target_length=3, edge_prune_threshold=1.0, upper_bound=4)
+        sorted_w, _, _, rows = _length_rows(w, cfg)
+        assert rows[sorted_w.start] == []
+        assert length_cost_table(w, cfg) == {}
+        r = dfs_viterbi(w, cfg)
+        assert r.status == STATUS_INFEASIBLE and "5 tokens" in r.note
+        assert_matches_memo_search(w, cfg)
+
+    def test_candidate_scan_reads_only_finite_start_row_entries(self, monkeypatch):
+        calls = []
+
+        def counting_penalty(l, target_length, strictness):
+            calls.append(l)
+            return length_penalty(l, target_length, strictness)
+
+        monkeypatch.setattr(length_module, "length_penalty", counting_penalty)
+        w = hole_wfsa()
+        w.finals.add(0)  # a zero-length entry is no candidate either
+        r = dfs_viterbi(w, LcConfig(target_length=4, edge_prune_threshold=1.0,
+                                    upper_bound=10**9))
+        assert calls == [1, 4]
+        assert r.tokens == (2, 3, 4, 5)
 
 
 class TestSearchesTheProductAsIs:
@@ -286,6 +426,26 @@ class TestDfsViterbi:
         assert r.tokens == (8, 9)
         assert r.cost == r.adjusted_cost == 1.0
 
+    def test_overflowed_penalty_loses_to_a_finite_one(self):
+        # length 1 costs 0.0 but its penalty exp(999) overflows, so it is no
+        # candidate; the length-3 path wins with a finite adjusted cost
+        w = Wfsa(num_states=4, start=0, finals={3})
+        w.add_arc(0, 1, 0.0, 3)
+        w.add_arc(0, 2, 0.5, 1)
+        w.add_arc(1, 3, 0.5, 2)
+        w.add_arc(2, 4, 0.5, 3)
+        r = dfs_viterbi(w, LcConfig(target_length=1000, edge_prune_threshold=1.0, upper_bound=5))
+        assert r.status == STATUS_OK
+        assert r.tokens == (2, 3, 4)
+        assert r.adjusted_cost == length_penalty(3, 1000, 1.0) * 1.5 < math.inf
+
+    @pytest.mark.parametrize("target, weight", ((50_000_000, 0.5), (701, 1e5)))
+    def test_no_finite_adjusted_cost_is_infeasible(self, target, weight):
+        # exp(5e7) overflows; exp(700) is finite but times 1e5 it is not
+        r = dfs_viterbi(linear_acceptor((7,), weight=weight), LcConfig(target_length=target))
+        assert r.status == STATUS_INFEASIBLE
+        assert "finite length-penalized cost" in r.note and "\n" not in r.note
+
     def test_rejects_epsilon_arcs(self):
         w = Wfsa(num_states=2, start=0, finals={1})
         w.add_arc(0, EPSILON, 0.1, 1)
@@ -351,12 +511,19 @@ class TestDfsViterbi:
         cases.append((two_lengths_wfsa(), 3))  # its 4-arc path overshoots the bound
         for w, upper in cases:
             cfg = LcConfig(target_length=6, edge_prune_threshold=1.0, upper_bound=upper)
-            sorted_w, costs, back = _length_rows(w, cfg)
-            entries = [(s, l, c) for s, row in enumerate(costs) for l, c in row.items()]
-            assert all(math.isfinite(c) and 0 <= l <= cfg.upper_bound for _, l, c in entries)
-            assert {s for s, l, _ in entries if l == 0} <= sorted_w.finals
-            assert sum(1 for _, l, _ in entries if l > 0) <= cfg.upper_bound * w.num_states
-            assert all(set(back[s]) == set(row) - {0} for s, row in enumerate(costs))
+            sorted_w, pruned, first, rows = _length_rows(w, cfg)
+            # dense rows: inf only inside a row, never at either end
+            assert all(math.isfinite(row[0]) and math.isfinite(row[-1]) for row in rows if row)
+            assert all(0 <= first[s] and first[s] + len(row) - 1 <= upper
+                       for s, row in enumerate(rows) if row)
+            entries = finite_entries(first, rows)
+            assert {s for s, l in entries if l == 0} <= sorted_w.finals
+            assert sum(1 for _, l in entries if l > 0) <= cfg.upper_bound * w.num_states
+            ref = MemoLengthSearch(w, cfg)
+            ref.table()
+            assert {key: _best_arc(pruned, first, rows, *key) for key in entries if key[1] > 0} == {
+                key: ref.parent[key] for key in entries if key[1] > 0
+            }
 
     def test_deep_search_does_not_overflow(self):
         w = linear_acceptor(tuple(i % 3 for i in range(1500)), weight=0.001)

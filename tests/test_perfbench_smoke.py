@@ -4,8 +4,10 @@ The harness checks every output against the digests pinned in
 perfbench/digests.json, so these runs guard the bit-identical decode of the
 control-dag path (phrases, cached vocabulary, target length), of the vc
 path (a lexicon compiled per job, and a product without phrases;
-vocab-cold), of the length search on ~900-vertex lattices (lc-long) and of
-the constrained beam search over the lattice itself (cbs-phrases). Every
+vocab-cold), of the length search on ~900-vertex lattices (lc-long: its
+pinned digests guard the dense-row sweep and the traceback that recovers
+the winning arcs from the rows) and of the constrained beam search over
+the lattice itself (cbs-phrases). Every
 workload reads its lattices through `load_dag` and prunes them with
 `prune_dag`, so the digests also guard the one-pass loader (rows kept as
 the generator writes them) and the forward forced-emission prune.

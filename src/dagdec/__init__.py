@@ -29,7 +29,6 @@ from .dag import (
     DagFormatError,
     PruneConfig,
     dump_dag,
-    force_emit,
     generate_synthetic_dag,
     load_dag,
     prune_dag,

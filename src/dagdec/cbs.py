@@ -113,22 +113,40 @@ def _sweep(
     break a score tie. Items with equal keys spell the same tokens to the
     same vertex, so they are interchangeable, and the order in which
     candidates arrive does not change what a bank keeps.
+
+    A vertex's menu, its first `beam_width` emissions, is split once into
+    phrase-alphabet pairs and foreign pairs, next to the phrase tokens it
+    emits past the menu. Each phrase-alphabet candidate steps the matchers;
+    every foreign candidate of an item goes to the bank of the item's reset
+    successor. Foreign pairs come in row order, `(-logprob, index)`, and
+    IEEE addition is monotone, so their scores do not increase: once a full
+    bank refuses one, it refuses the rest, and they are not made.
     """
     matchers = _Matchers(constraints)
+    alphabet = matchers.alphabet
+    menus: list[tuple | None] = [None] * dag.num_vertices
     banks: list[dict[int, list[tuple]]] = [{} for _ in range(dag.num_vertices)]
     banks[dag.start_vertex][matchers.total] = [(0.0, None, matchers.start)]
 
     for u in range(dag.final_vertex):
         # cbs_dag_decode's width exceeds the number of banks, so every bank expands.
         items = [item for bank in banks[u].values() for item in bank]
+        if not items:
+            continue
         for v, tlp in dag.transitions[u][:beam_width]:
-            menu = dag.emissions[v][:beam_width]
-            rest = dict(dag.emissions[v][beam_width:])
+            menu = menus[v]
+            if menu is None:
+                row = dag.emissions[v]
+                menu = menus[v] = (
+                    tuple(p for p in row[:beam_width] if p[0] in alphabet),
+                    tuple(p for p in row[:beam_width] if p[0] not in alphabet),
+                    {t: lp for t, lp in row[beam_width:] if t in alphabet},
+                )
+            phrase_pairs, foreign, rest = menu
             target = banks[v]
             for score, path, state in items:
                 base = score + tlp
-                moves = state[2]
-                candidates = menu
+                candidates = phrase_pairs
                 if rest:
                     # Continuation tokens emittable at v but outside the menu.
                     candidates += tuple(
@@ -136,22 +154,38 @@ def _sweep(
                         for s, (tokens, _) in zip(state[0], matchers.tables)
                         if s < len(tokens) and tokens[s] in rest
                     )
+                moves = state[2]
                 for token, elp in candidates:
-                    new_score = base + elp
-                    nxt = moves.get(token) or matchers.step(state, token)
-                    bank = target.get(nxt[1])
-                    if bank is None:
-                        bank = target[nxt[1]] = []
-                    elif len(bank) == cap and new_score < bank[-1][0]:
-                        continue
-                    item = (new_score, (token, path), nxt)
-                    i = len(bank)
-                    while i and _precedes(item, bank[i - 1]):
-                        i -= 1
-                    bank.insert(i, item)
-                    del bank[cap:]
+                    _offer(target, moves.get(token) or matchers.step(state, token),
+                           base + elp, token, path, cap)
+                if foreign:
+                    reset = matchers.reset(state)
+                    for token, elp in foreign:
+                        if not _offer(target, reset, base + elp, token, path, cap):
+                            break
 
     return banks
+
+
+def _offer(
+    target: dict[int, list[tuple]], state: tuple, score: float, token: int,
+    path: tuple | None, cap: int,
+) -> bool:
+    """Put a candidate into its bank at `target`, unless the bank is full and
+    its last item outscores the candidate; return whether it went in."""
+    bank = target.get(state[1])
+    if bank is None:
+        target[state[1]] = [(score, (token, path), state)]
+        return True
+    if len(bank) == cap and score < bank[-1][0]:
+        return False
+    item = (score, (token, path), state)
+    i = len(bank)
+    while i and _precedes(item, bank[i - 1]):
+        i -= 1
+    bank.insert(i, item)
+    del bank[cap:]
+    return True
 
 
 def _precedes(item: tuple, other: tuple) -> bool:

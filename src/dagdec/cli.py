@@ -45,7 +45,8 @@ EXIT_INFEASIBLE = 3
 
 @dataclass(frozen=True)
 class DecodeJob:
-    """Everything one decode needs; validated against the selected mode."""
+    """Everything one decode needs; validated for value kinds and against
+    the selected mode."""
 
     dag_path: str
     table_path: str
@@ -66,6 +67,10 @@ class DecodeJob:
     references: tuple[str, ...] = ()
 
     def validate(self) -> None:
+        for name in _FIELDS:
+            value = getattr(self, name)
+            if (wanted := _wrong_kind(name, value, "None")) is not None:
+                raise ValueError(f"{name} must be {wanted}, got {value!r}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r} (expected one of {MODES})")
         if self.mode in ("hlc", "cbs-dag") and self.constraints_path is None:
@@ -77,6 +82,46 @@ class DecodeJob:
                 raise ValueError(f"mode {self.mode} requires --target-len or --len-predictor")
             if self.predictor_path is not None and self.target_length is None and self.input_length is None:
                 raise ValueError("--len-predictor requires --input-len")
+
+
+_PATH = ((str,), "a path string")
+_INTEGER = ((int,), "an integer")
+_NUMBER = ((int, float), "a number")
+
+# DecodeJob field -> (batch manifest key, accepted kind, whether None leaves
+# the field unset); a bool is never a number here, mode is checked by
+# DecodeJob.validate and references by _job_from_manifest
+_FIELDS = {
+    "dag_path": ("dag", _PATH, False),
+    "table_path": ("table", _PATH, False),
+    "mode": ("mode", None, False),
+    "constraints_path": ("constraints", _PATH, True),
+    "constraint_line": ("constraint_line", _INTEGER, False),
+    "lexicon_path": ("lexicon", _PATH, True),
+    "specials_path": ("specials", _PATH, True),
+    "k_e": ("ke", _INTEGER, False),
+    "k_t": ("kt", _INTEGER, False),
+    "beam": ("beam", _INTEGER, False),
+    "target_length": ("target_len", _INTEGER, True),
+    "predictor_path": ("len_predictor", _PATH, True),
+    "input_length": ("input_len", _INTEGER, True),
+    "strictness": ("strictness", _NUMBER, False),
+    "edge_prune_threshold": ("edge_prune_p", _NUMBER, False),
+    "upper_bound": ("len_upper", _INTEGER, True),
+    "references": ("references", None, False),
+}
+
+
+def _wrong_kind(field: str, value: object, null: str) -> str | None:
+    """What `field` must be, as `null` names the empty value, when `value`
+    is not of its kind; None when it is, or when the field is unchecked."""
+    _, kind, nullable = _FIELDS[field]
+    if kind is None or (value is None and nullable):
+        return None
+    types, name = kind
+    if isinstance(value, types) and not isinstance(value, bool):
+        return None
+    return f"{name} or {null}" if nullable else name
 
 
 def _read_lines(path: str) -> list[str]:
@@ -215,47 +260,17 @@ def _contains(haystack: tuple[int, ...], needle: tuple[int, ...]) -> bool:
 # Batch running
 
 
-_PATH = ((str,), "a path string")
-_INTEGER = ((int,), "an integer")
-_NUMBER = ((int, float), "a number")
-
-# manifest key -> (DecodeJob field, accepted kind, whether null leaves the
-# field unset); mode is checked by DecodeJob.validate, references below
-_MANIFEST_FIELDS = {
-    "dag": ("dag_path", _PATH, False),
-    "table": ("table_path", _PATH, False),
-    "mode": ("mode", None, False),
-    "constraints": ("constraints_path", _PATH, True),
-    "constraint_line": ("constraint_line", _INTEGER, False),
-    "lexicon": ("lexicon_path", _PATH, True),
-    "specials": ("specials_path", _PATH, True),
-    "ke": ("k_e", _INTEGER, False),
-    "kt": ("k_t", _INTEGER, False),
-    "beam": ("beam", _INTEGER, False),
-    "target_len": ("target_length", _INTEGER, True),
-    "len_predictor": ("predictor_path", _PATH, True),
-    "input_len": ("input_length", _INTEGER, True),
-    "strictness": ("strictness", _NUMBER, False),
-    "edge_prune_p": ("edge_prune_threshold", _NUMBER, False),
-    "len_upper": ("upper_bound", _INTEGER, True),
-    "references": ("references", None, False),
-}
-
-
 def _job_from_manifest(line: str, where: str, defaults: DecodeJob) -> DecodeJob:
     entry = _json_object(line, where)
     overrides = {}
-    for key, (attr, kind, nullable) in _MANIFEST_FIELDS.items():
+    for attr, (key, _, _) in _FIELDS.items():
         if key not in entry:
             continue
         value = entry[key]
         if attr == "references":
             value = tuple(_string_list(entry, key, where))
-        elif kind is not None and not (value is None and nullable):
-            types, name = kind
-            if not isinstance(value, types) or isinstance(value, bool):
-                also = " or null" if nullable else ""
-                raise ValueError(f"{where}: {key!r} must be {name}{also}, got {json.dumps(value)}")
+        elif (wanted := _wrong_kind(attr, value, "null")) is not None:
+            raise ValueError(f"{where}: {key!r} must be {wanted}, got {json.dumps(value)}")
         overrides[attr] = value
     return replace(defaults, **overrides)
 

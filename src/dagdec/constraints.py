@@ -96,18 +96,26 @@ class _Matchers:
     """The constraint phrases' KMP matchers, stepped together.
 
     A joint state is `(match_states, unmet tokens, moves, index)`; `moves`
-    caches `token -> next joint state`, so each (state, token) pair goes
-    through the per-phrase tables once per matcher set, and `index` numbers
-    the joint states in the order they are first made. A phrase table
+    caches `token -> next joint state` for tokens of the phrase alphabet, so
+    each such (state, token) pair goes through the per-phrase tables once
+    per matcher set, and `index` numbers the joint states in the order they
+    are first made; `states[index]` is the joint state. A phrase table
     holds, per state short of completion, `{token: next}` for the phrase
     tokens whose next state is not 0; any other token resets the matcher to
-    0, and a completed phrase stays completed.
+    0, and a completed phrase stays completed. So every token outside `alphabet` leads a joint state to one
+    successor, its reset successor: completed phrases stay completed and
+    every other matcher is at 0. `resets[index]` holds it once made, and
+    `step` returns it for such a token without building a tuple or filling
+    `moves`.
     """
 
     def __init__(self, constraints: tuple[ConstraintPhrase, ...]) -> None:
         self.tables = [(p.tokens, _step_table(p.tokens)) for p in constraints]
+        self.alphabet = frozenset(t for p in constraints for t in p.tokens)
         self.total = sum(len(p) for p in constraints)
         self._joint: dict[tuple[int, ...], tuple] = {}
+        self.states: list[tuple] = []
+        self.resets: list[tuple | None] = []
         self.start = self._state((0,) * len(constraints))
 
     def _state(self, match_states: tuple[int, ...]) -> tuple:
@@ -115,9 +123,22 @@ class _Matchers:
         if state is None:
             state = (match_states, self.total - sum(match_states), {}, len(self._joint))
             self._joint[match_states] = state
+            self.states.append(state)
+            self.resets.append(None)
         return state
 
+    def reset(self, state: tuple) -> tuple:
+        """The successor of `state` on any token outside the phrase alphabet."""
+        nxt = self.resets[state[3]]
+        if nxt is None:
+            nxt = self.resets[state[3]] = self._state(tuple(
+                s if s == len(tokens) else 0 for s, (tokens, _) in zip(state[0], self.tables)
+            ))
+        return nxt
+
     def step(self, state: tuple, token: int) -> tuple:
+        if token not in self.alphabet:
+            return self.reset(state)
         nxt = self._state(tuple(
             table[s].get(token, 0) if s < len(tokens) else s
             for s, (tokens, table) in zip(state[0], self.tables)
@@ -181,16 +202,28 @@ def constrained_product(
     if w.num_states == 0 or vocab.num_states == 0:
         return Wfsa(num_states=1, start=0)
     matchers = _Matchers(tuple(phrases))
+    joint = matchers.states
     lattice_finals, vocab_finals = w.finals, vocab.finals
-    vocab_index: dict[int, tuple[dict[int, list[int]], list[int]]] = {}
+    vocab_index: dict[int, tuple[dict[int, tuple[int, ...]], tuple[int, ...]]] = {}
 
-    # A state's id is its position in `queue`.
-    queue = [(w.start, matchers.start, vocab.start)]
-    ids = {(w.start, matchers.start[3], vocab.start): 0}
-    arcs: list[list[tuple[int, float, int]]] = [[]]
-    preds: list[list[int]] = [[]]
+    # A state is `(lattice state, matcher index, vocab state)`, and its id
+    # is its position in `queue`. States are expanded in id order, so the
+    # arcs out of state s are arcs[bounds[s]:bounds[s + 1]]; the arcs into
+    # a state are chained from last_in[state] through prev_in, and arc e
+    # leaves state arc_src[e]. Flat int lists and int tuples, not a list
+    # per state, leave the garbage collector next to nothing to track while
+    # the product is built.
+    start = (w.start, matchers.start[3], vocab.start)
+    queue = [start]
+    ids = {start: 0}
+    arcs: list[tuple[int, float, int]] = []
+    bounds = [0]
+    arc_src: list[int] = []
+    last_in = [-1]
+    prev_in: list[int] = []
     finals = []
-    for src, (p, match, q) in enumerate(queue):  # grows as states are found
+    for src, (p, m, q) in enumerate(queue):  # grows as states are found
+        match = joint[m]
         if not match[1] and p in lattice_finals and q in vocab_finals:
             finals.append(src)
         index = vocab_index.get(q)
@@ -198,7 +231,6 @@ def constrained_product(
             index = vocab_index[q] = _label_index(vocab.arcs_from(q))
         by_label, sigma = index
         moves = match[2]
-        out = arcs[src]
         for label, weight, p_dst in w.arcs_from(p):
             q_dsts = by_label.get(label, sigma)
             if not q_dsts:
@@ -209,27 +241,36 @@ def constrained_product(
                 dst = ids.get(key)
                 if dst is None:
                     dst = ids[key] = len(queue)
-                    queue.append((p_dst, nxt, q_dst))
-                    arcs.append([])
-                    preds.append([])
-                out.append((label, weight, dst))
-                preds[dst].append(src)
+                    queue.append(key)
+                    last_in.append(-1)
+                prev_in.append(last_in[dst])
+                last_in[dst] = len(arcs)
+                arcs.append((label, weight, dst))
+                arc_src.append(src)
+        bounds.append(len(arcs))
 
     live = [False] * len(queue)
     for f in finals:
         live[f] = True
     stack = list(finals)
     while stack:
-        for src in preds[stack.pop()]:
+        e = last_in[stack.pop()]
+        while e >= 0:
+            src = arc_src[e]
             if not live[src]:
                 live[src] = True
                 stack.append(src)
+            e = prev_in[e]
     alive = [s for s, keep in enumerate(live) if keep]
     if not alive:
         return Wfsa(num_states=1, start=0)
     renum = {old: new for new, old in enumerate(alive)}
     kept = [
-        [Arc(label, weight, renum[dst]) for label, weight, dst in arcs[s] if live[dst]]
+        [
+            Arc(label, weight, renum[dst])
+            for label, weight, dst in arcs[bounds[s]:bounds[s + 1]]
+            if live[dst]
+        ]
         for s in alive
     ]
     return Wfsa(num_states=len(alive), start=0, finals={renum[f] for f in finals}, arcs=kept)

@@ -14,7 +14,7 @@ import math
 import random
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
     from .constraints import ConstraintPhrase
@@ -253,41 +253,15 @@ def validate_normalized(dag: Dag, tol: float = 1e-6) -> None:
                 raise DagFormatError(f"vertex {u}: transition probabilities sum to {tsum}")
 
 
-def force_emit(
-    u: int,
-    constraints: Sequence["ConstraintPhrase"],
-    kept_emissions: Sequence[set[int]],
-    predecessors: Sequence[set[int]],
-) -> set[int]:
-    """Continuation tokens that must stay emittable at vertex u.
-
-    For every constraint phrase, every non-final phrase token found in the
-    kept emissions of a pruned predecessor of u forces the following phrase
-    token at u. Predecessor sets are taken over the top-k_t transition
-    structure, so they must be final for all vertices below u.
-    """
-    forced: set[int] = set()
-    preds = predecessors[u]
-    if not preds or not constraints:
-        return forced
-    for phrase in constraints:
-        toks = phrase.tokens
-        for j in range(len(toks) - 1):
-            tj = toks[j]
-            if any(tj in kept_emissions[v] for v in preds):
-                forced.add(toks[j + 1])
-    return forced
-
-
 def prune_dag(dag: Dag, cfg: PruneConfig) -> Dag:
     """Keep the top-k_e emissions and top-k_t transitions per vertex.
 
     Emission sets are augmented with forced constraint continuations;
     log-probabilities are kept raw (no renormalization). A forced token
     absent from a vertex's emission table has probability zero there and
-    cannot be added. The forcing is the one `force_emit` defines, computed
-    forward: each vertex pushes the phrase tokens that follow its kept
-    emissions to the targets of its kept transitions.
+    cannot be added. A phrase token kept at a vertex forces the phrase token
+    after it at each target of the vertex's kept transitions, and vertices
+    push these forward in topological order.
     """
     k_e, k_t = cfg.k_e, cfg.k_t
     kept_tr = tuple(row[:k_t] for row in dag.transitions)

@@ -373,7 +373,7 @@ def intersect(w: Wfsa, a: Wfsa) -> Wfsa:
     ids: dict[tuple[int, int], int] = {start: 0}
     queue = [start]
     out = Wfsa(num_states=1, start=0)
-    index: dict[int, tuple[dict[int, list[int]], list[int]]] = {}
+    index: dict[int, tuple[dict[int, tuple[int, ...]], tuple[int, ...]]] = {}
 
     def state_id(pair: tuple[int, int]) -> int:
         sid = ids.get(pair)
@@ -403,27 +403,27 @@ def intersect(w: Wfsa, a: Wfsa) -> Wfsa:
     return trim(out)
 
 
-def _label_index(arcs: list[Arc]) -> tuple[dict[int, list[int]], list[int]]:
+def _label_index(arcs: list[Arc]) -> tuple[dict[int, tuple[int, ...]], tuple[int, ...]]:
     """Group one constraint state's arcs for lookup by label.
 
     Maps each label on the state's arcs to the destinations of every arc
     that matches it, its own and the sigma arcs, in arc order; the second
     item holds the sigma destinations alone, which any other label
     matches. Each sigma arc adds one entry per label seen before it, so a
-    state without sigma arcs is indexed in time linear in its arcs.
+    state without sigma arcs is indexed in time linear in its arcs. The
+    destinations are tuples of ints, which the garbage collector stops
+    tracking, so an index held through a product adds nothing to what each
+    collection must walk.
     """
-    by_label: dict[int, list[int]] = {}
-    sigma: list[int] = []
-    for arc in arcs:
-        if arc.label == SIGMA:
-            sigma.append(arc.dst)
-            for dsts in by_label.values():
-                dsts.append(arc.dst)
+    by_label: dict[int, tuple[int, ...]] = {}
+    sigma: tuple[int, ...] = ()
+    for label, _, dst in arcs:
+        if label == SIGMA:
+            sigma += (dst,)
+            for key, dsts in by_label.items():
+                by_label[key] = dsts + (dst,)
         else:
-            dsts = by_label.get(arc.label)
-            if dsts is None:
-                dsts = by_label[arc.label] = list(sigma)
-            dsts.append(arc.dst)
+            by_label[label] = by_label.get(label, sigma) + (dst,)
     return by_label, sigma
 
 

@@ -12,6 +12,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import Sequence
 
 from dagdec.cbs import kmp_advance
 from dagdec.constraints import ConstraintPhrase
@@ -22,7 +23,6 @@ from dagdec.dag import (
     PruneConfig,
     _check_vertex,
     _sort_sparse,
-    force_emit,
 )
 from dagdec.length import LcConfig, length_penalty
 from dagdec.result import STATUS_EMPTY, STATUS_OK, DecodeResult
@@ -213,6 +213,32 @@ def reference_load_dag(source: str | bytes) -> Dag:
         emissions=tuple(em for em, _ in rows),
         transitions=tuple(tr for _, tr in rows),
     )
+
+
+def force_emit(
+    u: int,
+    constraints: Sequence[ConstraintPhrase],
+    kept_emissions: Sequence[set[int]],
+    predecessors: Sequence[set[int]],
+) -> set[int]:
+    """Continuation tokens that must stay emittable at vertex u.
+
+    For every constraint phrase, every non-final phrase token found in the
+    kept emissions of a pruned predecessor of u forces the following phrase
+    token at u. Predecessor sets are taken over the top-k_t transition
+    structure, so they must be final for all vertices below u.
+    """
+    forced: set[int] = set()
+    preds = predecessors[u]
+    if not preds or not constraints:
+        return forced
+    for phrase in constraints:
+        toks = phrase.tokens
+        for j in range(len(toks) - 1):
+            tj = toks[j]
+            if any(tj in kept_emissions[v] for v in preds):
+                forced.add(toks[j + 1])
+    return forced
 
 
 def reference_prune_dag(dag: Dag, cfg: PruneConfig) -> Dag:

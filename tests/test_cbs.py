@@ -19,7 +19,7 @@ from dagdec.cbs import (
     kmp_advance,
 )
 from dagdec.constraints import ConstraintPhrase
-from dagdec.dag import PruneConfig, generate_synthetic_dag, prune_dag
+from dagdec.dag import Dag, PruneConfig, generate_synthetic_dag, prune_dag
 from dagdec.result import STATUS_OK
 
 from .lattices import build_dag, plant_phrases, tiny4, uniform_lattice, window_lattice
@@ -288,3 +288,45 @@ class TestMatchesReferenceSearch:
             pruned, phrases, width, use_banks=True
         )
         assert beam_decode(pruned, 4) == reference_beam_search(pruned, (), 4, use_banks=False)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_menus_cut_below_the_emissions(self, seed):
+        # One 1-2-token phrase and base beam 1 give a width of 2-3, below
+        # the 6 emissions per vertex, so phrase tokens come from past the
+        # menu and foreign tokens past it are never offered.
+        dag, phrases = window_lattice(seed)
+        phrase = ConstraintPhrase(tokens=phrases[0].tokens[: 1 + seed % 2])
+        width = effective_beam_size(1, len(phrase))
+        assert width < min(len(row) for row in dag.emissions)
+        assert cbs_dag_decode(dag, [phrase], 1) == reference_beam_search(
+            dag, (phrase,), width, use_banks=True
+        )
+        assert beam_decode(dag, width) == reference_beam_search(
+            dag, (), width, use_banks=False
+        )
+
+
+class TestForeignTokens:
+    """Foreign candidates of one item share a bank and come in
+    non-increasing score order, so the search stops at the first refusal."""
+
+    # -1000 + -1.0 and -1000 + nextafter(-1.0, -inf) round to the same sum:
+    # the later token 3 ties the earlier token 5 and wins on its smaller id.
+    LOW = math.nextafter(-1.0, -math.inf)
+    DAG = Dag(
+        num_vertices=2,
+        emissions=(((0, 0.0),), ((5, -1.0), (3, LOW))),
+        transitions=(((1, -1000.0),), ()),
+    )
+
+    def test_rounding_tie_keeps_the_smaller_token(self):
+        assert -1000.0 + -1.0 == -1000.0 + self.LOW
+        dag = self.DAG
+        for phrases, base in (((), 2), ((ConstraintPhrase(tokens=(9,)),), 1)):
+            width = effective_beam_size(base, sum(len(p) for p in phrases))
+            got = cbs_dag_decode(dag, phrases, base)
+            assert got == reference_beam_search(dag, phrases, width, use_banks=True)
+            assert got.tokens == (3,)
+        for beam in (1, 2):
+            assert beam_decode(dag, beam) == reference_beam_search(dag, (), beam, use_banks=False)
+        assert beam_decode(dag, 2).tokens == (3,)

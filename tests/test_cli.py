@@ -170,6 +170,46 @@ class TestDecodeModes:
         with pytest.raises(ValueError, match="unknown mode"):
             run_decode(DecodeJob(dag_path=dag_path, table_path=table_path, mode="nope"))
 
+    def test_descriptor_as_a_path_is_one_value_error_and_stays_open(self, workspace):
+        _, dag_path, table_path, _ = workspace
+        fd = os.open(dag_path, os.O_RDONLY)
+        try:
+            with pytest.raises(ValueError, match=rf"^dag_path must be a path string, got {fd}$"):
+                run_decode(DecodeJob(dag_path=fd, table_path=table_path, mode="greedy"))
+            os.fstat(fd)  # raises EBADF once the descriptor is closed
+        finally:
+            os.close(fd)
+
+    @pytest.mark.parametrize(
+        "field, value, wanted",
+        [
+            ("table_path", b"toy.table", "a path string"),
+            ("lexicon_path", 3, "a path string or None"),
+            ("constraint_line", 0.0, "an integer"),
+            ("k_e", True, "an integer"),
+            ("beam", "4", "an integer"),
+            ("target_length", 3.5, "an integer or None"),
+            ("upper_bound", False, "an integer or None"),
+            ("strictness", "1.0", "a number"),
+            ("edge_prune_threshold", True, "a number"),
+            ("edge_prune_threshold", None, "a number"),
+        ],
+    )
+    def test_value_of_the_wrong_kind_is_one_value_error(self, workspace, field, value, wanted):
+        _, dag_path, table_path, _ = workspace
+        fields = dict(dag_path=dag_path, table_path=table_path, mode="greedy")
+        job = DecodeJob(**dict(fields, **{field: value}))
+        with pytest.raises(ValueError) as err:
+            run_decode(job)
+        assert str(err.value) == f"{field} must be {wanted}, got {value!r}"
+
+    def test_numbers_of_every_accepted_kind_decode(self, workspace):
+        _, dag_path, table_path, _ = workspace
+        job = DecodeJob(dag_path=dag_path, table_path=table_path, mode="lc",
+                        target_length=3, upper_bound=None, strictness=1,
+                        edge_prune_threshold=1.0, k_e=2, k_t=2)
+        assert run_decode(job).status == "ok"
+
 
 class TestEmptyIntersectionNote:
     """An empty product names the first constraint that alone empties it:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import dagdec.constraints as constraints_mod
 from dagdec.constraints import (
     ConstraintPhrase,
+    _Matchers,
     build_hlc_fsa,
     build_vocab_fsa,
     constrained_product,
@@ -465,3 +466,44 @@ class TestConstrainedProduct:
         w.add_arc(0, label, 0.0, 1)
         with pytest.raises(ValueError, match="epsilon or sigma"):
             constrained_product(w, [])
+
+
+class TestMatchers:
+    def test_foreign_token_leads_to_the_reset_successor(self):
+        # Completed phrases stay completed, every other matcher goes to 0.
+        phrases = (
+            ConstraintPhrase(tokens=(1, 2)),
+            ConstraintPhrase(tokens=(3,)),
+            ConstraintPhrase(tokens=(1, 1, 4)),
+        )
+        matchers = _Matchers(phrases)
+        cases = [
+            ((), (0, 0, 0), (0, 0, 0)),
+            ((1,), (1, 0, 1), (0, 0, 0)),
+            ((1, 1), (1, 0, 2), (0, 0, 0)),
+            ((3,), (0, 1, 0), (0, 1, 0)),
+            ((1, 2), (2, 0, 0), (2, 0, 0)),
+            ((1, 2, 3, 1, 1), (2, 1, 2), (2, 1, 0)),
+            ((1, 1, 4), (0, 0, 3), (0, 0, 3)),
+            ((1, 1, 4, 1), (1, 0, 3), (0, 0, 3)),
+        ]
+        for tokens, at, reset in cases:
+            state = matchers.start
+            for token in tokens:
+                state = matchers.step(state, token)
+            assert state[0] == at, tokens
+            moves = dict(state[2])
+            nxt = matchers.step(state, 7)
+            assert nxt[0] == reset, tokens
+            assert nxt[1] == sum(map(len, phrases)) - sum(reset)
+            made = len(matchers.resets)
+            for token in (0, 7, 99, 10**6):
+                assert matchers.step(state, token) is nxt
+            assert matchers.reset(state) is nxt
+            assert len(matchers.resets) == made, tokens
+            assert state[2] == moves, tokens  # no memo entry for a foreign token
+
+    def test_alphabet_is_every_phrase_token(self):
+        matchers = _Matchers((ConstraintPhrase(tokens=(5, 2, 5)), ConstraintPhrase(tokens=(9,))))
+        assert matchers.alphabet == {2, 5, 9}
+        assert _Matchers(()).alphabet == frozenset()

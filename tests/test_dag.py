@@ -15,7 +15,6 @@ from dagdec.dag import (
     DagFormatError,
     PruneConfig,
     dump_dag,
-    force_emit,
     generate_synthetic_dag,
     load_dag,
     prune_dag,
@@ -23,7 +22,7 @@ from dagdec.dag import (
 )
 
 from .lattices import build_dag, uniform_lattice
-from .oracles import reference_load_dag, reference_prune_dag
+from .oracles import force_emit, reference_load_dag, reference_prune_dag
 
 
 def doc(num_vertices, vertices, version=1):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 
@@ -16,6 +17,7 @@ from dagdec.wfsa import (
     EPSILON,
     SIGMA,
     Wfsa,
+    _label_index,
     closure,
     concat,
     dag_to_wfsa,
@@ -233,6 +235,19 @@ class TestIntersectArcOrder:
         got = intersect(w, a)
         firsts = [arc.dst for arc in got.arcs_from(got.start)]
         assert [[arc.label for arc in got.arcs_from(s)] for s in firsts] == [[5], [6], [7]]
+
+    def test_label_index_holds_untracked_int_tuples(self):
+        # An index lives as long as the product that uses it; int tuples
+        # drop out of the garbage collector's sight after one collection,
+        # so the index adds nothing to the collections during the product.
+        a = Wfsa(num_states=4, start=0)
+        a.add_arc(0, 0, 0.0, 1)
+        a.add_arc(0, SIGMA, 0.0, 2)
+        a.add_arc(0, 1, 0.0, 3)
+        by_label, sigma = _label_index(a.arcs_from(0))
+        assert by_label == {0: (1, 2), 1: (2, 3)} and sigma == (2,)
+        gc.collect()
+        assert not any(gc.is_tracked(dsts) for dsts in (sigma, *by_label.values()))
 
     def test_constraint_is_not_mutated(self):
         a = build_hlc_fsa(ConstraintPhrase(tokens=(0, 1)))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .constraints import ConstraintPhrase, _failure_table, _Matchers, kmp_step
+from .constraints import ConstraintPhrase, _Matchers, _step_table
 from .dag import Dag
 from .result import STATUS_EMPTY, STATUS_OK, DecodeResult
 
@@ -21,7 +21,9 @@ def kmp_advance(state: int, token: int, phrase: ConstraintPhrase) -> int:
     """Advance a phrase matcher by one token; completion is sticky."""
     if not 0 <= state <= len(phrase.tokens):
         raise ValueError(f"matcher state {state} out of range for phrase of {len(phrase)}")
-    return kmp_step(phrase.tokens, _failure_table(phrase.tokens), state, token)
+    if state == len(phrase.tokens):
+        return state
+    return _step_table(phrase.tokens)[state].get(token, 0)
 
 
 def effective_beam_size(base_beam: int, total_constraint_tokens: int) -> int:
@@ -49,10 +51,8 @@ def greedy_decode(dag: Dag) -> DecodeResult:
 
 def beam_decode(dag: Dag, beam_size: int) -> DecodeResult:
     """Plain per-vertex beam search, keeping the top items at each vertex."""
-    if beam_size < 1:
-        raise ValueError("beam_size must be >= 1")
-    result = _beam_search(dag, constraints=(), beam_width=beam_size, use_banks=False)
-    return result
+    _check_width("beam_size", beam_size)
+    return _beam_search(dag, (), beam_size, cap=beam_size)
 
 
 def cbs_dag_decode(
@@ -65,21 +65,27 @@ def cbs_dag_decode(
     overall best hypothesis is returned with the unmet flags set rather
     than failing.
     """
-    if base_beam < 1:
-        raise ValueError("base_beam must be >= 1")
+    _check_width("base_beam", base_beam)
     constraints = tuple(constraints)
     total = sum(len(p) for p in constraints)
     width = effective_beam_size(base_beam, total)
-    return _beam_search(dag, constraints=constraints, beam_width=width, use_banks=True)
+    return _beam_search(dag, constraints, width, cap=1)
+
+
+def _check_width(name: str, value: int) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
 
 
 def _beam_search(
     dag: Dag,
     constraints: tuple[ConstraintPhrase, ...],
     beam_width: int,
-    use_banks: bool,
+    cap: int,
 ) -> DecodeResult:
-    cap = 1 if use_banks else beam_width
+    """The best final item of `_sweep`, whose banks hold at most `cap` items."""
     finals = _sweep(dag, constraints, beam_width, cap)[dag.final_vertex]
     if not finals:
         return DecodeResult(status=STATUS_EMPTY, note="no path reached the final vertex")

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 from . import wfsa
 from .tokens import TokenTable
-from .wfsa import SIGMA, Arc, Wfsa, _label_index, lexicon_dfa
+from .wfsa import EPSILON, SIGMA, Arc, Wfsa, _label_index, lexicon_dfa
 from .words import is_numeric_token, strip_punct
 
 # Punctuation accepted by the default special-token automaton.
@@ -55,41 +55,22 @@ class LexiconFsa:
     dynamic_entities: int
 
 
-def kmp_failure(tokens: Sequence[int]) -> list[int]:
-    """Classic prefix-function: failure[i] = longest proper border of tokens[:i+1]."""
-    failure = [0] * len(tokens)
-    k = 0
-    for i in range(1, len(tokens)):
-        while k > 0 and tokens[i] != tokens[k]:
-            k = failure[k - 1]
-        if tokens[i] == tokens[k]:
-            k += 1
-        failure[i] = k
-    return failure
-
-
-def kmp_step(tokens: Sequence[int], failure: Sequence[int], state: int, token: int) -> int:
-    """Matcher transition; a completed match (state == len) is sticky."""
-    m = len(tokens)
-    if state == m:
-        return m
-    j = state
-    while j > 0 and tokens[j] != token:
-        j = failure[j - 1]
-    return j + 1 if tokens[j] == token else 0
-
-
 @functools.lru_cache(maxsize=4096)
-def _failure_table(tokens: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(kmp_failure(tokens))
+def _step_table(tokens: tuple[int, ...]) -> tuple[dict[int, int], ...]:
+    """The phrase's KMP automaton: row `s` maps each token to the matcher
+    state it leads to from state `s < len(tokens)`, when that is not 0.
 
-
-def _step_table(tokens: tuple[int, ...]) -> list[dict[int, int]]:
-    failure = _failure_table(tokens)
-    return [
-        {t: n for t in set(tokens) if (n := kmp_step(tokens, failure, s, t))}
-        for s in range(len(tokens))
-    ]
+    Row `s` is row `fail(s)` with `tokens[s]` leading to `s + 1`, where
+    `fail(s)` is the state reached on `tokens[1:s]`, so each row is one
+    copy and matching follows no failure link. The rows are shared by
+    every caller and must not be changed.
+    """
+    rows = [{tokens[0]: 1}]
+    fail = 0
+    for s in range(1, len(tokens)):
+        rows.append({**rows[fail], tokens[s]: s + 1})
+        fail = rows[fail].get(tokens[s], 0)
+    return tuple(rows)
 
 
 class _Matchers:
@@ -99,10 +80,11 @@ class _Matchers:
     caches `token -> next joint state` for tokens of the phrase alphabet, so
     each such (state, token) pair goes through the per-phrase tables once
     per matcher set, and `index` numbers the joint states in the order they
-    are first made; `states[index]` is the joint state. A phrase table
-    holds, per state short of completion, `{token: next}` for the phrase
-    tokens whose next state is not 0; any other token resets the matcher to
-    0, and a completed phrase stays completed. So every token outside `alphabet` leads a joint state to one
+    are first made; `states[index]` is the joint state. A phrase's
+    `_step_table`, cached per phrase, holds per state short of completion
+    `{token: next}` for the phrase tokens whose next state is not 0; any
+    other token resets the matcher to 0, and a completed phrase stays
+    completed. So every token outside `alphabet` leads a joint state to one
     successor, its reset successor: completed phrases stay completed and
     every other matcher is at 0. `resets[index]` holds it once made, and
     `step` returns it for such a token without building a tuple or filling
@@ -150,22 +132,18 @@ class _Matchers:
 def build_hlc_fsa(phrase: ConstraintPhrase) -> Wfsa:
     """Acceptor for all strings containing the phrase contiguously.
 
-    States are matcher states 0..m; phrase-alphabet tokens follow the
-    failure-function transitions (so overlapping prefixes such as "aab" in
-    "aaab" are tracked correctly), every other token falls back to state 0
-    via a wildcard arc, and the accepting state absorbs everything. A token
-    leading back to state 0 gets no arc: the wildcard covers it, and a
-    parallel arc would duplicate arcs in every intersection.
+    States are matcher states 0..m, and each state's token arcs are its
+    `_step_table` row in label order (so overlapping prefixes such as "aab"
+    in "aaab" are tracked correctly); every other token falls back to state
+    0 via a wildcard arc, and the accepting state absorbs everything. A
+    token leading back to state 0 gets no arc: the wildcard covers it, and
+    a parallel arc would duplicate arcs in every intersection.
     """
-    toks = phrase.tokens
-    m = len(toks)
-    failure = kmp_failure(toks)
+    m = len(phrase.tokens)
     a = Wfsa(num_states=m + 1, start=0, finals={m})
-    for state in range(m):
-        for token in sorted(set(toks)):
-            dst = kmp_step(toks, failure, state, token)
-            if dst != 0:
-                a.add_arc(state, token, 0.0, dst)
+    for state, row in enumerate(_step_table(phrase.tokens)):
+        for token, dst in sorted(row.items()):
+            a.add_arc(state, token, 0.0, dst)
         a.add_arc(state, SIGMA, 0.0, 0)
     a.add_arc(m, SIGMA, 0.0, m)
     return a
@@ -181,20 +159,24 @@ def constrained_product(
     """The lattice acceptor intersected with every constraint at once.
 
     Accepts the strings of `w` that contain every phrase and, when `vocab`
-    is given, that `vocab` accepts, each at its cost in `w`. One
-    breadth-first pass explores the joint states `(lattice state, matcher
-    state, vocab state)` reachable from the start: the phrases step
-    together through their deterministic `_Matchers` tables, and the vocab
-    state through a label index built once per vocab state. A joint state
-    is final when its lattice and vocab states are and every phrase has
-    completed. A backward pass from the finals then keeps the states that
-    can still accept, numbered in the order they were found; every found
-    state is reachable from the start, so no forward pass is needed. The
-    result is epsilon-free, and acyclic whenever `w` is; it has a final
-    state exactly when it accepts some string.
+    is given, that `vocab` accepts, each at its cost in `w`; `vocab` is
+    unweighted, its sigma arcs match any token, and its epsilon arcs are
+    removed up front. One breadth-first pass explores the joint states
+    `(lattice state, matcher state, vocab state)` reachable from the
+    start: on a token arc of `w` the phrases step together through their
+    deterministic `_Matchers` tables, and the vocab state through a label
+    index built once per vocab state; an epsilon arc of `w` keeps both. A
+    joint state is final when its lattice and vocab states are and every
+    phrase has completed. A backward pass from the finals then keeps the
+    states that can still accept, numbered in the order they were found;
+    every found state is reachable from the start, so no forward pass is
+    needed. Each state's arcs follow its lattice arcs, and each lattice
+    arc's matches follow the vocab state's arc order. The result is
+    epsilon-free and acyclic whenever `w` is; it has a final state exactly
+    when it accepts some string.
     """
-    if w.has_epsilon() or w.has_sigma():
-        raise ValueError("lattice acceptor must have no epsilon or sigma arcs")
+    if w.has_sigma():
+        raise ValueError("lattice acceptor must have no sigma arcs")
     if vocab is None:
         vocab = _ANY_STRING
     elif vocab.has_epsilon():
@@ -232,10 +214,13 @@ def constrained_product(
         by_label, sigma = index
         moves = match[2]
         for label, weight, p_dst in w.arcs_from(p):
-            q_dsts = by_label.get(label, sigma)
-            if not q_dsts:
-                continue
-            nxt = moves.get(label) or matchers.step(match, label)
+            if label == EPSILON:  # consumes no token
+                q_dsts, nxt = (q,), match
+            else:
+                q_dsts = by_label.get(label, sigma)
+                if not q_dsts:
+                    continue
+                nxt = moves.get(label) or matchers.step(match, label)
             for q_dst in q_dsts:
                 key = (p_dst, nxt[3], q_dst)
                 dst = ids.get(key)

@@ -73,9 +73,6 @@ class Wfsa:
     def num_arcs(self) -> int:
         return sum(len(a) for a in self._arcs)
 
-    def is_final(self, state: int) -> bool:
-        return state in self.finals
-
     def has_epsilon(self) -> bool:
         return any(arc.label == EPSILON for arcs in self._arcs for arc in arcs)
 
@@ -353,54 +350,15 @@ def intersect(w: Wfsa, a: Wfsa) -> Wfsa:
 
     The result accepts L(w) & L(a); every surviving path keeps its cost in
     w (constraint weights are ONE by contract and are ignored). Sigma arcs
-    in the constraint match any token arc in w. Constraint-side epsilons
-    are removed up front, so only w's epsilon arcs survive into the product
-    and no redundant epsilon-pairing paths arise; the product is acyclic
-    whenever w is. Each lattice arc finds its constraint arcs through a
-    label index of the constraint state, built once per call, so its cost
-    follows the arcs it matches, not the constraint state's out-degree.
-    The product is trimmed, so it has a final state exactly when it
-    accepts some string.
+    in the constraint match any token arc in w, and its epsilons are
+    removed up front; w must have no sigma arcs. This is the phrase-less
+    `constraints.constrained_product` with `a` as the vocabulary, so the
+    product is trimmed, epsilon-free and acyclic whenever w is, and has a
+    final state exactly when it accepts some string.
     """
-    if w.has_sigma():
-        raise ValueError("weighted operand must not contain sigma arcs")
-    if a.has_epsilon():
-        a = _rm_epsilon_unweighted(a)
-    if w.num_states == 0 or a.num_states == 0:
-        return Wfsa(num_states=1, start=0)
+    from .constraints import constrained_product  # constraints imports this module
 
-    start = (w.start, a.start)
-    ids: dict[tuple[int, int], int] = {start: 0}
-    queue = [start]
-    out = Wfsa(num_states=1, start=0)
-    index: dict[int, tuple[dict[int, tuple[int, ...]], tuple[int, ...]]] = {}
-
-    def state_id(pair: tuple[int, int]) -> int:
-        sid = ids.get(pair)
-        if sid is None:
-            sid = out.add_state()
-            ids[pair] = sid
-            queue.append(pair)
-        return sid
-
-    head = 0
-    while head < len(queue):
-        p, q = queue[head]
-        src = ids[(p, q)]
-        head += 1
-        if p in w.finals and q in a.finals:
-            out.finals.add(src)
-        matches = index.get(q)
-        if matches is None:
-            matches = index[q] = _label_index(a.arcs_from(q))
-        by_label, sigma = matches
-        for arc in w.arcs_from(p):
-            if arc.label == EPSILON:
-                out.add_arc(src, EPSILON, arc.weight, state_id((arc.dst, q)))
-                continue
-            for dst in by_label.get(arc.label, sigma):
-                out.add_arc(src, arc.label, arc.weight, state_id((arc.dst, dst)))
-    return trim(out)
+    return constrained_product(w, (), a)
 
 
 def _label_index(arcs: list[Arc]) -> tuple[dict[int, tuple[int, ...]], tuple[int, ...]]:

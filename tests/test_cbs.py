@@ -63,8 +63,13 @@ class TestKmpAdvance:
         completed_at = None
         for i, token in enumerate(text):
             state = kmp_advance(state, token, phrase)
-            if state == len(pattern) and completed_at is None:
-                completed_at = i
+            if completed_at is None:
+                # the longest suffix of the text read so far that is a prefix of the phrase
+                read = text[: i + 1]
+                border = max(k for k in range(len(pattern) + 1) if read[i + 1 - k :] == pattern[:k])
+                assert state == border, (read, state)
+                if state == len(pattern):
+                    completed_at = i
         hits = naive_find_all(text, pattern)
         if hits:
             assert completed_at == hits[0] + len(pattern) - 1
@@ -206,6 +211,15 @@ class TestPlainBeam:
             beam_decode(tiny4(), 0)
         with pytest.raises(ValueError):
             cbs_dag_decode(tiny4(), [], 0)
+
+    @pytest.mark.parametrize("width", (2.5, 1.0, True, None, "2"))
+    @pytest.mark.parametrize("decode", (
+        lambda dag, width: beam_decode(dag, width),
+        lambda dag, width: cbs_dag_decode(dag, [], width),
+    ), ids=("beam", "cbs"))
+    def test_width_must_be_an_int(self, decode, width):
+        with pytest.raises(ValueError, match="must be an integer"):
+            decode(tiny4(), width)
 
 
 def offered_candidates(dag, constraints, banks, v, beam_width):

@@ -460,12 +460,27 @@ class TestConstrainedProduct:
         assert not got.has_epsilon()
         assert _cost_map(got) == {(0, 1, 0): 1.5}
 
-    @pytest.mark.parametrize("label", (EPSILON, SIGMA))
-    def test_lattice_with_epsilon_or_sigma_is_rejected(self, label):
+    def test_lattice_with_sigma_is_rejected(self):
         w = linear_acceptor((0,))
-        w.add_arc(0, label, 0.0, 1)
-        with pytest.raises(ValueError, match="epsilon or sigma"):
+        w.add_arc(0, SIGMA, 0.0, 1)
+        with pytest.raises(ValueError, match="sigma"):
             constrained_product(w, [])
+
+    def test_lattice_epsilons_keep_matcher_and_vocab_states(self):
+        # `intersect` is the phrase-less product, so a lattice epsilon must
+        # give the arc-scan product, arc for arc.
+        vocab = closure(union(linear_acceptor((0,)), linear_acceptor((1, 2))))
+        for seed in range(200):
+            w = random_acyclic_wfsa(seed, max_states=6, with_epsilon=True)
+            got = constrained_product(w, [], vocab)
+            ref = arc_scan_intersect(w, vocab)
+            assert (got.num_states, got.start, got.finals) == (ref.num_states, ref.start, ref.finals)
+            for s in range(ref.num_states):
+                assert got.arcs_from(s) == ref.arcs_from(s), (seed, s)
+        # 0 -a-> 1 -eps-> 2 -b-> 3: the matcher waits at "a" across the epsilon.
+        w = linear_acceptor((0, EPSILON, 1), weight=0.5)
+        got = constrained_product(w, [ConstraintPhrase(tokens=(0, 1))])
+        assert _cost_map(got) == {(0, 1): 1.5}
 
 
 class TestMatchers:

@@ -12,7 +12,11 @@ reset successor of foreign tokens and the stop at the first foreign
 token that a full bank refuses). Every
 workload reads its lattices through `load_dag` and prunes them with
 `prune_dag`, so the digests also guard the one-pass loader (rows kept as
-the generator writes them) and the forward forced-emission prune.
+the generator writes them) and the forward forced-emission prune. The
+traced control-warm run (`--trace 1`) also replays each job stage by stage
+through the public `build_hlc_fsa`, `intersect`, `rm_epsilon` and
+`topological_sort`, one constraint at a time, and the harness requires the
+replay to give the job's output.
 """
 
 from __future__ import annotations
@@ -27,14 +31,22 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("workload", ("control-warm", "vocab-cold", "lc-long", "cbs-phrases"))
-def test_smoke_run_is_correct(workload):
+def _run(workload: str, trace: int) -> None:
     cmd = [
         sys.executable, "perfbench/run.py",
-        "--workload", workload, "--seed", "0", "--seconds", "2", "--trace", "0",
+        "--workload", workload, "--seed", "0", "--seconds", "2", "--trace", str(trace),
     ]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+@pytest.mark.parametrize("workload", ("control-warm", "vocab-cold", "lc-long", "cbs-phrases"))
+def test_smoke_run_is_correct(workload):
+    _run(workload, trace=0)
+
+
+def test_traced_smoke_run_is_correct():
+    _run("control-warm", trace=1)

@@ -33,7 +33,6 @@ from .dag import (
     load_dag,
     prune_dag,
     read_dag,
-    validate_normalized,
     write_dag,
 )
 from .length import (
@@ -72,11 +71,9 @@ from .wfsa import (
     Arc,
     Wfsa,
     closure,
-    concat,
     dag_to_wfsa,
     determinize_min,
     dump_wfsa,
-    enumerate_strings,
     has_accepting_path,
     intersect,
     lexicon_dfa,

@@ -487,8 +487,8 @@ def _dispatch(args: argparse.Namespace) -> int:
             records.append(
                 EvalRecord(
                     output=doc["output"],
-                    required_values=tuple(doc.get("required_values", [])),
-                    references=tuple(doc.get("references", [])),
+                    required_values=tuple(_string_list(doc, "required_values", where)),
+                    references=tuple(_string_list(doc, "references", where)),
                 )
             )
         vocab = None

@@ -12,9 +12,6 @@ in one product over the lattice, the phrase matchers and the vocabulary.
 from __future__ import annotations
 
 import functools
-import hashlib
-import os
-import tempfile
 import threading
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
@@ -22,7 +19,7 @@ from typing import Iterable, Sequence
 
 from . import wfsa
 from .tokens import TokenTable
-from .wfsa import EPSILON, SIGMA, Arc, Wfsa, _label_index, lexicon_dfa
+from .wfsa import SIGMA, Arc, Wfsa, _label_index, lexicon_dfa
 from .words import is_numeric_token, strip_punct
 
 # Punctuation accepted by the default special-token automaton.
@@ -174,9 +171,11 @@ def constrained_product(
     arc's matches follow the vocab state's arc order. The result is
     epsilon-free and acyclic whenever `w` is; it has a final state exactly
     when it accepts some string.
+
+    A sigma arc of `w` raises `ValueError` when the pass reaches its source
+    state. One the pass never reaches is not rejected: it lies on no path
+    from the start, so it cannot change the product's language.
     """
-    if w.has_sigma():
-        raise ValueError("lattice acceptor must have no sigma arcs")
     if vocab is None:
         vocab = _ANY_STRING
     elif vocab.has_epsilon():
@@ -214,8 +213,10 @@ def constrained_product(
         by_label, sigma = index
         moves = match[2]
         for label, weight, p_dst in w.arcs_from(p):
-            if label == EPSILON:  # consumes no token
-                q_dsts, nxt = (q,), match
+            if label < 0:
+                if label == SIGMA:
+                    raise ValueError("lattice acceptor must have no sigma arcs")
+                q_dsts, nxt = (q,), match  # an epsilon consumes no token
             else:
                 q_dsts = by_label.get(label, sigma)
                 if not q_dsts:
@@ -345,40 +346,22 @@ def default_specials(table: TokenTable) -> list[str]:
     return out
 
 
-# Versions the on-disk cache files: the key hashes this tag, so files
-# written by a build with another format are never loaded.
-STATIC_CACHE_FORMAT = "lexicon-dfa 1"
-
 # Static closures kept in memory per process, keyed by content and
 # evicted least recently used first, like the token table cache.
 STATIC_CACHE_SIZE = 16
 
-_static_cache: OrderedDict[str, Wfsa] = OrderedDict()
+_static_cache: OrderedDict[tuple, Wfsa] = OrderedDict()
 _static_lock = threading.Lock()
 
 
 def _static_cache_key(
-    dictionary: Sequence[str],
-    specials: Sequence[str],
-    include_numeric: bool,
-    table: TokenTable,
-) -> str:
-    h = hashlib.sha256(STATIC_CACHE_FORMAT.encode("utf-8") + b"\x00")
-    for word in dictionary:
-        h.update(word.encode("utf-8") + b"\x00")
-    h.update(b"\x01")
-    for s in specials:
-        h.update(s.encode("utf-8") + b"\x00")
-    h.update(b"\x02" + (b"1" if include_numeric else b"0"))
-    h.update(table.digest.encode("ascii"))
-    return h.hexdigest()
+    dictionary: Sequence[str], specials: Sequence[str], table: TokenTable
+) -> tuple:
+    return tuple(dictionary), tuple(specials), table.digest
 
 
 def build_static_vocab_fsa(
-    dictionary: Sequence[str],
-    specials: Sequence[str],
-    table: TokenTable,
-    include_numeric: bool = True,
+    dictionary: Sequence[str], specials: Sequence[str], table: TokenTable
 ) -> Wfsa:
     """Minimal acyclic DFA for the dictionary words, specials and digits.
 
@@ -391,8 +374,7 @@ def build_static_vocab_fsa(
         if tid is None:
             raise ValueError(f"special token {s!r} is not in the token table")
         words.append((tid,))
-    if include_numeric:
-        words.extend((tid,) for tid in table.numeric_ids)
+    words.extend((tid,) for tid in table.numeric_ids)
     return lexicon_dfa(words)
 
 
@@ -415,61 +397,18 @@ def _lexicon_closure(dfa: Wfsa) -> Wfsa:
     return out
 
 
-def _read_cached_dfa(path: str) -> Wfsa | None:
-    """The DFA stored at path, or None when it is missing or damaged."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            body, marker, digest = fh.read().rpartition("#sha256 ")
-        if not marker or digest.strip() != hashlib.sha256(body.encode("utf-8")).hexdigest():
-            return None
-        return wfsa.load_wfsa(body)
-    except (OSError, ValueError):
-        return None
-
-
-def _write_cached_dfa(path: str, dfa: Wfsa) -> None:
-    """Write through a temporary file, so readers see the whole file or none."""
-    body = wfsa.dump_wfsa(dfa)
-    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    directory = os.path.dirname(path)
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(f"{body}#sha256 {digest}\n")
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
 def _static_closure(
-    dictionary: Sequence[str],
-    specials: Sequence[str],
-    table: TokenTable,
-    include_numeric: bool,
-    cache_dir: str | None,
+    dictionary: Sequence[str], specials: Sequence[str], table: TokenTable
 ) -> Wfsa:
-    """Closure of the static component, cached by content hash.
-
-    The closure is kept in memory for the STATIC_CACHE_SIZE most recently
-    used lexicons. Under cache_dir the DFA itself is kept on disk, because
-    the dump format sorts arcs and would lose the order of the copied start
-    arcs; it is closed again on load.
-    """
-    key = _static_cache_key(dictionary, specials, include_numeric, table)
+    """Closure of the static component, cached for the STATIC_CACHE_SIZE
+    most recently used lexicons."""
+    key = _static_cache_key(dictionary, specials, table)
     with _static_lock:
         closed = _static_cache.get(key)
         if closed is not None:
             _static_cache.move_to_end(key)
             return closed
-    path = None if cache_dir is None else os.path.join(cache_dir, f"{key}.fsa")
-    dfa = None if path is None else _read_cached_dfa(path)
-    if dfa is None:
-        dfa = build_static_vocab_fsa(dictionary, specials, table, include_numeric)
-        if path is not None:
-            _write_cached_dfa(path, dfa)
-    closed = _lexicon_closure(dfa)
+    closed = _lexicon_closure(build_static_vocab_fsa(dictionary, specials, table))
     with _static_lock:
         # a thread that built the same lexicon first keeps its closure
         closed = _static_cache.setdefault(key, closed)
@@ -484,23 +423,20 @@ def build_vocab_fsa(
     specials: Sequence[str] | None,
     dynamic_entities: Sequence[str],
     table: TokenTable,
-    include_numeric: bool = True,
-    cache_dir: str | None = None,
 ) -> LexiconFsa:
     """Closure of (static dictionary+specials) union (per-input entities).
 
     The static component is built once as a minimal acyclic DFA, closed
-    without epsilon arcs, and cached by content hash (in memory, and on
-    disk under cache_dir when given). Each call copies that closure and
-    adds one token chain per entity: the start and every final state get
-    an arc into each chain, after their other arcs, and each chain's last
-    state is final and gets copies of the static start arcs. The result
-    has no epsilon arcs and accepts exactly the concatenations of
-    permitted word units, including the empty string.
+    without epsilon arcs, and cached in memory by its content. Each call
+    copies that closure and adds one token chain per entity: the start and
+    every final state get an arc into each chain, after their other arcs,
+    and each chain's last state is final and gets copies of the static
+    start arcs. The result has no epsilon arcs and accepts exactly the
+    concatenations of permitted word units, including the empty string.
     """
     if specials is None:
         specials = default_specials(table)
-    lex = _static_closure(dictionary, specials, table, include_numeric, cache_dir).copy()
+    lex = _static_closure(dictionary, specials, table).copy()
     static_start_arcs = list(lex.arcs_from(lex.start))
     head_arcs: list[Arc] = []
     for entity in dynamic_entities:

@@ -51,13 +51,6 @@ class Dag:
     def final_vertex(self) -> int:
         return self.num_vertices - 1
 
-    def emission_logprob(self, u: int, token: int) -> float:
-        """Log-probability of `token` at vertex u; -inf if not emittable."""
-        for t, lp in self.emissions[u]:
-            if t == token:
-                return lp
-        return -math.inf
-
 
 @dataclass(frozen=True)
 class PruneConfig:
@@ -241,18 +234,6 @@ def write_dag(dag: Dag, path: str) -> None:
         fh.write("\n")
 
 
-def validate_normalized(dag: Dag, tol: float = 1e-6) -> None:
-    """Check the unpruned-lattice invariant: per-vertex sums are 1 +- tol."""
-    for u in range(dag.num_vertices):
-        esum = math.fsum(math.exp(lp) for _, lp in dag.emissions[u])
-        if abs(esum - 1.0) > tol:
-            raise DagFormatError(f"vertex {u}: emission probabilities sum to {esum}")
-        if u != dag.final_vertex:
-            tsum = math.fsum(math.exp(lp) for _, lp in dag.transitions[u])
-            if abs(tsum - 1.0) > tol:
-                raise DagFormatError(f"vertex {u}: transition probabilities sum to {tsum}")
-
-
 def prune_dag(dag: Dag, cfg: PruneConfig) -> Dag:
     """Keep the top-k_e emissions and top-k_t transitions per vertex.
 
@@ -313,8 +294,11 @@ def generate_synthetic_dag(
         raise ValueError("num_vertices must be >= 2")
     if emission_degree < 1 or transition_degree < 1:
         raise ValueError("degrees must be >= 1")
-    if concentration <= 0:
-        raise ValueError("concentration must be > 0")
+    # random.gammavariate never returns once 2 * alpha overflows, and a
+    # Dirichlet draw sums up to one gamma variate near alpha per degree
+    bound = sys.float_info.max / (2 * max(emission_degree, transition_degree))
+    if not 0 < concentration <= bound:
+        raise ValueError(f"concentration must be in (0, {bound!r}], got {concentration!r}")
     if transition_degree > num_vertices - 1:
         raise ValueError(
             f"transition degree {transition_degree} exceeds feasible forward-edge "

@@ -37,9 +37,13 @@ def fit_length_predictor(pairs: Sequence[tuple[float, float]]) -> LengthPredicto
         raise ValueError("need at least two pairs to fit a length predictor")
     xs = [float(x) for x, _ in pairs]
     ys = [float(y) for _, y in pairs]
+    if not all(map(math.isfinite, xs + ys)):
+        raise ValueError("length pairs must be finite numbers")
     if max(xs) == min(xs):
         raise ValueError("degenerate regression: all input lengths are equal")
     fit = statistics.linear_regression(xs, ys)
+    if not (math.isfinite(fit.slope) and math.isfinite(fit.intercept)):
+        raise ValueError(f"length fit overflows: slope {fit.slope}, intercept {fit.intercept}")
     return LengthPredictor(slope=fit.slope, intercept=fit.intercept)
 
 
@@ -47,7 +51,13 @@ def predict_target_length(pred: LengthPredictor, x: int) -> int:
     """ceil(slope * x + intercept), clamped to at least one token."""
     if x < 0:
         raise ValueError("input length must be >= 0")
-    return max(1, math.ceil(pred.slope * x + pred.intercept))
+    try:
+        length = pred.slope * x + pred.intercept
+    except OverflowError:  # x is an int too large for a float
+        length = math.inf
+    if not math.isfinite(length):
+        raise ValueError(f"predicted target length {length} is not finite")
+    return max(1, math.ceil(length))
 
 
 def save_length_predictor(pred: LengthPredictor, path: str) -> None:

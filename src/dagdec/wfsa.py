@@ -10,7 +10,6 @@ materializing the alphabet.
 from __future__ import annotations
 
 import heapq
-import itertools
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .dag import Dag, PruneConfig, prune_dag
@@ -144,17 +143,6 @@ def union(first: Wfsa, *rest: Wfsa) -> Wfsa:
         out.add_arc(0, EPSILON, 0.0, a.start + offset)
         out.finals.update(f + offset for f in a.finals)
         offset += a.num_states
-    return out
-
-
-def concat(a: Wfsa, b: Wfsa) -> Wfsa:
-    """Thompson concatenation: L(a) . L(b)."""
-    out = Wfsa(num_states=a.num_states + b.num_states, start=a.start)
-    _copy_into(out, a, 0)
-    _copy_into(out, b, a.num_states)
-    for f in sorted(a.finals):
-        out.add_arc(f, EPSILON, 0.0, b.start + a.num_states)
-    out.finals = {f + a.num_states for f in b.finals}
     return out
 
 
@@ -620,29 +608,6 @@ def string_cost(w: Wfsa, tokens: Sequence[int]) -> float:
             return inf
         frontier = _eps_distances(w, step)
     return min((c for s, c in frontier.items() if s in w.finals), default=inf)
-
-
-def enumerate_strings(
-    w: Wfsa, max_len: int, alphabet: Sequence[int] | None = None
-) -> list[tuple[tuple[int, ...], float]]:
-    """All accepted token sequences up to max_len with their minimal cost.
-
-    Exponential-time reference implementation for oracle use only. Sigma
-    arcs require an explicit alphabet to enumerate over.
-    """
-    if alphabet is None:
-        if w.has_sigma():
-            raise ValueError("sigma arcs present: supply an explicit alphabet")
-        alphabet = sorted({arc.label for _, arc in w.all_arcs() if arc.label != EPSILON})
-    else:
-        alphabet = sorted(set(alphabet))
-    out = []
-    for length in range(max_len + 1):
-        for tokens in itertools.product(alphabet, repeat=length):
-            cost = string_cost(w, tokens)
-            if cost < float("inf"):
-                out.append((tokens, cost))
-    return out
 
 
 # ---------------------------------------------------------------------------

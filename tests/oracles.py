@@ -215,6 +215,14 @@ def reference_load_dag(source: str | bytes) -> Dag:
     )
 
 
+def emission_logprob(dag: Dag, u: int, token: int) -> float:
+    """Log-probability of `token` at vertex u; -inf if not emittable."""
+    for t, lp in dag.emissions[u]:
+        if t == token:
+            return lp
+    return -math.inf
+
+
 def force_emit(
     u: int,
     constraints: Sequence[ConstraintPhrase],
@@ -360,7 +368,7 @@ def _candidate_tokens(
         # Next token of an active match; first token of an inactive one.
         token = phrase.tokens[state]
         if token not in candidates:
-            lp = dag.emission_logprob(v, token)
+            lp = emission_logprob(dag, v, token)
             if math.isfinite(lp):
                 candidates[token] = lp
     return sorted(candidates.items())

@@ -23,7 +23,12 @@ from dagdec.dag import Dag, PruneConfig, generate_synthetic_dag, prune_dag
 from dagdec.result import STATUS_OK
 
 from .lattices import build_dag, plant_phrases, tiny4, uniform_lattice, window_lattice
-from .oracles import contains_subsequence, naive_find_all, reference_beam_search
+from .oracles import (
+    contains_subsequence,
+    emission_logprob,
+    naive_find_all,
+    reference_beam_search,
+)
 
 
 class TestKmpAdvance:
@@ -240,7 +245,7 @@ def offered_candidates(dag, constraints, banks, v, beam_width):
                 candidates = dict(menu)
                 for state, phrase in zip(states, constraints):
                     if state < len(phrase) and math.isfinite(
-                        lp := dag.emission_logprob(v, phrase.tokens[state])
+                        lp := emission_logprob(dag, v, phrase.tokens[state])
                     ):
                         candidates.setdefault(phrase.tokens[state], lp)
                 for token, elp in candidates.items():

@@ -735,6 +735,50 @@ class TestBadInput:
         self.assert_one_line_error(capsys, code, "line 2")
 
     @pytest.mark.parametrize(
+        "field",
+        [
+            '"required_values": 5',
+            '"required_values": [1, 2]',
+            '"references": [3]',
+            '"references": "abc"',
+        ],
+        ids=["values-number", "values-numbers", "references-numbers", "references-string"],
+    )
+    def test_evaluation_lists_must_hold_strings(self, tmp_path, capsys, field):
+        # a string of references used to be scored as one reference per character
+        records = tmp_path / "records.jsonl"
+        records.write_text('{"output": "a b", ' + field + "}\n", encoding="utf-8")
+        code = main(["evaluate", "--records", str(records)])
+        self.assert_one_line_error(capsys, code, "list of strings")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e308"])
+    def test_synth_concentration_too_large_or_not_a_number(self, tmp_path, capsys, value):
+        # random.gammavariate never returned for these
+        code = main(["synth", "--seed", "1", "--vertices", "6", "--concentration", value,
+                     "--out", str(tmp_path / "d.json")])
+        self.assert_one_line_error(capsys, code, "concentration")
+        assert not (tmp_path / "d.json").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+    def test_fit_length_pairs_must_be_finite(self, tmp_path, capsys, value):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text(f"1\t2\n2\t4\n{value}\t6\n", encoding="utf-8")
+        out = tmp_path / "pred.txt"
+        code = main(["fit-length", "--pairs", str(pairs), "--out", str(out)])
+        self.assert_one_line_error(capsys, code, "finite")
+        assert not out.exists()
+
+    def test_prediction_too_large_for_a_float(self, workspace, capsys):
+        # a finite predictor whose prediction overflows to inf
+        tmp_path, dag_path, table_path, _ = workspace
+        pred = tmp_path / "pred.txt"
+        pred.write_text("1e308\n0\n", encoding="utf-8")
+        code = main(["decode", "--dag", dag_path, "--table", table_path, "--mode", "lc",
+                     "--len-predictor", str(pred), "--input-len", "10",
+                     "--ke", "2", "--kt", "2"])
+        self.assert_one_line_error(capsys, code, "not finite")
+
+    @pytest.mark.parametrize(
         "text", ["inf\n1.0\n", "0.5\nnan\n", "-1e999\n0\n"], ids=["inf", "nan", "overflow"]
     )
     def test_non_finite_length_predictor(self, workspace, capsys, text):

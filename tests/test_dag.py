@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -18,11 +19,10 @@ from dagdec.dag import (
     generate_synthetic_dag,
     load_dag,
     prune_dag,
-    validate_normalized,
 )
 
 from .lattices import build_dag, uniform_lattice
-from .oracles import force_emit, reference_load_dag, reference_prune_dag
+from .oracles import emission_logprob, force_emit, reference_load_dag, reference_prune_dag
 
 
 def doc(num_vertices, vertices, version=1):
@@ -205,7 +205,7 @@ class TestPrune:
         pruned = prune_dag(dag, PruneConfig(k_e=2, k_t=1, constraints=(phrase,)))
         assert {t for t, _ in pruned.emissions[1]} == {0, 1, 2}
         # the forced token keeps its original raw log-probability
-        assert pruned.emission_logprob(1, 2) == pytest.approx(math.log(0.1))
+        assert emission_logprob(pruned, 1, 2) == pytest.approx(math.log(0.1))
 
     @pytest.mark.parametrize("field", ("k_e", "k_t"))
     @pytest.mark.parametrize("value", (2.0, 2.5, True))
@@ -264,7 +264,7 @@ class TestPrune:
                     if any(phrase.tokens[j] in {t for t, _ in pruned.emissions[v]}
                            for v in preds[u]):
                         nxt = phrase.tokens[j + 1]
-                        if math.isfinite(dag.emission_logprob(u, nxt)):
+                        if math.isfinite(emission_logprob(dag, u, nxt)):
                             assert nxt in {t for t, _ in pruned.emissions[u]}
 
 
@@ -311,11 +311,35 @@ class TestSynthetic:
         for seed in range(30):
             dag = generate_synthetic_dag(seed=seed, num_vertices=12, emission_degree=3,
                                          transition_degree=3, concentration=0.6)
-            validate_normalized(dag)
+            # every unpruned row is a distribution, except the final vertex's
+            # empty transition row
             for u in range(dag.num_vertices):
+                rows = [dag.emissions[u]]
+                if u != dag.final_vertex:
+                    rows.append(dag.transitions[u])
+                for row in rows:
+                    assert math.fsum(math.exp(lp) for _, lp in row) == pytest.approx(1.0, abs=1e-6)
                 for v, _ in dag.transitions[u]:
                     assert v > u
             assert dag.transitions[dag.final_vertex] == ()
+
+    @pytest.mark.parametrize("concentration", [math.nan, math.inf, 1e308, 0.0, -1.0])
+    def test_concentration_must_be_positive_and_finite(self, concentration):
+        # random.gammavariate loops forever once 2 * concentration overflows
+        with pytest.raises(ValueError, match="concentration"):
+            generate_synthetic_dag(seed=0, num_vertices=4, emission_degree=3,
+                                   transition_degree=2, concentration=concentration)
+
+    def test_largest_concentration_is_a_flat_lattice(self):
+        # the bound leaves room for the Dirichlet normalizer's sum of 3 draws
+        dag = generate_synthetic_dag(seed=0, num_vertices=4, emission_degree=3,
+                                     transition_degree=2, concentration=sys.float_info.max / 6)
+        for lp in (lp for row in dag.emissions for _, lp in row):
+            assert lp == pytest.approx(math.log(1 / 3))
+        with pytest.raises(ValueError, match="concentration"):
+            generate_synthetic_dag(seed=0, num_vertices=4, emission_degree=3,
+                                   transition_degree=2,
+                                   concentration=math.nextafter(sys.float_info.max / 6, math.inf))
 
     def test_sparsity_calibration(self):
         # Mean transitions with probability > 0.2 matches trained-lattice

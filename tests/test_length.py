@@ -59,6 +59,16 @@ class TestFit:
         with pytest.raises(ValueError):
             fit_length_predictor([(3, 1)])
 
+    @pytest.mark.parametrize("pair", [(math.nan, 1.0), (2.5, math.inf), (float("1e400"), 3.0)])
+    def test_non_finite_pairs_are_rejected(self, pair):
+        # they used to give a nan predictor that load_length_predictor refuses
+        with pytest.raises(ValueError, match="finite"):
+            fit_length_predictor([(1.0, 2.0), (2.0, 3.0), pair])
+
+    def test_fit_that_overflows_is_rejected(self):
+        with pytest.raises(ValueError, match="overflows"):
+            fit_length_predictor([(0.0, 0.0), (1e300, 1e300), (5.0, 5.0)])
+
     def test_predictor_file_round_trip(self, tmp_path):
         pred = LengthPredictor(slope=0.5, intercept=11.9)
         path = str(tmp_path / "pred.txt")
@@ -78,6 +88,13 @@ class TestPredict:
     def test_identity_slope(self):
         pred = LengthPredictor(slope=1.0, intercept=0.0)
         assert predict_target_length(pred, 7) == 7
+
+    @pytest.mark.parametrize(
+        "slope, x", [(1e308, 10), (math.nan, 1), (1.0, 10**400)], ids=["inf", "nan", "huge-input"]
+    )
+    def test_prediction_must_be_finite(self, slope, x):
+        with pytest.raises(ValueError, match="not finite"):
+            predict_target_length(LengthPredictor(slope=slope, intercept=0.0), x)
 
 
 class TestPenalty:

@@ -19,11 +19,9 @@ from dagdec.wfsa import (
     Wfsa,
     _label_index,
     closure,
-    concat,
     dag_to_wfsa,
     determinize_min,
     dump_wfsa,
-    enumerate_strings,
     has_accepting_path,
     intersect,
     lexicon_dfa,
@@ -334,14 +332,14 @@ class TestRegularOps:
         assert string_cost(got, (1,)) == 0.0
         assert string_cost(got, (0, 1)) == INF
 
-    def test_concat(self):
-        got = concat(linear_acceptor((0,)), linear_acceptor((1, 2)))
-        assert string_cost(got, (0, 1, 2)) == 0.0
-        assert string_cost(got, (0,)) == INF
-
     def test_closure_accepts_powers(self):
         got = closure(linear_acceptor((0, 1)))
-        accepted = {s for s, _ in enumerate_strings(got, 6)}
+        accepted = {
+            s
+            for length in range(7)
+            for s in itertools.product((0, 1), repeat=length)
+            if string_cost(got, s) < INF
+        }
         expected = {(), (0, 1), (0, 1, 0, 1), (0, 1, 0, 1, 0, 1)}
         assert accepted == expected
 
@@ -546,23 +544,6 @@ class TestShortestPath:
                 assert got.tokens == best[0]
 
 
-class TestEnumerateStrings:
-    def test_length_filter(self):
-        # accepts token 0 at cost 1.0 and tokens (0, 1) at cost 0.4
-        w = Wfsa(num_states=4, start=0, finals={1, 3})
-        w.add_arc(0, 0, 1.0, 1)
-        w.add_arc(0, 0, 0.4, 2)
-        w.add_arc(2, 1, 0.0, 3)
-        assert enumerate_strings(w, 1) == [((0,), 1.0)]
-        assert enumerate_strings(w, 2) == [((0,), 1.0), ((0, 1), 0.4)]
-
-    def test_min_over_duplicate_paths(self):
-        w = Wfsa(num_states=2, start=0, finals={1})
-        w.add_arc(0, 0, 0.7, 1)
-        w.add_arc(0, 0, 0.3, 1)
-        assert enumerate_strings(w, 2) == [((0,), 0.3)]
-
-
 class TestDumpFormat:
     def test_round_trip_bit_exact(self):
         for seed in range(25):
@@ -601,14 +582,3 @@ class TestGolden:
         golden_path = os.path.join(os.path.dirname(tiny4_path), "tiny4_k2.fsa")
         with open(golden_path, encoding="utf-8") as fh:
             assert blob == fh.read()
-
-
-class TestSigmaEnumeration:
-    def test_explicit_alphabet_expands_wildcards(self):
-        got = enumerate_strings(sigma_star(), 2, alphabet=(0, 1))
-        assert got == [((), 0.0), ((0,), 0.0), ((1,), 0.0),
-                       ((0, 0), 0.0), ((0, 1), 0.0), ((1, 0), 0.0), ((1, 1), 0.0)]
-
-    def test_wildcards_require_alphabet(self):
-        with pytest.raises(ValueError, match="alphabet"):
-            enumerate_strings(sigma_star(), 2)

@@ -12,8 +12,7 @@ in one product over the lattice, the phrase matchers and the vocabulary.
 from __future__ import annotations
 
 import functools
-import threading
-from collections import Counter, OrderedDict
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -350,15 +349,6 @@ def default_specials(table: TokenTable) -> list[str]:
 # evicted least recently used first, like the token table cache.
 STATIC_CACHE_SIZE = 16
 
-_static_cache: OrderedDict[tuple, Wfsa] = OrderedDict()
-_static_lock = threading.Lock()
-
-
-def _static_cache_key(
-    dictionary: Sequence[str], specials: Sequence[str], table: TokenTable
-) -> tuple:
-    return tuple(dictionary), tuple(specials), table.digest
-
 
 def build_static_vocab_fsa(
     dictionary: Sequence[str], specials: Sequence[str], table: TokenTable
@@ -397,25 +387,14 @@ def _lexicon_closure(dfa: Wfsa) -> Wfsa:
     return out
 
 
+@functools.lru_cache(maxsize=STATIC_CACHE_SIZE)
 def _static_closure(
-    dictionary: Sequence[str], specials: Sequence[str], table: TokenTable
+    dictionary: tuple[str, ...], specials: tuple[str, ...], table: TokenTable
 ) -> Wfsa:
     """Closure of the static component, cached for the STATIC_CACHE_SIZE
-    most recently used lexicons."""
-    key = _static_cache_key(dictionary, specials, table)
-    with _static_lock:
-        closed = _static_cache.get(key)
-        if closed is not None:
-            _static_cache.move_to_end(key)
-            return closed
-    closed = _lexicon_closure(build_static_vocab_fsa(dictionary, specials, table))
-    with _static_lock:
-        # a thread that built the same lexicon first keeps its closure
-        closed = _static_cache.setdefault(key, closed)
-        _static_cache.move_to_end(key)
-        while len(_static_cache) > STATIC_CACHE_SIZE:
-            _static_cache.popitem(last=False)
-    return closed
+    most recently used lexicons. The result is shared and must not be
+    changed."""
+    return _lexicon_closure(build_static_vocab_fsa(dictionary, specials, table))
 
 
 def build_vocab_fsa(
@@ -436,7 +415,7 @@ def build_vocab_fsa(
     """
     if specials is None:
         specials = default_specials(table)
-    lex = _static_closure(dictionary, specials, table).copy()
+    lex = _static_closure(tuple(dictionary), tuple(specials), table).copy()
     static_start_arcs = list(lex.arcs_from(lex.start))
     head_arcs: list[Arc] = []
     for entity in dynamic_entities:

@@ -41,10 +41,20 @@ def fit_length_predictor(pairs: Sequence[tuple[float, float]]) -> LengthPredicto
         raise ValueError("length pairs must be finite numbers")
     if max(xs) == min(xs):
         raise ValueError("degenerate regression: all input lengths are equal")
-    fit = statistics.linear_regression(xs, ys)
-    if not (math.isfinite(fit.slope) and math.isfinite(fit.intercept)):
-        raise ValueError(f"length fit overflows: slope {fit.slope}, intercept {fit.intercept}")
-    return LengthPredictor(slope=fit.slope, intercept=fit.intercept)
+    # Scaling by powers of two is exact (short of underflow) and keeps the
+    # centred sums of the regression from overflowing or underflowing at
+    # extreme lengths.
+    kx = math.frexp(max(map(abs, xs)))[1]
+    ky = math.frexp(max(map(abs, ys)))[1]
+    fit = statistics.linear_regression(
+        [math.ldexp(x, -kx) for x in xs], [math.ldexp(y, -ky) for y in ys]
+    )
+    try:
+        slope = math.ldexp(fit.slope, ky - kx)
+        intercept = math.ldexp(fit.intercept, ky)
+    except OverflowError:
+        raise ValueError("length fit overflows a float") from None
+    return LengthPredictor(slope=slope, intercept=intercept)
 
 
 def predict_target_length(pred: LengthPredictor, x: int) -> int:

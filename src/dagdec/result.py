@@ -30,10 +30,6 @@ class DecodeResult:
     note: str | None = None
     extra: dict = field(default_factory=dict, compare=False)
 
-    @property
-    def ok(self) -> bool:
-        return self.status == STATUS_OK
-
     def to_dict(self) -> dict:
         d = {
             "status": self.status,

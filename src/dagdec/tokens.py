@@ -54,6 +54,11 @@ class TokenTable:
     def __len__(self) -> int:
         return len(self.surfaces)
 
+    def __hash__(self) -> int:
+        # the digest covers exactly the fields that equality compares, and
+        # is computed once, where the generated hash walks every surface
+        return hash(self.digest)
+
     @cached_property
     def digest(self) -> str:
         """SHA-256 of the table's content (surfaces and markers), computed

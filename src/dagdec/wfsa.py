@@ -385,8 +385,8 @@ def lexicon_dfa(words: Iterable[Sequence[int]]) -> Wfsa:
     Daciuk, Mihov, Watson & Watson (Comput. Linguist. 26(1), 2000). Time is
     linear in the total word length, up to sorting each state's labels.
     The result is trim: it is determinize_min of the union of the words
-    without that automaton's dead state. States are numbered breadth-first from the start (state
-    0), and each state's arcs are in label order.
+    without that automaton's dead state. States are numbered breadth-first
+    from the start (state 0), and each state's arcs are in label order.
     """
     children: list[dict[int, int]] = [{}]
     final = [False]
@@ -432,117 +432,57 @@ def lexicon_dfa(words: Iterable[Sequence[int]]) -> Wfsa:
 def determinize_min(a: Wfsa) -> Wfsa:
     """Deterministic minimal acceptor for an unweighted automaton.
 
-    Subset construction over the automaton's own alphabet followed by
-    Hopcroft minimization of the completed DFA; the result has at most one
-    arc per (state, token) and no two distinct states accept the same
-    language. Wildcard arcs are not supported here (the only determinized
-    automata are the static lexicon unions, which contain none).
+    Subset construction over the automaton's own alphabet gives a complete
+    DFA: the empty subset is a state like any other, its own successor on
+    every token. Moore's refinement then splits states by (block, successor
+    blocks) until the number of blocks stops growing. The result has
+    exactly one arc per (state, token), in label order, and no two distinct
+    states accept the same language; its states are numbered by their
+    first subset in breadth-first discovery order, so the start is 0.
+    Wildcard arcs are not supported here.
     """
     if a.has_sigma():
         raise ValueError("cannot determinize an automaton with sigma arcs")
     nf = _rm_epsilon_unweighted(a)
     alphabet = sorted({arc.label for _, arc in nf.all_arcs()})
 
-    start = frozenset({nf.start})
-    subsets: dict[frozenset[int], int] = {start: 0}
-    worklist = [start]
-    dfa_next: list[dict[int, int]] = [{}]
-    dfa_final = [bool(start & nf.finals)]
-    dead_id: int | None = None
-
-    def subset_id(subset: frozenset[int]) -> int:
-        sid = subsets.get(subset)
-        if sid is None:
-            sid = len(dfa_next)
-            subsets[subset] = sid
-            dfa_next.append({})
-            dfa_final.append(bool(subset & nf.finals))
-            worklist.append(subset)
-        return sid
-
-    head = 0
-    while head < len(worklist):
-        subset = worklist[head]
-        head += 1
-        src = subsets[subset]
+    subsets = [frozenset({nf.start})]
+    ids = {subsets[0]: 0}
+    rows: list[list[int]] = []
+    for subset in subsets:  # grows as new subsets are discovered
+        succ: dict[int, set[int]] = {token: set() for token in alphabet}
+        for s in subset:
+            for arc in nf.arcs_from(s):
+                succ[arc.label].add(arc.dst)
+        row = []
         for token in alphabet:
-            targets = frozenset(
-                arc.dst for s in subset for arc in nf.arcs_from(s) if arc.label == token
-            )
-            if targets:
-                dfa_next[src][token] = subset_id(targets)
-            else:
-                if dead_id is None:
-                    dead_id = subset_id(frozenset())
-                dfa_next[src][token] = dead_id
+            target = frozenset(succ[token])
+            if target not in ids:
+                ids[target] = len(subsets)
+                subsets.append(target)
+            row.append(ids[target])
+        rows.append(row)
+    final = [bool(subset & nf.finals) for subset in subsets]
 
-    if dead_id is not None:
-        for token in alphabet:
-            dfa_next[dead_id][token] = dead_id
+    keys: list = final
+    count = 0
+    while True:
+        numbering: dict = {}
+        blocks = [numbering.setdefault(key, len(numbering)) for key in keys]
+        if len(numbering) == count:
+            break
+        count = len(numbering)
+        keys = [(b, tuple(blocks[t] for t in row)) for b, row in zip(blocks, rows)]
 
-    blocks = _hopcroft(len(dfa_next), alphabet, dfa_next, dfa_final)
-
-    order = sorted(set(blocks.values()))
-    renum = {b: i for i, b in enumerate(order)}
-    out = Wfsa(num_states=len(order), start=renum[blocks[0]])
-    emitted: set[int] = set()
-    for s in range(len(dfa_next)):
-        b = renum[blocks[s]]
-        if dfa_final[s]:
+    out = Wfsa(num_states=count, start=0)
+    for s, row in enumerate(rows):
+        b = blocks[s]
+        if final[s]:
             out.finals.add(b)
-        if b in emitted:
-            continue
-        emitted.add(b)
-        for token in alphabet:
-            out.add_arc(b, token, 0.0, renum[blocks[dfa_next[s][token]]])
+        if not out.arcs_from(b):  # first member of its block
+            for token, t in zip(alphabet, row):
+                out.add_arc(b, token, 0.0, blocks[t])
     return out
-
-
-def _hopcroft(
-    n: int,
-    alphabet: list[int],
-    nxt: list[dict[int, int]],
-    final: list[bool],
-) -> dict[int, int]:
-    """Partition-refinement; returns state -> block-id (block = min member)."""
-    finals = frozenset(s for s in range(n) if final[s])
-    nonfinals = frozenset(range(n)) - finals
-    partition = {p for p in (finals, nonfinals) if p}
-    work = {min(partition, key=len)} if len(partition) == 2 else set(partition)
-
-    pre: dict[int, list[set[int]]] = {c: [set() for _ in range(n)] for c in alphabet}
-    for s in range(n):
-        for c in alphabet:
-            pre[c][nxt[s][c]].add(s)
-
-    while work:
-        splitter = work.pop()
-        for c in alphabet:
-            x = set()
-            for t in splitter:
-                x |= pre[c][t]
-            if not x:
-                continue
-            for block in list(partition):
-                inter = block & x
-                diff = block - x
-                if not inter or not diff:
-                    continue
-                partition.remove(block)
-                partition.add(frozenset(inter))
-                partition.add(frozenset(diff))
-                if block in work:
-                    work.remove(block)
-                    work.add(frozenset(inter))
-                    work.add(frozenset(diff))
-                else:
-                    work.add(min((frozenset(inter), frozenset(diff)), key=len))
-    assignment: dict[int, int] = {}
-    for block in partition:
-        rep = min(block)
-        for s in block:
-            assignment[s] = rep
-    return assignment
 
 
 # ---------------------------------------------------------------------------

@@ -768,6 +768,15 @@ class TestBadInput:
         self.assert_one_line_error(capsys, code, "finite")
         assert not out.exists()
 
+    def test_fit_length_that_overflows(self, tmp_path, capsys):
+        # the exact slope, 1e600, is too large for a float
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("0\t0\n1e-300\t1e300\n", encoding="utf-8")
+        out = tmp_path / "pred.txt"
+        code = main(["fit-length", "--pairs", str(pairs), "--out", str(out)])
+        self.assert_one_line_error(capsys, code, "overflows")
+        assert not out.exists()
+
     def test_prediction_too_large_for_a_float(self, workspace, capsys):
         # a finite predictor whose prediction overflows to inf
         tmp_path, dag_path, table_path, _ = workspace

@@ -188,11 +188,12 @@ class TestVocabFsa:
 
     def test_cache_equivalence(self, subword_table):
         args = (["cat", "Hong"], ["."], ["Hong Kong"], subword_table)
-        constraints_mod._static_cache.clear()
+        constraints_mod._static_closure.cache_clear()
         build_vocab_fsa(*args)
         hit = build_vocab_fsa(*args).automaton
-        assert len(constraints_mod._static_cache) == 1
-        constraints_mod._static_cache.clear()
+        info = constraints_mod._static_closure.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        constraints_mod._static_closure.cache_clear()
         fresh = build_vocab_fsa(*args).automaton
         assert dump_wfsa(hit) == dump_wfsa(fresh)
         for s in range(fresh.num_states):
@@ -242,7 +243,7 @@ class TestVocabFsa:
         import sys
         from concurrent.futures import ThreadPoolExecutor
 
-        constraints_mod._static_cache.clear()
+        constraints_mod._static_closure.cache_clear()
         entity_sets = [[], ["Hong Kong"], ["Kong"], ["Hong Kong", "Kong"]] * 6
 
         def build(entities):
@@ -264,61 +265,73 @@ class TestVocabFsa:
     # Single-word lexicons over subword_table, each with the tokens of its word.
     LEXICONS = {"cat": (0,), "ca": (1,), "Hong": (3,), "Kong": (4,), "photo": (5,),
                 "photosynthesis": (5, 6)}
+    # 21 distinct dictionaries of one or two of those words, more than the cache holds
+    DICTIONARIES = [*itertools.combinations(LEXICONS, 1), *itertools.combinations(LEXICONS, 2)]
 
     def test_cache_evicts_the_least_recently_used(self, subword_table, monkeypatch):
         compiled = []
         real = constraints_mod.build_static_vocab_fsa
 
         def counting(dictionary, *args):
-            compiled.append(dictionary[0])
+            compiled.append(tuple(dictionary))
             return real(dictionary, *args)
 
-        monkeypatch.setattr(constraints_mod, "build_static_vocab_fsa", counting)
-        monkeypatch.setattr(constraints_mod, "STATIC_CACHE_SIZE", 2)
-        constraints_mod._static_cache.clear()
-        for word in ("cat", "ca", "cat", "Hong", "cat", "ca"):
-            build_vocab_fsa([word], ["."], [], subword_table)
-        # "ca" was the least recently used when "Hong" came, so it was rebuilt
-        assert compiled == ["cat", "ca", "Hong", "ca"]
-        assert len(constraints_mod._static_cache) == 2
+        def build(dictionary):
+            build_vocab_fsa(list(dictionary), ["."], [], subword_table)
 
-    def test_eviction_under_threads_keeps_the_bound_and_the_content(
-        self, subword_table, monkeypatch
-    ):
+        monkeypatch.setattr(constraints_mod, "build_static_vocab_fsa", counting)
+        constraints_mod._static_closure.cache_clear()
+        size = constraints_mod.STATIC_CACHE_SIZE
+        first, second, *rest = self.DICTIONARIES[: size + 1]
+        for dictionary in self.DICTIONARIES[:size]:
+            build(dictionary)
+        build(first)
+        build(rest[-1])
+        assert compiled == self.DICTIONARIES[: size + 1]
+        # the second was the least recently used when the last came, so
+        # it alone was evicted: every other one is still a hit
+        for dictionary in [first, *rest, second]:
+            build(dictionary)
+        assert compiled == self.DICTIONARIES[: size + 1] + [second]
+        assert constraints_mod._static_closure.cache_info().currsize == size
+
+    def test_eviction_under_threads_keeps_the_bound_and_the_content(self, subword_table):
         import sys
         from concurrent.futures import ThreadPoolExecutor
 
-        monkeypatch.setattr(constraints_mod, "STATIC_CACHE_SIZE", 3)
-        constraints_mod._static_cache.clear()
-        words = list(self.LEXICONS) * 8
+        constraints_mod._static_closure.cache_clear()
+        dictionaries = self.DICTIONARIES * 3
 
-        def build(word):
-            return build_vocab_fsa([word], ["."], [], subword_table).automaton
+        def build(dictionary):
+            return build_vocab_fsa(list(dictionary), ["."], [], subword_table).automaton
 
         old_interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
-                results = list(pool.map(build, words, timeout=60))
+                results = list(pool.map(build, dictionaries, timeout=60))
         finally:
             sys.setswitchinterval(old_interval)
-        for word, a in zip(words, results):
-            for other, tokens in self.LEXICONS.items():
-                assert nfa_accepts(a, tokens + (2,)) == (other == word), (word, other)
-        assert len(constraints_mod._static_cache) <= 3
-        keys = {constraints_mod._static_cache_key([w], ["."], subword_table): w
-                for w in self.LEXICONS}
-        for key, closed in constraints_mod._static_cache.items():
-            assert nfa_accepts(closed, self.LEXICONS[keys[key]])
+        info = constraints_mod._static_closure.cache_info()
+        assert info.currsize <= constraints_mod.STATIC_CACHE_SIZE
+        assert info.misses > len(self.DICTIONARIES)  # some closures were evicted
+        for dictionary, a in zip(dictionaries, results):
+            for word, tokens in self.LEXICONS.items():
+                assert nfa_accepts(a, tokens + (2,)) == (word in dictionary), (dictionary, word)
 
     def test_cache_key_follows_the_table_content(self, subword_table):
-        def key(table):
-            return constraints_mod._static_cache_key(["cat"], ["."], table)
+        def build(table):
+            build_vocab_fsa(["cat"], ["."], [], table)
+            info = constraints_mod._static_closure.cache_info()
+            return info.hits, info.misses
 
         same = TokenTable(surfaces=subword_table.surfaces, sow_mark="▁", eos_id=8, sos_id=7)
         swapped = TokenTable(surfaces=subword_table.surfaces, sow_mark="▁", eos_id=7, sos_id=8)
-        assert key(same) == key(subword_table)
-        assert key(swapped) != key(subword_table)
+        assert same == subword_table and same is not subword_table
+        constraints_mod._static_closure.cache_clear()
+        assert build(subword_table) == (0, 1)
+        assert build(same) == (1, 1)
+        assert build(swapped) == (1, 2)
 
     def test_numeric_tokens_accepted(self):
         surfaces = ("▁cat", "▁1984", "7", "<s>", "</s>", "▁")

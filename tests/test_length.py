@@ -66,8 +66,23 @@ class TestFit:
             fit_length_predictor([(1.0, 2.0), (2.0, 3.0), pair])
 
     def test_fit_that_overflows_is_rejected(self):
+        # the exact slope is 1e600
         with pytest.raises(ValueError, match="overflows"):
-            fit_length_predictor([(0.0, 0.0), (1e300, 1e300), (5.0, 5.0)])
+            fit_length_predictor([(0.0, 0.0), (1e-300, 1e300)])
+        # large pairs whose exact fit is finite are fitted, not rejected
+        pred = fit_length_predictor([(0.0, 0.0), (1e300, 1e300), (5.0, 5.0)])
+        assert (pred.slope, pred.intercept) == (1.0, 0.0)
+
+    def test_huge_lengths_are_fitted_exactly(self):
+        # the centred sums overflowed, which gave slope 0.0 and intercept 0.5
+        pred = fit_length_predictor([(0, 0), (1e200, 1)])
+        assert (pred.slope, pred.intercept) == (1e-200, 0.0)
+
+    def test_tiny_lengths_are_not_constant(self):
+        # the squared deviations underflowed to 0, so x looked constant
+        pred = fit_length_predictor([(1e-300, 0), (2e-300, 1e-300)])
+        assert pred.slope == pytest.approx(1.0, rel=1e-12)
+        assert pred.intercept == pytest.approx(-1e-300, rel=1e-12)
 
     def test_predictor_file_round_trip(self, tmp_path):
         pred = LengthPredictor(slope=0.5, intercept=11.9)

@@ -74,6 +74,13 @@ class TestDigest:
         b = load_token_table(dump_token_table(a))
         assert a is not b and a.digest == b.digest
 
+    def test_hash_is_the_digest_hash(self, monkeypatch):
+        a = load_token_table(table_text(BASIC))
+        b = load_token_table(dump_token_table(a))
+        assert a == b and hash(a) == hash(b) == hash(a.digest)
+        monkeypatch.setattr(tokens_mod.hashlib, "sha256", None)  # no second digest
+        assert hash(a) == hash(a.digest)
+
     @pytest.mark.parametrize("change", ("surface", "order", "sow", "eos", "sos"))
     def test_any_change_moves_the_digest(self, change):
         base = load_token_table(table_text(BASIC))

@@ -409,6 +409,22 @@ class TestDeterminizeMin:
             for s in itertools.product((0, 1, 2), repeat=length):
                 assert nfa_accepts(d, s) == nfa_accepts(a, s)
 
+    def test_states_are_numbered_breadth_first(self):
+        for seed in range(300):
+            alphabet = (0, 1, 2, 3)[: 2 + seed % 3]
+            a = random_nfa(seed, max_states=8, alphabet=alphabet)
+            tokens = sorted({arc.label for _, arc in a.all_arcs()} - {EPSILON})
+            d = determinize_min(a)
+            assert d.start == 0
+            order = [0]
+            for s in order:
+                arcs = sorted(d.arcs_from(s))
+                assert [arc.label for arc in arcs] == tokens, (seed, s)
+                for arc in arcs:
+                    if arc.dst not in order:
+                        order.append(arc.dst)
+            assert order == list(range(d.num_states)), seed
+
     def test_refinement_fixpoint(self):
         # No refinement step can split any block of the minimized DFA
         for seed in range(30):

@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 from .cbs import beam_decode, cbs_dag_decode, greedy_decode
 from .constraints import (
     ConstraintPhrase,
+    LexiconFsa,
     build_vocab_fsa,
     constrained_product,
     extract_lexicon,
@@ -197,12 +198,11 @@ def run_decode(job: DecodeJob) -> DecodeResult:
     else:
         lattice = dag_to_wfsa(dag, prune_cfg)
         hlc_phrases = phrases if use_hlc else []
-        vocab = vocab_fsa.automaton if use_vc else None
-        w = constrained_product(lattice, hlc_phrases, vocab) if use_hlc or use_vc else lattice
+        w = constrained_product(lattice, hlc_phrases, vocab_fsa) if use_hlc or use_vc else lattice
         if not w.finals:
             result = DecodeResult(
                 status=STATUS_EMPTY_INTERSECTION,
-                note=_empty_product_note(lattice, hlc_phrases, vocab),
+                note=_empty_product_note(lattice, hlc_phrases, vocab_fsa),
             )
         elif use_lc:
             cfg = LcConfig(
@@ -227,7 +227,7 @@ def run_decode(job: DecodeJob) -> DecodeResult:
 
 
 def _empty_product_note(
-    lattice: Wfsa, phrases: list[ConstraintPhrase], vocab: Wfsa | None
+    lattice: Wfsa, phrases: list[ConstraintPhrase], vocab: LexiconFsa | None
 ) -> str:
     """Names the first constraint that alone empties the product: each
     phrase in turn, then the vocabulary."""
@@ -449,11 +449,16 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "fit-length":
         pairs = []
-        for line in _read_lines(args.pairs):
-            if not line.strip():
+        for n, line in enumerate(_read_lines(args.pairs), 1):
+            fields = line.split()
+            if not fields:
                 continue
-            x, y = line.split()[:2]
-            pairs.append((float(x), float(y)))
+            try:
+                if len(fields) < 2:
+                    raise ValueError("expected two numbers, got one")
+                pairs.append((float(fields[0]), float(fields[1])))
+            except ValueError as exc:
+                raise ValueError(f"{args.pairs} line {n}: {exc}") from None
         pred = fit_length_predictor(pairs)
         if args.out:
             save_length_predictor(pred, args.out)

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from . import wfsa
 from .tokens import TokenTable
-from .wfsa import SIGMA, Arc, Wfsa, _label_index, lexicon_dfa
+from .wfsa import EPSILON, SIGMA, Arc, Wfsa, _label_index, lexicon_dfa
 from .words import is_numeric_token, strip_punct
 
 # Punctuation accepted by the default special-token automaton.
@@ -41,14 +41,95 @@ class ConstraintPhrase:
         return len(self.tokens)
 
 
-@dataclass(frozen=True)
-class LexiconFsa:
-    """Vocabulary acceptor plus provenance counts for reporting."""
+# One state's arcs grouped by label: `{label: destinations}` and the sigma
+# destinations (see `wfsa._label_index`).
+_LabelIndex = tuple[dict[int, tuple[int, ...]], tuple[int, ...]]
 
-    automaton: Wfsa
-    dictionary_words: int
-    special_tokens: int
-    dynamic_entities: int
+
+class _IndexedVocab:
+    """An epsilon-free vocabulary acceptor and the label index of each state
+    a product has visited, filled on first visit.
+
+    The static closure of a lexicon is cached as one of these, so every
+    decode with that lexicon shares the index. The acceptor must not be
+    changed, and the index only gains entries. Two threads may index the
+    same state at once; both build equal entries, so either may stay.
+    """
+
+    __slots__ = ("automaton", "index")
+
+    def __init__(self, automaton: Wfsa) -> None:
+        self.automaton = automaton
+        self.index: dict[int, _LabelIndex] = {}
+
+    def label_index(self, q: int) -> _LabelIndex:
+        entry = self.index.get(q)
+        if entry is None:
+            entry = self.index[q] = _label_index(self.automaton.arcs_from(q))
+        return entry
+
+
+def _with_heads(entry: _LabelIndex, heads: Sequence[Arc]) -> _LabelIndex:
+    """A state's label index after `heads` are appended to its arcs."""
+    by_label, sigma = entry
+    by_label = dict(by_label)
+    for label, _, dst in heads:
+        by_label[label] = by_label.get(label, sigma) + (dst,)
+    return by_label, sigma
+
+
+@dataclass(frozen=True, eq=False)
+class LexiconFsa:
+    """Vocabulary acceptor plus provenance counts for reporting.
+
+    The acceptor is a shared, indexed static closure with one input's entity
+    chains laid over it. The chain states are numbered after the closure's;
+    `heads` are the arcs into the chains, which the start and every final
+    state have after their own arcs; `finals` adds the chain ends to the
+    closure's finals. `overlay` holds the label index of every state whose
+    arcs are not the closure's: the chain states, and the closure's finals
+    as a product visits them. So the shared index never sees an entity.
+    `automaton` builds the whole acceptor as one `Wfsa` on first use;
+    `constrained_product` reads the parts and needs no copy.
+    """
+
+    static: _IndexedVocab
+    finals: set[int]
+    chains: tuple[tuple[int, ...], ...] = ()
+    heads: tuple[Arc, ...] = ()
+    overlay: dict[int, _LabelIndex] = field(default_factory=dict)
+    dictionary_words: int = 0
+    special_tokens: int = 0
+    dynamic_entities: int = 0
+
+    def label_index(self, q: int) -> _LabelIndex:
+        """State q's arcs grouped by label, as `wfsa._label_index` gives them."""
+        entry = self.overlay.get(q)
+        if entry is None:
+            entry = self.static.label_index(q)
+            if self.heads and q in self.static.automaton.finals:
+                entry = self.overlay[q] = _with_heads(entry, self.heads)
+        return entry
+
+    @functools.cached_property
+    def automaton(self) -> Wfsa:
+        """The acceptor as one `Wfsa`: a copy of the closure, then one token
+        chain per entity, whose last state is final and has the closure's
+        start arcs, then `heads` after the arcs of every final state."""
+        closure = self.static.automaton
+        lex = closure.copy()
+        start_arcs = closure.arcs_from(closure.start)
+        for tokens in self.chains:
+            state = lex.add_state()
+            for token in tokens[1:]:
+                nxt = lex.add_state()
+                lex.add_arc(state, token, 0.0, nxt)
+                state = nxt
+            lex.arcs_from(state).extend(start_arcs)
+            lex.finals.add(state)
+        for f in lex.finals:
+            lex.arcs_from(f).extend(self.heads)
+        return lex
 
 
 @functools.lru_cache(maxsize=4096)
@@ -145,31 +226,57 @@ def build_hlc_fsa(phrase: ConstraintPhrase) -> Wfsa:
     return a
 
 
+def _token_labels(w: Wfsa, p: int) -> frozenset[int] | None:
+    """The labels on the arcs of lattice state `p`, or None when `p` is
+    final or has an epsilon or sigma arc."""
+    labels = frozenset(arc.label for arc in w.arcs_from(p))
+    if p in w.finals or EPSILON in labels or SIGMA in labels:
+        return None
+    return labels
+
+
+def _as_lexicon(a: Wfsa) -> LexiconFsa:
+    """A plain vocabulary acceptor, without epsilons, with an index of its own."""
+    if a.has_epsilon():
+        a = wfsa._rm_epsilon_unweighted(a)
+    return LexiconFsa(static=_IndexedVocab(a), finals=a.finals)
+
+
 # Accepts every string: the vocabulary side of a product without one.
-_ANY_STRING = Wfsa(num_states=1, start=0, finals={0}, arcs=[[Arc(SIGMA, 0.0, 0)]])
+_ANY_STRING = _as_lexicon(Wfsa(num_states=1, start=0, finals={0}, arcs=[[Arc(SIGMA, 0.0, 0)]]))
 
 
 def constrained_product(
-    w: Wfsa, phrases: Sequence[ConstraintPhrase], vocab: Wfsa | None = None
+    w: Wfsa, phrases: Sequence[ConstraintPhrase], vocab: LexiconFsa | Wfsa | None = None
 ) -> Wfsa:
     """The lattice acceptor intersected with every constraint at once.
 
     Accepts the strings of `w` that contain every phrase and, when `vocab`
     is given, that `vocab` accepts, each at its cost in `w`; `vocab` is
-    unweighted, its sigma arcs match any token, and its epsilon arcs are
-    removed up front. One breadth-first pass explores the joint states
+    unweighted and its sigma arcs match any token. A `LexiconFsa` from
+    `build_vocab_fsa` brings the label index of its cached closure, shared
+    by every decode with that lexicon, plus its own entity states; a plain
+    `Wfsa` has its epsilon arcs removed up front and is indexed for this
+    call alone. One breadth-first pass explores the joint states
     `(lattice state, matcher state, vocab state)` reachable from the
     start: on a token arc of `w` the phrases step together through their
-    deterministic `_Matchers` tables, and the vocab state through a label
-    index built once per vocab state; an epsilon arc of `w` keeps both. A
-    joint state is final when its lattice and vocab states are and every
-    phrase has completed. A backward pass from the finals then keeps the
-    states that can still accept, numbered in the order they were found;
-    every found state is reachable from the start, so no forward pass is
-    needed. Each state's arcs follow its lattice arcs, and each lattice
-    arc's matches follow the vocab state's arc order. The result is
-    epsilon-free and acyclic whenever `w` is; it has a final state exactly
-    when it accepts some string.
+    deterministic `_Matchers` tables, and the vocab state through its
+    label index; an epsilon arc of `w` keeps both. A joint state is final
+    when its lattice and vocab states are and every phrase has completed.
+
+    Before a new joint state is made, its lattice and vocab states are
+    checked once per pair for a step they could take together (Allauzen,
+    Riley and Schalkwyk 2009): the state is made only if the lattice state
+    is final or has an epsilon or sigma arc, or the vocab state has a sigma
+    arc, or they share a label. Any other state would have no arcs and not
+    be final, so it is dropped with the arc that found it; it could find
+    no state, so every other state is found in the same order. A backward
+    pass from the finals then keeps the states that can still accept,
+    numbered in the order they were found; every found state is reachable
+    from the start, so no forward pass is needed. Each state's arcs follow
+    its lattice arcs, and each lattice arc's matches follow the vocab
+    state's arc order. The result is epsilon-free and acyclic whenever `w`
+    is; it has a final state exactly when it accepts some string.
 
     A sigma arc of `w` raises `ValueError` when the pass reaches its source
     state. One the pass never reaches is not rejected: it lies on no path
@@ -177,14 +284,28 @@ def constrained_product(
     """
     if vocab is None:
         vocab = _ANY_STRING
-    elif vocab.has_epsilon():
-        vocab = wfsa._rm_epsilon_unweighted(vocab)
-    if w.num_states == 0 or vocab.num_states == 0:
+    elif isinstance(vocab, Wfsa):
+        vocab = _as_lexicon(vocab)
+    if w.num_states == 0 or vocab.static.automaton.num_states == 0:
         return Wfsa(num_states=1, start=0)
+    lookahead = vocab is not _ANY_STRING  # its one state steps on every label
     matchers = _Matchers(tuple(phrases))
     joint = matchers.states
     lattice_finals, vocab_finals = w.finals, vocab.finals
-    vocab_index: dict[int, tuple[dict[int, tuple[int, ...]], tuple[int, ...]]] = {}
+    vocab_index: dict[int, _LabelIndex] = {}
+    lattice_labels: dict[int, frozenset[int] | None] = {}
+    can_step: dict[tuple[int, int], bool] = {}
+
+    def steps_together(p: int, q: int) -> bool:
+        """Whether a joint state at lattice state p and vocab state q
+        could have an arc or be final."""
+        if p not in lattice_labels:
+            lattice_labels[p] = _token_labels(w, p)
+        labels = lattice_labels[p]
+        if q not in vocab_index:
+            vocab_index[q] = vocab.label_index(q)
+        by_label, sigma = vocab_index[q]
+        return labels is None or bool(sigma) or not by_label.keys().isdisjoint(labels)
 
     # A state is `(lattice state, matcher index, vocab state)`, and its id
     # is its position in `queue`. States are expanded in id order, so the
@@ -193,7 +314,7 @@ def constrained_product(
     # leaves state arc_src[e]. Flat int lists and int tuples, not a list
     # per state, leave the garbage collector next to nothing to track while
     # the product is built.
-    start = (w.start, matchers.start[3], vocab.start)
+    start = (w.start, matchers.start[3], vocab.static.automaton.start)
     queue = [start]
     ids = {start: 0}
     arcs: list[tuple[int, float, int]] = []
@@ -208,7 +329,7 @@ def constrained_product(
             finals.append(src)
         index = vocab_index.get(q)
         if index is None:
-            index = vocab_index[q] = _label_index(vocab.arcs_from(q))
+            index = vocab_index[q] = vocab.label_index(q)
         by_label, sigma = index
         moves = match[2]
         for label, weight, p_dst in w.arcs_from(p):
@@ -225,6 +346,13 @@ def constrained_product(
                 key = (p_dst, nxt[3], q_dst)
                 dst = ids.get(key)
                 if dst is None:
+                    if lookahead:
+                        pair = (p_dst, q_dst)
+                        ok = can_step.get(pair)
+                        if ok is None:
+                            ok = can_step[pair] = steps_together(p_dst, q_dst)
+                        if not ok:
+                            continue
                     dst = ids[key] = len(queue)
                     queue.append(key)
                     last_in.append(-1)
@@ -390,11 +518,13 @@ def _lexicon_closure(dfa: Wfsa) -> Wfsa:
 @functools.lru_cache(maxsize=STATIC_CACHE_SIZE)
 def _static_closure(
     dictionary: tuple[str, ...], specials: tuple[str, ...], table: TokenTable
-) -> Wfsa:
-    """Closure of the static component, cached for the STATIC_CACHE_SIZE
-    most recently used lexicons. The result is shared and must not be
-    changed."""
-    return _lexicon_closure(build_static_vocab_fsa(dictionary, specials, table))
+) -> _IndexedVocab:
+    """Closure of the static component with its label index, cached for the
+    STATIC_CACHE_SIZE most recently used lexicons. The closure has no
+    epsilon arcs, so no product scans it for them. The result is shared:
+    the closure must not be changed, and its index is filled as products
+    visit its states."""
+    return _IndexedVocab(_lexicon_closure(build_static_vocab_fsa(dictionary, specials, table)))
 
 
 def build_vocab_fsa(
@@ -406,34 +536,45 @@ def build_vocab_fsa(
     """Closure of (static dictionary+specials) union (per-input entities).
 
     The static component is built once as a minimal acyclic DFA, closed
-    without epsilon arcs, and cached in memory by its content. Each call
-    copies that closure and adds one token chain per entity: the start and
-    every final state get an arc into each chain, after their other arcs,
-    and each chain's last state is final and gets copies of the static
-    start arcs. The result has no epsilon arcs and accepts exactly the
-    concatenations of permitted word units, including the empty string.
+    without epsilon arcs, and cached in memory by its content, with a
+    label index that products fill as they visit its states. Each call
+    lays one token chain per entity over that closure without copying it:
+    the start and every final state get an arc into each chain, after
+    their other arcs, and each chain's last state is final and gets copies
+    of the static start arcs. The chain states and the final states are
+    indexed apart from the shared index (see `LexiconFsa`). The result has
+    no epsilon arcs and accepts exactly the concatenations of permitted
+    word units, including the empty string.
     """
     if specials is None:
         specials = default_specials(table)
-    lex = _static_closure(tuple(dictionary), tuple(specials), table).copy()
-    static_start_arcs = list(lex.arcs_from(lex.start))
-    head_arcs: list[Arc] = []
-    for entity in dynamic_entities:
-        tokens = tokenize_phrase(entity, table).tokens
-        state = lex.add_state()
-        head_arcs.append(Arc(tokens[0], 0.0, state))
+    static = _static_closure(tuple(dictionary), tuple(specials), table)
+    closure = static.automaton
+    chains = tuple(tokenize_phrase(entity, table).tokens for entity in dynamic_entities)
+    heads: list[Arc] = []
+    overlay: dict[int, _LabelIndex] = {}
+    ends = []
+    state = closure.num_states
+    for tokens in chains:
+        heads.append(Arc(tokens[0], 0.0, state))
         for token in tokens[1:]:
-            nxt = lex.add_state()
-            lex.add_arc(state, token, 0.0, nxt)
-            state = nxt
-        # the copy's arc lists are its own, so extending them leaves the
-        # cached closure as it was
-        lex.arcs_from(state).extend(static_start_arcs)
-        lex.finals.add(state)
-    for f in lex.finals:
-        lex.arcs_from(f).extend(head_arcs)
+            overlay[state] = ({token: (state + 1,)}, ())
+            state += 1
+        ends.append(state)
+        state += 1
+    finals = closure.finals
+    if ends:
+        finals = finals | set(ends)
+        # a chain end's arcs are the start's: the static start arcs, then heads
+        entry = _with_heads(static.label_index(closure.start), heads)
+        for q in (closure.start, *ends):
+            overlay[q] = entry
     return LexiconFsa(
-        automaton=lex,
+        static=static,
+        finals=finals,
+        chains=chains,
+        heads=tuple(heads),
+        overlay=overlay,
         dictionary_words=len(dictionary),
         special_tokens=len(specials),
         dynamic_entities=len(dynamic_entities),

@@ -768,6 +768,23 @@ class TestBadInput:
         self.assert_one_line_error(capsys, code, "finite")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("7", "expected two numbers, got one"),
+            ("abc\t6", "could not convert string to float: 'abc'"),
+            ("3\tx", "could not convert string to float: 'x'"),
+        ],
+        ids=["one-field", "non-numeric-input", "non-numeric-output"],
+    )
+    def test_fit_length_bad_line_names_file_and_line(self, tmp_path, capsys, line, message):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text(f"1\t2\n\n{line}\n2\t4\n", encoding="utf-8")
+        out = tmp_path / "pred.txt"
+        code = main(["fit-length", "--pairs", str(pairs), "--out", str(out)])
+        self.assert_one_line_error(capsys, code, f"{pairs} line 3: {message}")
+        assert not out.exists()
+
     def test_fit_length_that_overflows(self, tmp_path, capsys):
         # the exact slope, 1e600, is too large for a float
         pairs = tmp_path / "pairs.tsv"

@@ -25,6 +25,7 @@ from dagdec.wfsa import (
     EPSILON,
     SIGMA,
     Wfsa,
+    _label_index,
     closure,
     determinize_min,
     dump_wfsa,
@@ -447,6 +448,106 @@ class TestConstrainedProduct:
         w = linear_acceptor((0, EPSILON, 1), weight=0.5)
         got = constrained_product(w, [ConstraintPhrase(tokens=(0, 1))])
         assert _cost_map(got) == {(0, 1): 1.5}
+
+
+class TestIndexedVocab:
+    """The product over a `LexiconFsa`: the label index of the cached
+    closure, shared across decodes, and each decode's entity overlay."""
+
+    # "Hong Kong" and "photo cat" start with a dictionary word's first
+    # token, so every final state has two arcs on that token.
+    VOCABS = [
+        (["cat", "photosynthesis"], []),
+        (["photo", "photosynthesis", "Hong"], ["Hong Kong"]),
+        (["cat", "Hong", "photo"], ["Hong Kong", "photo cat", "Kong"]),
+        ([], ["Hong Kong", "cat"]),
+    ]
+    ALPHABET = (0, 2, 3, 4, 5, 6)
+
+    @staticmethod
+    def lattice(seed: int) -> Wfsa:
+        return random_acyclic_wfsa(seed, max_states=7, alphabet=TestIndexedVocab.ALPHABET,
+                                   arc_density=0.9, with_epsilon=seed % 3 == 0)
+
+    @pytest.mark.parametrize("dictionary, entities", VOCABS)
+    def test_arc_for_arc_against_the_arc_scan(self, subword_table, dictionary, entities):
+        constraints_mod._static_closure.cache_clear()
+        accepted = 0
+        for seed in range(200):
+            lex = build_vocab_fsa(dictionary, ["."], entities, subword_table)
+            w = self.lattice(seed)
+            got = constrained_product(w, [], lex)
+            assert dump_wfsa(got) == dump_wfsa(arc_scan_intersect(w, lex.automaton)), seed
+            accepted += bool(got.finals)
+        info = constraints_mod._static_closure.cache_info()
+        assert (info.misses, info.hits) == (1, 199)
+        assert accepted > 20
+
+    def test_entities_of_one_decode_stay_out_of_later_ones(self, subword_table):
+        constraints_mod._static_closure.cache_clear()
+        dictionary = ["photo", "Hong"]
+        hong_kong = linear_acceptor((3, 4, 2), weight=0.5)  # "Hong Kong."
+        with_entity = build_vocab_fsa(dictionary, ["."], ["Hong Kong"], subword_table)
+        assert _cost_map(constrained_product(hong_kong, [], with_entity)) == {(3, 4, 2): 1.5}
+        without = build_vocab_fsa(dictionary, ["."], [], subword_table)
+        assert without.static is with_entity.static
+        assert not constrained_product(hong_kong, [], without).finals
+        self.assert_shared_index_has_no_entity(without)
+
+    def test_entities_stay_apart_under_threads(self, subword_table):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        constraints_mod._static_closure.cache_clear()
+        entity_sets = [[], ["Hong Kong"], ["Kong", "photo cat"], ["cat"]] * 12
+
+        def decode(job):
+            seed, entities = job
+            lex = build_vocab_fsa(["photo", "Hong"], ["."], entities, subword_table)
+            w = self.lattice(seed)
+            got = constrained_product(w, [], lex)
+            return lex, dump_wfsa(got) == dump_wfsa(arc_scan_intersect(w, lex.automaton))
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(decode, enumerate(entity_sets), timeout=60))
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert all(same for _, same in results)
+        assert len({id(lex.static) for lex, _ in results}) == 1
+        self.assert_shared_index_has_no_entity(results[0][0])
+
+    @staticmethod
+    def assert_shared_index_has_no_entity(lex):
+        """Every entry of the shared index indexes the closure alone: no entity arc."""
+        closure = lex.static.automaton
+        assert lex.static.index
+        for q, entry in lex.static.index.items():
+            assert entry == _label_index(closure.arcs_from(q)), q
+
+    def test_static_states_are_indexed_once_per_closure(self, subword_table, monkeypatch):
+        indexed = []
+        real = constraints_mod._label_index
+
+        def counting(arcs):
+            indexed.append(id(arcs))
+            return real(arcs)
+
+        monkeypatch.setattr(constraints_mod, "_label_index", counting)
+        constraints_mod._static_closure.cache_clear()
+        lattices = [self.lattice(seed) for seed in range(30)]
+
+        def decode_all():
+            for w in lattices:
+                constrained_product(w, [], build_vocab_fsa(["cat", "photo"], ["."], [], subword_table))
+
+        decode_all()
+        first = len(indexed)
+        assert first and len(set(indexed)) == first
+        decode_all()
+        assert len(indexed) == first
 
 
 class TestMatchers:

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, Field, dataclass, field, fields, replace
 
 from .cbs import beam_decode, cbs_dag_decode, greedy_decode
 from .constraints import (
@@ -44,34 +44,47 @@ EXIT_ERROR = 1
 EXIT_INFEASIBLE = 3
 
 
+_PATH = ((str,), "a path string")
+_INTEGER = ((int,), "an integer")
+_NUMBER = ((int, float), "a number")  # the last type parses the flag
+
+
+def _field(key: str, kind: tuple | None, default: object = MISSING, help: str | None = None):
+    """A `DecodeJob` field with its batch manifest key, which with `-` for
+    `_` is also its decode flag, the kind of value it accepts (None for mode
+    and references, which are checked on their own), and its flag help. The
+    field may be None exactly when its default is None."""
+    return field(default=default, metadata={"key": key, "kind": kind, "help": help})
+
+
 @dataclass(frozen=True)
 class DecodeJob:
     """Everything one decode needs; validated for value kinds and against
-    the selected mode."""
+    the selected mode. A bool is never a number here."""
 
-    dag_path: str
-    table_path: str
-    mode: str
-    constraints_path: str | None = None
-    constraint_line: int = 0
-    lexicon_path: str | None = None
-    specials_path: str | None = None
-    k_e: int = 3
-    k_t: int = 3
-    beam: int = 4
-    target_length: int | None = None
-    predictor_path: str | None = None
-    input_length: int | None = None
-    strictness: float = 1.0
-    edge_prune_threshold: float = 0.7
-    upper_bound: int | None = None
-    references: tuple[str, ...] = ()
+    dag_path: str = _field("dag", _PATH, help="lattice JSON file")
+    table_path: str = _field("table", _PATH, help="token table file")
+    mode: str = _field("mode", None)
+    constraints_path: str | None = _field("constraints", _PATH, None, "JSON-lines constraint file")
+    constraint_line: int = _field("constraint_line", _INTEGER, 0)
+    lexicon_path: str | None = _field("lexicon", _PATH, None, "word-per-line lexicon file")
+    specials_path: str | None = _field("specials", _PATH, None, "token-per-line specials file")
+    k_e: int = _field("ke", _INTEGER, 3, "emission pruning degree")
+    k_t: int = _field("kt", _INTEGER, 3, "transition pruning degree")
+    beam: int = _field("beam", _INTEGER, 4, "base beam size")
+    target_length: int | None = _field("target_len", _INTEGER, None, "target output length in tokens")
+    predictor_path: str | None = _field("len_predictor", _PATH, None, "two-line slope/intercept file")
+    input_length: int | None = _field("input_len", _INTEGER, None, "input length for the predictor")
+    strictness: float = _field("strictness", _NUMBER, 1.0)
+    edge_prune_threshold: float = _field("edge_prune_p", _NUMBER, 0.7)
+    upper_bound: int | None = _field("len_upper", _INTEGER, None, "override the length upper bound")
+    references: tuple[str, ...] = _field("references", None, ())  # a manifest key, not a flag
 
     def validate(self) -> None:
-        for name in _FIELDS:
-            value = getattr(self, name)
-            if (wanted := _wrong_kind(name, value, "None")) is not None:
-                raise ValueError(f"{name} must be {wanted}, got {value!r}")
+        for f in _JOB_SPECS:
+            value = getattr(self, f.name)
+            if (wanted := _wrong_kind(f, value, "None")) is not None:
+                raise ValueError(f"{f.name} must be {wanted}, got {value!r}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r} (expected one of {MODES})")
         if self.mode in ("hlc", "cbs-dag") and self.constraints_path is None:
@@ -85,38 +98,15 @@ class DecodeJob:
                 raise ValueError("--len-predictor requires --input-len")
 
 
-_PATH = ((str,), "a path string")
-_INTEGER = ((int,), "an integer")
-_NUMBER = ((int, float), "a number")
-
-# DecodeJob field -> (batch manifest key, accepted kind, whether None leaves
-# the field unset); a bool is never a number here, mode is checked by
-# DecodeJob.validate and references by _job_from_manifest
-_FIELDS = {
-    "dag_path": ("dag", _PATH, False),
-    "table_path": ("table", _PATH, False),
-    "mode": ("mode", None, False),
-    "constraints_path": ("constraints", _PATH, True),
-    "constraint_line": ("constraint_line", _INTEGER, False),
-    "lexicon_path": ("lexicon", _PATH, True),
-    "specials_path": ("specials", _PATH, True),
-    "k_e": ("ke", _INTEGER, False),
-    "k_t": ("kt", _INTEGER, False),
-    "beam": ("beam", _INTEGER, False),
-    "target_length": ("target_len", _INTEGER, True),
-    "predictor_path": ("len_predictor", _PATH, True),
-    "input_length": ("input_len", _INTEGER, True),
-    "strictness": ("strictness", _NUMBER, False),
-    "edge_prune_threshold": ("edge_prune_p", _NUMBER, False),
-    "upper_bound": ("len_upper", _INTEGER, True),
-    "references": ("references", None, False),
-}
+# DecodeJob's fields with their metadata, read once: `validate` runs per decode
+_JOB_SPECS = fields(DecodeJob)
 
 
-def _wrong_kind(field: str, value: object, null: str) -> str | None:
-    """What `field` must be, as `null` names the empty value, when `value`
+def _wrong_kind(f: Field, value: object, null: str) -> str | None:
+    """What field `f` must be, as `null` names the empty value, when `value`
     is not of its kind; None when it is, or when the field is unchecked."""
-    _, kind, nullable = _FIELDS[field]
+    kind = f.metadata["kind"]
+    nullable = f.default is None
     if kind is None or (value is None and nullable):
         return None
     types, name = kind
@@ -261,18 +251,23 @@ def _contains(haystack: tuple[int, ...], needle: tuple[int, ...]) -> bool:
 
 
 def _job_from_manifest(line: str, where: str, defaults: DecodeJob) -> DecodeJob:
+    """The job a manifest line describes: each key it gives replaces that
+    field of `defaults`, and every value is checked by its manifest key."""
     entry = _json_object(line, where)
-    overrides = {}
-    for attr, (key, _, _) in _FIELDS.items():
+    values = {}
+    for f in _JOB_SPECS:
+        key = f.metadata["key"]
         if key not in entry:
-            continue
-        value = entry[key]
-        if attr == "references":
+            value = getattr(defaults, f.name)
+        elif key == "references":
             value = tuple(_string_list(entry, key, where))
-        elif (wanted := _wrong_kind(attr, value, "null")) is not None:
-            raise ValueError(f"{where}: {key!r} must be {wanted}, got {json.dumps(value)}")
-        overrides[attr] = value
-    return replace(defaults, **overrides)
+        else:
+            value = entry[key]
+        if (wanted := _wrong_kind(f, value, "null")) is not None:
+            got = json.dumps(value, default=repr)  # a default may be no JSON value
+            raise ValueError(f"{where}: {key!r} must be {wanted}, got {got}")
+        values[f.name] = value
+    return DecodeJob(**values)
 
 
 def run_batch(manifest_path: str, defaults: DecodeJob) -> dict:
@@ -325,46 +320,23 @@ def run_batch(manifest_path: str, defaults: DecodeJob) -> dict:
 
 
 def _add_decode_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dag", help="lattice JSON file")
-    p.add_argument("--table", help="token table file")
-    p.add_argument("--mode", choices=MODES, default="wfsa-shortest")
-    p.add_argument("--constraints", help="JSON-lines constraint file")
-    p.add_argument("--constraint-line", type=int, default=0)
-    p.add_argument("--lexicon", help="word-per-line lexicon file")
-    p.add_argument("--specials", help="token-per-line specials file")
-    p.add_argument("--ke", type=int, default=3, help="emission pruning degree")
-    p.add_argument("--kt", type=int, default=3, help="transition pruning degree")
-    p.add_argument("--beam", type=int, default=4, help="base beam size")
-    p.add_argument("--target-len", type=int, help="target output length in tokens")
-    p.add_argument("--len-predictor", help="two-line slope/intercept file")
-    p.add_argument("--input-len", type=int, help="input length for the predictor")
-    p.add_argument("--strictness", type=float, default=1.0)
-    p.add_argument("--edge-prune-p", type=float, default=0.7)
-    p.add_argument("--len-upper", type=int, help="override the length upper bound")
+    for f in _JOB_SPECS:
+        flag = "--" + f.metadata["key"].replace("_", "-")
+        if f.name == "mode":
+            p.add_argument(flag, choices=MODES, default="wfsa-shortest")
+        elif (kind := f.metadata["kind"]) is not None:
+            default = None if f.default is MISSING else f.default
+            p.add_argument(flag, type=kind[0][-1], default=default, help=f.metadata["help"])
     p.add_argument("--out", help="output file (default stdout)")
 
 
-def _job_from_args(args: argparse.Namespace, require_paths: bool = True) -> DecodeJob:
-    if require_paths and (not args.dag or not args.table):
-        raise ValueError("--dag and --table are required")
-    return DecodeJob(
-        dag_path=args.dag or "",
-        table_path=args.table or "",
-        mode=args.mode,
-        constraints_path=args.constraints,
-        constraint_line=args.constraint_line,
-        lexicon_path=args.lexicon,
-        specials_path=args.specials,
-        k_e=args.ke,
-        k_t=args.kt,
-        beam=args.beam,
-        target_length=args.target_len,
-        predictor_path=args.len_predictor,
-        input_length=args.input_len,
-        strictness=args.strictness,
-        edge_prune_threshold=args.edge_prune_p,
-        upper_bound=args.len_upper,
-    )
+def _job_from_args(args: argparse.Namespace) -> DecodeJob:
+    """The job the decode flags give (references has no flag); a path no
+    flag gave is None."""
+    given = vars(args)
+    return DecodeJob(**{
+        f.name: given[f.metadata["key"]] for f in _JOB_SPECS if f.metadata["key"] in given
+    })
 
 
 def _emit(lines: list[str], out_path: str | None) -> None:
@@ -428,14 +400,15 @@ def main(argv: list[str] | None = None) -> int:
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "decode":
+        if not args.dag or not args.table:
+            raise ValueError("--dag and --table are required")
         result = run_decode(_job_from_args(args))
         _emit([json.dumps(result.to_dict(), ensure_ascii=False)], args.out)
         return EXIT_OK if result.status == STATUS_OK else EXIT_INFEASIBLE
 
     if args.command == "batch":
         # jobs may supply dag/table themselves, so the defaults can omit them
-        defaults = _job_from_args(args, require_paths=False)
-        outcome = run_batch(args.manifest, defaults)
+        outcome = run_batch(args.manifest, _job_from_args(args))
         lines = [json.dumps(r, ensure_ascii=False) for r in outcome["results"]]
         lines.append(json.dumps({"summary": outcome["summary"]}, ensure_ascii=False))
         _emit(lines, args.out)

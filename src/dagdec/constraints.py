@@ -12,6 +12,7 @@ in one product over the lattice, the phrase matchers and the vocabulary.
 from __future__ import annotations
 
 import functools
+import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -80,7 +81,7 @@ def _with_heads(entry: _LabelIndex, heads: Sequence[Arc]) -> _LabelIndex:
 
 @dataclass(frozen=True, eq=False)
 class LexiconFsa:
-    """Vocabulary acceptor plus provenance counts for reporting.
+    """Vocabulary acceptor.
 
     The acceptor is a shared, indexed static closure with one input's entity
     chains laid over it. The chain states are numbered after the closure's;
@@ -98,9 +99,6 @@ class LexiconFsa:
     chains: tuple[tuple[int, ...], ...] = ()
     heads: tuple[Arc, ...] = ()
     overlay: dict[int, _LabelIndex] = field(default_factory=dict)
-    dictionary_words: int = 0
-    special_tokens: int = 0
-    dynamic_entities: int = 0
 
     def label_index(self, q: int) -> _LabelIndex:
         """State q's arcs grouped by label, as `wfsa._label_index` gives them."""
@@ -288,7 +286,6 @@ def constrained_product(
         vocab = _as_lexicon(vocab)
     if w.num_states == 0 or vocab.static.automaton.num_states == 0:
         return Wfsa(num_states=1, start=0)
-    lookahead = vocab is not _ANY_STRING  # its one state steps on every label
     matchers = _Matchers(tuple(phrases))
     joint = matchers.states
     lattice_finals, vocab_finals = w.finals, vocab.finals
@@ -346,13 +343,12 @@ def constrained_product(
                 key = (p_dst, nxt[3], q_dst)
                 dst = ids.get(key)
                 if dst is None:
-                    if lookahead:
-                        pair = (p_dst, q_dst)
-                        ok = can_step.get(pair)
-                        if ok is None:
-                            ok = can_step[pair] = steps_together(p_dst, q_dst)
-                        if not ok:
-                            continue
+                    pair = (p_dst, q_dst)
+                    ok = can_step.get(pair)
+                    if ok is None:
+                        ok = can_step[pair] = steps_together(p_dst, q_dst)
+                    if not ok:
+                        continue
                     dst = ids[key] = len(queue)
                     queue.append(key)
                     last_in.append(-1)
@@ -527,6 +523,11 @@ def _static_closure(
     return _IndexedVocab(_lexicon_closure(build_static_vocab_fsa(dictionary, specials, table)))
 
 
+# `lru_cache` does not merge misses that happen at once: threads that first
+# use a lexicon together would each build a closure, and split its index.
+_STATIC_LOCK = threading.Lock()
+
+
 def build_vocab_fsa(
     dictionary: Sequence[str],
     specials: Sequence[str] | None,
@@ -548,7 +549,8 @@ def build_vocab_fsa(
     """
     if specials is None:
         specials = default_specials(table)
-    static = _static_closure(tuple(dictionary), tuple(specials), table)
+    with _STATIC_LOCK:
+        static = _static_closure(tuple(dictionary), tuple(specials), table)
     closure = static.automaton
     chains = tuple(tokenize_phrase(entity, table).tokens for entity in dynamic_entities)
     heads: list[Arc] = []
@@ -575,7 +577,4 @@ def build_vocab_fsa(
         chains=chains,
         heads=tuple(heads),
         overlay=overlay,
-        dictionary_words=len(dictionary),
-        special_tokens=len(specials),
-        dynamic_entities=len(dynamic_entities),
     )

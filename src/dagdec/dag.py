@@ -180,8 +180,6 @@ def _check_vertex(
             raise DagFormatError(f"vertex {u}: duplicate transition target {target}")
         seen_targets.add(target)
         tr.append((target, logp))
-    if u == num_vertices - 1 and tr:
-        raise DagFormatError(f"vertex {u}: final vertex has outgoing transitions")
     return _sort_sparse(em), _sort_sparse(tr)
 
 

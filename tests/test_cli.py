@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import os
 import random
 import tempfile
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,9 @@ from dagdec.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
     DecodeJob,
+    _add_decode_args,
+    _job_from_args,
+    _job_from_manifest,
     main,
     run_decode,
 )
@@ -589,6 +594,16 @@ class TestBatch:
         assert docs[0]["status"] == "ok"
         assert len(docs[0]["tokens"]) <= default_upper_bound(3)
 
+    @pytest.mark.parametrize("flags, key", [([], "dag"), (["--dag", "x.json"], "table")])
+    def test_job_without_a_lattice_or_table_names_the_key(self, tmp_path, flags, key):
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text(json.dumps({"mode": "greedy"}) + "\n", encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        assert main(["batch", "--manifest", str(manifest), *flags, "--out", str(out)]) == EXIT_OK
+        doc = json.loads(out.read_text().splitlines()[0])
+        assert doc["error_type"] == "ValueError"
+        assert doc["error"] == f"{manifest} job 0: {key!r} must be a path string, got null"
+
     def test_malformed_manifest_line_is_one_failed_job(self, workspace, tmp_path):
         _, dag_path, table_path, _ = workspace
         job = {"dag": dag_path, "table": table_path, "mode": "greedy"}
@@ -611,6 +626,37 @@ class TestBatch:
         assert docs[3]["error_type"] == "JSONDecodeError"
         assert "list of strings" in docs[4]["error"]
         assert docs[-1]["summary"] == dict(docs[-1]["summary"], jobs=6, decoded=2, errors=4)
+
+
+class TestDecodeFields:
+    """Each decode flag and its manifest key set one `DecodeJob` field."""
+
+    @staticmethod
+    def parse(flags):
+        parser = argparse.ArgumentParser()
+        _add_decode_args(parser)
+        return _job_from_args(parser.parse_args(flags))
+
+    def test_no_flags_give_the_job_defaults(self):
+        assert self.parse([]) == DecodeJob(dag_path=None, table_path=None, mode="wfsa-shortest")
+
+    @pytest.mark.parametrize("f", [f for f in fields(DecodeJob) if f.name != "references"],
+                             ids=lambda f: f.name)
+    def test_flag_and_manifest_key_set_the_same_field(self, f):
+        key = f.metadata["key"]
+        if key == "mode":
+            value = "hlc"
+        else:
+            value = {"a path string": f"{key}.txt", "an integer": 7, "a number": 0.5}[
+                f.metadata["kind"][1]
+            ]
+        paths = ["--dag", "d.json", "--table", "t.table"]
+        from_flag = self.parse(paths + ["--" + key.replace("_", "-"), str(value)])
+        defaults = self.parse(paths)
+        from_key = _job_from_manifest(json.dumps({key: value}), "m.jsonl job 0", defaults)
+        assert getattr(from_flag, f.name) == value
+        assert from_flag == from_key
+        assert from_key == replace(defaults, **{f.name: value})
 
 
 class TestDeterminismAndSummary:

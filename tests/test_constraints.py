@@ -170,10 +170,6 @@ class TestVocabFsa:
         lex = build_vocab_fsa(["cat"], None, [], subword_table)
         assert string_cost(lex.automaton, ()) == 0.0
 
-    def test_provenance_counts(self, subword_table):
-        lex = build_vocab_fsa(["cat"], ["."], ["Hong Kong"], subword_table)
-        assert (lex.dictionary_words, lex.special_tokens, lex.dynamic_entities) == (1, 1, 1)
-
     def test_default_specials_filtered_to_table(self, subword_table):
         got = default_specials(subword_table)
         assert "<s>" in got and "</s>" in got and "▁" in got

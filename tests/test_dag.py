@@ -47,8 +47,7 @@ class TestLoadDag:
             {"emissions": [[0, 0.0]], "transitions": []},
             {"emissions": [[0, 0.0]], "transitions": [[2, 0.0]]},
         ])
-        # vertex 3 -> 2 goes backward; 3 is also final, either error names it
-        with pytest.raises(DagFormatError, match="backward edge|final vertex"):
+        with pytest.raises(DagFormatError, match="vertex 3: backward edge 3->2"):
             load_dag(src)
 
     def test_backward_edge_message(self):
@@ -121,7 +120,7 @@ class TestLoadDag:
             {"emissions": [[0, 0.0]], "transitions": [[1, 0.0]]},
             {"emissions": [], "transitions": [[1, 0.0]]},
         ])
-        with pytest.raises(DagFormatError):
+        with pytest.raises(DagFormatError, match="vertex 1: backward edge 1->1"):
             load_dag(src)
 
     def test_malformed_json(self):

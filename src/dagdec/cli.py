@@ -9,9 +9,12 @@ empty constraint intersection or no path within the length bound).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
+import threading
 import time
+from contextlib import contextmanager
 from dataclasses import MISSING, Field, dataclass, field, fields, replace
 
 from .cbs import beam_decode, cbs_dag_decode, greedy_decode
@@ -155,8 +158,56 @@ def _resolve_target_length(job: DecodeJob) -> int:
     return predict_target_length(pred, job.input_length)
 
 
+# Decodes under way in this process, and whether the cyclic collector was on
+# when the first of them started; both change only under the lock.
+_pause_lock = threading.Lock()
+_pauses = 0
+_gc_was_enabled = False
+
+
+@contextmanager
+def _collector_paused():
+    """Keep the cyclic garbage collector off while any decode runs.
+
+    A decode allocates tens of thousands of acyclic containers (parsed JSON,
+    pair tuples, arcs, beam items) that reference counting frees anyway, so
+    automatic collections would only walk them. The first decode to enter
+    turns the collector off; the last to leave turns it back on if it was on
+    at the start, and then runs the young-generation collection that came
+    due, so the decode pays for it and not the caller's next allocation. The
+    count makes overlapping decodes on several threads safe, where each
+    saving and restoring `gc.isenabled()` on its own would not be.
+    """
+    global _pauses, _gc_was_enabled
+    with _pause_lock:
+        if _pauses == 0:
+            _gc_was_enabled = gc.isenabled()
+            gc.disable()
+        _pauses += 1
+    try:
+        yield
+    finally:
+        with _pause_lock:
+            _pauses -= 1
+            collect = _pauses == 0 and _gc_was_enabled
+            if collect:
+                gc.enable()
+        # outside the lock: a finalizer the collection runs may start a decode
+        if collect and gc.get_count()[0] > gc.get_threshold()[0]:
+            gc.collect(0)
+
+
 def run_decode(job: DecodeJob) -> DecodeResult:
-    """Execute one decode job; the wall time covers decoding only."""
+    """Execute one decode job; the wall time covers decoding only.
+
+    The cyclic garbage collector is paused for the whole call (see
+    `_collector_paused`); the library functions it calls leave it alone.
+    """
+    with _collector_paused():
+        return _run_decode(job)
+
+
+def _run_decode(job: DecodeJob) -> DecodeResult:
     job.validate()
     dag = read_dag(job.dag_path)
     table = read_token_table(job.table_path)

@@ -113,16 +113,16 @@ def load_token_table(text: str) -> TokenTable:
             elif key == "sow":
                 sow_mark = value
             elif key == "eos":
-                eos_id = int(value)
+                eos_id = _line_int(value, lineno)
             elif key == "sos":
-                sos_id = int(value)
+                sos_id = _line_int(value, lineno)
             else:
                 raise TokenTableError(f"line {lineno}: unknown header #{key}")
             continue
         tid_str, sep, surface = line.partition("\t")
         if not sep:
             raise TokenTableError(f"line {lineno}: expected id<TAB>surface")
-        tid = int(tid_str)
+        tid = _line_int(tid_str, lineno)
         if tid in entries:
             raise TokenTableError(f"line {lineno}: duplicate id {tid}")
         entries[tid] = surface
@@ -133,6 +133,13 @@ def load_token_table(text: str) -> TokenTable:
         raise TokenTableError(f"ids are not dense 0..N-1 (first gap near {missing[:1]})")
     surfaces = tuple(entries[i] for i in range(len(entries)))
     return TokenTable(surfaces=surfaces, sow_mark=sow_mark, eos_id=eos_id, sos_id=sos_id)
+
+
+def _line_int(text: str, lineno: int) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise TokenTableError(f"line {lineno}: {exc}") from None
 
 
 def dump_token_table(table: TokenTable) -> str:

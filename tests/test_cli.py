@@ -3,17 +3,21 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
 import random
+import sys
 import tempfile
+import threading
 from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dagdec import cli
 from dagdec.cli import (
     EXIT_ERROR,
     EXIT_INFEASIBLE,
@@ -458,6 +462,16 @@ class TestTokenTableReuse:
         assert before.text.split() == [f"w{t:03d}" for t in before.tokens]
         assert after.text.split() == [f"w{t:04d}" for t in after.tokens]
 
+    def test_non_integer_table_id_exits_1_with_one_line(self, workspace, capsys):
+        _, dag_path, table_path, _ = workspace
+        with open(table_path, "a", encoding="utf-8") as fh:
+            fh.write("x\t</s>\n")
+        argv = ["decode", "--dag", dag_path, "--table", table_path, "--mode", "greedy"]
+        assert main(argv) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: line ") and "'x'" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_malformed_table_fails_every_time_until_fixed(self, workspace, capsys):
         _, dag_path, table_path, table = workspace
         with open(table_path, encoding="utf-8") as fh:
@@ -715,6 +729,137 @@ class TestDeterminismAndSummary:
         direct = compute_report(records, build_eval_vocabulary(extra_words=words))
         assert summary["metrics"] == direct
         assert direct["ser"] > 0.0  # the cross-check must not be vacuous
+
+
+@pytest.fixture()
+def gc_starts():
+    """Generations of the collections that start while the test runs."""
+    started = []
+
+    def record(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.callbacks.append(record)
+    try:
+        yield started
+    finally:
+        gc.callbacks.remove(record)
+
+
+@pytest.fixture()
+def collector_on():
+    was_on = gc.isenabled()
+    gc.enable()
+    try:
+        yield
+    finally:
+        if not was_on:
+            gc.disable()
+
+
+@pytest.fixture()
+def collector_off():
+    was_on = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_on:
+            gc.enable()
+
+
+class TestCollectorPause:
+    """`run_decode` keeps the cyclic collector off for the decode and
+    restores the state it found."""
+
+    @staticmethod
+    def jobs(workspace):
+        tmp_path, dag_path, table_path, _ = workspace
+        bad = tmp_path / "bad.json"
+        bad.write_text("{", encoding="utf-8")
+        good = DecodeJob(dag_path=dag_path, table_path=table_path,
+                         mode="wfsa-shortest", k_e=2, k_t=2)
+        return good, replace(good, dag_path=str(bad))
+
+    def test_on_stays_on(self, workspace, collector_on):
+        good, bad = self.jobs(workspace)
+        assert run_decode(good).status == "ok"
+        assert gc.isenabled()
+        with pytest.raises(ValueError):
+            run_decode(bad)
+        assert gc.isenabled()
+
+    def test_off_stays_off_and_nothing_is_collected(self, workspace, collector_off,
+                                                     gc_starts):
+        good, bad = self.jobs(workspace)
+        for _ in range(3):
+            assert run_decode(good).status == "ok"
+            assert not gc.isenabled()
+            with pytest.raises(ValueError):
+                run_decode(bad)
+            assert not gc.isenabled()
+        assert gc_starts == []
+
+    def test_overlapping_pauses_end_with_the_last(self, collector_on):
+        first, second = cli._collector_paused(), cli._collector_paused()
+        first.__enter__()
+        second.__enter__()
+        assert not gc.isenabled()
+        first.__exit__(None, None, None)  # the first to start leaves first
+        assert not gc.isenabled()
+        second.__exit__(None, None, None)
+        assert gc.isenabled()
+
+    def test_concurrent_decodes_restore_the_collector(self, workspace, collector_on):
+        good, _ = self.jobs(workspace)
+        jobs = [replace(good, k_e=k_e, k_t=k_t) for k_e in (1, 2, 3) for k_t in (1, 2)]
+
+        def outcome(result):
+            return result.status, result.tokens, result.cost
+
+        serial = [outcome(run_decode(job)) for job in jobs]
+        results = [[] for _ in range(4)]
+
+        def work(out):
+            for i in range(20):
+                out.append(outcome(run_decode(jobs[i % len(jobs)])))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(out,)) for out in results]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert gc.isenabled()
+        for out in results:
+            assert out == [serial[i % len(jobs)] for i in range(20)]
+
+    def test_long_lattice_runs_no_automatic_collection(self, tmp_path, collector_on,
+                                                        gc_starts, monkeypatch):
+        dag_path, table_path = tmp_path / "long.json", tmp_path / "long.table"
+        assert main(["synth", "--seed", "3", "--vertices", "900", "--out", str(dag_path),
+                     "--table-out", str(table_path)]) == EXIT_OK
+        explicit = []
+        collect = gc.collect
+
+        def counted_collect(generation=2):
+            explicit.append(generation)
+            return collect(generation)
+
+        monkeypatch.setattr(gc, "collect", counted_collect)
+        gc_starts.clear()  # synth collected too
+        job = DecodeJob(dag_path=str(dag_path), table_path=str(table_path),
+                        mode="lc", target_length=300, k_e=3, k_t=3)
+        assert run_decode(job).status == "ok"
+        # at most the one young-generation collection that came due, on exit
+        assert gc_starts == explicit and explicit in ([], [0])
+        assert gc.get_count()[0] <= gc.get_threshold()[0]
 
 
 class TestConstraintFileHandling:

@@ -67,6 +67,19 @@ class TestLoad:
         with pytest.raises(TokenTableError, match="id<TAB>surface"):
             load_token_table(text)
 
+    def test_non_integer_id_names_the_line(self):
+        text = table_text(BASIC) + "x\t</s>\n"
+        with pytest.raises(TokenTableError, match=r"^line 10: .*'x'"):
+            load_token_table(text)
+
+    @pytest.mark.parametrize("key", ["eos", "sos"])
+    def test_non_integer_marker_id_names_the_line(self, key):
+        lines = table_text(BASIC).splitlines()
+        line = 3 if key == "eos" else 4
+        lines[line - 1] = f"#{key} one"
+        with pytest.raises(TokenTableError, match=rf"^line {line}: .*'one'"):
+            load_token_table("\n".join(lines) + "\n")
+
 
 class TestDigest:
     def test_equal_tables_share_a_digest(self):

@@ -38,7 +38,7 @@ from .length import (
 from .metrics import EvalRecord, build_eval_vocabulary, compute_report
 from .result import STATUS_EMPTY_INTERSECTION, STATUS_OK, DecodeResult
 from .tokens import TokenTable, read_token_table, write_token_table
-from .wfsa import Wfsa, dag_to_wfsa, has_accepting_path, shortest_path
+from .wfsa import dag_to_wfsa, shortest_path
 
 MODES = ("greedy", "beam", "cbs-dag", "wfsa-shortest", "hlc", "vc", "lc", "control-dag")
 
@@ -237,9 +237,12 @@ def _run_decode(job: DecodeJob) -> DecodeResult:
     elif job.mode == "cbs-dag":
         result = cbs_dag_decode(prune_dag(dag, prune_cfg), phrases, job.beam)
     else:
-        lattice = dag_to_wfsa(dag, prune_cfg)
         hlc_phrases = phrases if use_hlc else []
-        w = constrained_product(lattice, hlc_phrases, vocab_fsa) if use_hlc or use_vc else lattice
+        if use_hlc or use_vc:
+            lattice = prune_dag(dag, prune_cfg)
+            w = constrained_product(lattice, hlc_phrases, vocab_fsa)
+        else:  # the lattice itself is searched; its acceptor has a final state
+            w = dag_to_wfsa(dag, prune_cfg)
         if not w.finals:
             result = DecodeResult(
                 status=STATUS_EMPTY_INTERSECTION,
@@ -268,11 +271,11 @@ def _run_decode(job: DecodeJob) -> DecodeResult:
 
 
 def _empty_product_note(
-    lattice: Wfsa, phrases: list[ConstraintPhrase], vocab: LexiconFsa | None
+    lattice: Dag, phrases: list[ConstraintPhrase], vocab: LexiconFsa | None
 ) -> str:
-    """Names the first constraint that alone empties the product: each
-    phrase in turn, then the vocabulary."""
-    if not has_accepting_path(lattice):
+    """Names the first constraint that alone empties the product of the
+    pruned lattice: each phrase in turn, then the vocabulary."""
+    if not constrained_product(lattice, []).finals:
         return "the pruned lattice has no accepting path"
     for i, phrase in enumerate(phrases):
         if not constrained_product(lattice, [phrase]).finals:

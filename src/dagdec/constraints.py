@@ -5,21 +5,24 @@ phrase, then anything", built from the phrase's string-matching automaton.
 A vocabulary constraint is the Kleene closure of the union of a dictionary
 automaton, a special-token automaton, and per-input entity automata; only
 token sequences that concatenate permitted word units survive it. A
-decode intersects a lattice acceptor with all of its constraints at once,
+decode intersects the pruned lattice with all of its constraints at once,
 in one product over the lattice, the phrase matchers and the vocabulary.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from . import wfsa
+from .dag import Dag
 from .tokens import TokenTable
-from .wfsa import EPSILON, SIGMA, Arc, Wfsa, _label_index, lexicon_dfa
+from .wfsa import _INF, EPSILON, SIGMA, Arc, Wfsa, _label_index, lexicon_dfa
 from .words import is_numeric_token, strip_punct
 
 # Punctuation accepted by the default special-token automaton.
@@ -224,15 +227,6 @@ def build_hlc_fsa(phrase: ConstraintPhrase) -> Wfsa:
     return a
 
 
-def _token_labels(w: Wfsa, p: int) -> frozenset[int] | None:
-    """The labels on the arcs of lattice state `p`, or None when `p` is
-    final or has an epsilon or sigma arc."""
-    labels = frozenset(arc.label for arc in w.arcs_from(p))
-    if p in w.finals or EPSILON in labels or SIGMA in labels:
-        return None
-    return labels
-
-
 def _as_lexicon(a: Wfsa) -> LexiconFsa:
     """A plain vocabulary acceptor, without epsilons, with an index of its own."""
     if a.has_epsilon():
@@ -244,23 +238,72 @@ def _as_lexicon(a: Wfsa) -> LexiconFsa:
 _ANY_STRING = _as_lexicon(Wfsa(num_states=1, start=0, finals={0}, arcs=[[Arc(SIGMA, 0.0, 0)]]))
 
 
-def constrained_product(
-    w: Wfsa, phrases: Sequence[ConstraintPhrase], vocab: LexiconFsa | Wfsa | None = None
-) -> Wfsa:
-    """The lattice acceptor intersected with every constraint at once.
+def _label_runs(arcs: list[Arc]) -> list[tuple[int, list[tuple[float, int]]]]:
+    """One acceptor state's arcs as label runs `(label, [(weight, dst), ...])`:
+    each run holds consecutive arcs with one label, in arc order."""
+    return [
+        (label, [(weight, dst) for _, weight, dst in run])
+        for label, run in itertools.groupby(arcs, operator.itemgetter(0))
+    ]
 
-    Accepts the strings of `w` that contain every phrase and, when `vocab`
-    is given, that `vocab` accepts, each at its cost in `w`; `vocab` is
-    unweighted and its sigma arcs match any token. A `LexiconFsa` from
+
+def _check_arcs(dag: Dag) -> None:
+    """Raise what `wfsa.dag_to_wfsa` raises for the first bad arc of a
+    pruned lattice: a transition to no vertex, or a weight
+    `-(emission + transition log-prob)` that is not a finite cost >= 0.
+
+    Rows are in descending order, so a vertex's weights lie between those
+    of its first and its last (emission, transition) pair, and only a
+    vertex where either fails is scanned pair by pair for the first.
+    """
+    n = dag.num_vertices
+    for u, (emissions, transitions) in enumerate(zip(dag.emissions, dag.transitions)):
+        for v, _ in transitions:
+            if not 0 <= v < n:
+                raise ValueError(f"arc {u}->{v} references an unknown state")
+        if emissions and transitions and not (
+            0.0 <= -(emissions[0][1] + transitions[0][1]) + 0.0
+            and -(emissions[-1][1] + transitions[-1][1]) + 0.0 < _INF
+        ):
+            for _, elp in emissions:
+                for _, tlp in transitions:
+                    weight = -(elp + tlp) + 0.0
+                    if not 0.0 <= weight < _INF:
+                        raise ValueError(f"arc weight {weight} is not a finite cost >= 0")
+
+
+def constrained_product(
+    lattice: Dag | Wfsa,
+    phrases: Sequence[ConstraintPhrase],
+    vocab: LexiconFsa | Wfsa | None = None,
+) -> Wfsa:
+    """The lattice intersected with every constraint at once.
+
+    The lattice is a pruned `Dag` from `prune_dag`, or an acceptor such as
+    `dag_to_wfsa` makes of one; both give the same product. Accepts the
+    strings of the lattice that contain every phrase and, when `vocab` is
+    given, that `vocab` accepts, each at its cost in the lattice; `vocab`
+    is unweighted and its sigma arcs match any token. A `LexiconFsa` from
     `build_vocab_fsa` brings the label index of its cached closure, shared
     by every decode with that lexicon, plus its own entity states; a plain
     `Wfsa` has its epsilon arcs removed up front and is indexed for this
     call alone. One breadth-first pass explores the joint states
     `(lattice state, matcher state, vocab state)` reachable from the
-    start: on a token arc of `w` the phrases step together through their
-    deterministic `_Matchers` tables, and the vocab state through its
-    label index; an epsilon arc of `w` keeps both. A joint state is final
-    when its lattice and vocab states are and every phrase has completed.
+    start: on a token arc of the lattice the phrases step together through
+    their deterministic `_Matchers` tables, and the vocab state through its
+    label index; an epsilon arc of the lattice keeps both. A joint state is
+    final when its lattice and vocab states are and every phrase has
+    completed.
+
+    The pass walks each lattice state's arcs as label runs, so the vocab
+    lookup and the matcher step run once per run, not once per arc. A
+    `Dag` vertex (its state in `dag_to_wfsa`'s numbering, with vertex 0 as
+    start and the last vertex as the only final) gives one run per kept
+    emission over its kept transitions, and each arc's weight
+    `-(emission + transition log-prob)` is made only once the vocabulary
+    accepts the token. A `Wfsa` state gives its consecutive same-label
+    arcs. A `Dag` is checked first, with the errors `dag_to_wfsa` raises,
+    for every kept arc, reached or not.
 
     Before a new joint state is made, its lattice and vocab states are
     checked once per pair for a step they could take together (Allauzen,
@@ -273,22 +316,35 @@ def constrained_product(
     numbered in the order they were found; every found state is reachable
     from the start, so no forward pass is needed. Each state's arcs follow
     its lattice arcs, and each lattice arc's matches follow the vocab
-    state's arc order. The result is epsilon-free and acyclic whenever `w`
-    is; it has a final state exactly when it accepts some string.
+    state's arc order. The result is epsilon-free and acyclic whenever the
+    lattice is; it has a final state exactly when it accepts some string.
 
-    A sigma arc of `w` raises `ValueError` when the pass reaches its source
-    state. One the pass never reaches is not rejected: it lies on no path
-    from the start, so it cannot change the product's language.
+    A sigma arc of a `Wfsa` lattice raises `ValueError` when the pass
+    reaches its source state. One the pass never reaches is not rejected:
+    it lies on no path from the start, so it cannot change the product's
+    language.
     """
+    if isinstance(lattice, Dag):
+        _check_arcs(lattice)
+        num_states, lattice_start = lattice.num_vertices, 0
+        lattice_finals = {lattice.final_vertex}
+        dag_rows = lattice.transitions
+        # a run is (token, emission log-prob); its arcs are made from dag_rows
+        runs = [em if tr else () for em, tr in zip(lattice.emissions, dag_rows)]
+    else:
+        num_states, lattice_start = lattice.num_states, lattice.start
+        lattice_finals = lattice.finals
+        dag_rows = None
+        runs = [_label_runs(lattice.arcs_from(p)) for p in range(num_states)]
     if vocab is None:
         vocab = _ANY_STRING
     elif isinstance(vocab, Wfsa):
         vocab = _as_lexicon(vocab)
-    if w.num_states == 0 or vocab.static.automaton.num_states == 0:
+    if num_states == 0 or vocab.static.automaton.num_states == 0:
         return Wfsa(num_states=1, start=0)
     matchers = _Matchers(tuple(phrases))
     joint = matchers.states
-    lattice_finals, vocab_finals = w.finals, vocab.finals
+    vocab_finals = vocab.finals
     vocab_index: dict[int, _LabelIndex] = {}
     lattice_labels: dict[int, frozenset[int] | None] = {}
     can_step: dict[tuple[int, int], bool] = {}
@@ -297,7 +353,10 @@ def constrained_product(
         """Whether a joint state at lattice state p and vocab state q
         could have an arc or be final."""
         if p not in lattice_labels:
-            lattice_labels[p] = _token_labels(w, p)
+            labels = frozenset(label for label, _ in runs[p])
+            if p in lattice_finals or EPSILON in labels or SIGMA in labels:
+                labels = None
+            lattice_labels[p] = labels
         labels = lattice_labels[p]
         if q not in vocab_index:
             vocab_index[q] = vocab.label_index(q)
@@ -311,7 +370,7 @@ def constrained_product(
     # leaves state arc_src[e]. Flat int lists and int tuples, not a list
     # per state, leave the garbage collector next to nothing to track while
     # the product is built.
-    start = (w.start, matchers.start[3], vocab.static.automaton.start)
+    start = (lattice_start, matchers.start[3], vocab.static.automaton.start)
     queue = [start]
     ids = {start: 0}
     arcs: list[tuple[int, float, int]] = []
@@ -329,7 +388,7 @@ def constrained_product(
             index = vocab_index[q] = vocab.label_index(q)
         by_label, sigma = index
         moves = match[2]
-        for label, weight, p_dst in w.arcs_from(p):
+        for label, run in runs[p]:
             if label < 0:
                 if label == SIGMA:
                     raise ValueError("lattice acceptor must have no sigma arcs")
@@ -339,23 +398,26 @@ def constrained_product(
                 if not q_dsts:
                     continue
                 nxt = moves.get(label) or matchers.step(match, label)
-            for q_dst in q_dsts:
-                key = (p_dst, nxt[3], q_dst)
-                dst = ids.get(key)
-                if dst is None:
-                    pair = (p_dst, q_dst)
-                    ok = can_step.get(pair)
-                    if ok is None:
-                        ok = can_step[pair] = steps_together(p_dst, q_dst)
-                    if not ok:
-                        continue
-                    dst = ids[key] = len(queue)
-                    queue.append(key)
-                    last_in.append(-1)
-                prev_in.append(last_in[dst])
-                last_in[dst] = len(arcs)
-                arcs.append((label, weight, dst))
-                arc_src.append(src)
+            if dag_rows is not None:  # run is the emission log-prob
+                run = [(-(run + tlp) + 0.0, v) for v, tlp in dag_rows[p]]
+            for weight, p_dst in run:
+                for q_dst in q_dsts:
+                    key = (p_dst, nxt[3], q_dst)
+                    dst = ids.get(key)
+                    if dst is None:
+                        pair = (p_dst, q_dst)
+                        ok = can_step.get(pair)
+                        if ok is None:
+                            ok = can_step[pair] = steps_together(p_dst, q_dst)
+                        if not ok:
+                            continue
+                        dst = ids[key] = len(queue)
+                        queue.append(key)
+                        last_in.append(-1)
+                    prev_in.append(last_in[dst])
+                    last_in[dst] = len(arcs)
+                    arcs.append((label, weight, dst))
+                    arc_src.append(src)
         bounds.append(len(arcs))
 
     live = [False] * len(queue)

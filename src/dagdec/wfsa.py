@@ -107,6 +107,10 @@ def dag_to_wfsa(dag: Dag, cfg: PruneConfig) -> Wfsa:
     the summed emission and transition negative log-likelihood. The result
     is acyclic and epsilon-free, with vertex 0 as start and the final
     vertex as the unique final state.
+
+    Build it to search the lattice itself. A constrained decode passes
+    `prune_dag(dag, cfg)` to `constraints.constrained_product` instead,
+    which reads the same arcs from the pruned lattice without making them.
     """
     pruned = prune_dag(dag, cfg)
     n = pruned.num_vertices
@@ -342,7 +346,9 @@ def intersect(w: Wfsa, a: Wfsa) -> Wfsa:
     removed up front; w must have no sigma arcs. This is the phrase-less
     `constraints.constrained_product` with `a` as the vocabulary, so the
     product is trimmed, epsilon-free and acyclic whenever w is, and has a
-    final state exactly when it accepts some string.
+    final state exactly when it accepts some string. To intersect a pruned
+    lattice, pass the `Dag` to `constrained_product` itself: it gives the
+    same product without building the lattice acceptor.
     """
     from .constraints import constrained_product  # constraints imports this module
 

@@ -220,6 +220,38 @@ class TestDecodeModes:
         assert run_decode(job).status == "ok"
 
 
+class TestConstrainedModesSearchThePrunedLattice:
+    """hlc, vc and control-dag intersect the pruned lattice directly and
+    never build its acceptor."""
+
+    @pytest.mark.parametrize("mode", ("hlc", "vc", "control-dag"))
+    def test_decodes_without_the_lattice_acceptor(self, tmp_path, monkeypatch, mode):
+        jobs = []
+        for seed in range(4):
+            dag, table, lexicon, phrases, target = control_fixture(seed=seed)
+            folder = tmp_path / str(seed)
+            folder.mkdir()
+            write_dag(dag, str(folder / "c.json"))
+            write_token_table(table, str(folder / "c.table"))
+            jobs.append(DecodeJob(
+                dag_path=str(folder / "c.json"), table_path=str(folder / "c.table"), mode=mode,
+                constraints_path=write_constraints(folder, [{"phrases": phrases,
+                                                             "entities": phrases}]),
+                lexicon_path=write_lexicon(folder, lexicon), target_length=target,
+                k_e=2, k_t=2, edge_prune_threshold=1.0,
+            ))
+
+        want = [run_decode(job) for job in jobs]  # results compare without `extra`
+
+        def refuse(*args):
+            raise AssertionError("a constrained decode built the lattice acceptor")
+
+        monkeypatch.setattr(cli, "dag_to_wfsa", refuse)
+        got = [run_decode(job) for job in jobs]
+        assert all(result.status == "ok" for result in got)
+        assert got == want
+
+
 class TestEmptyIntersectionNote:
     """An empty product names the first constraint that alone empties it:
     each phrase in turn, then the vocabulary. tiny4 pruned at k=2 spells
@@ -1030,18 +1062,42 @@ class TestBadInput:
         assert doc["status"] == "infeasible"
         assert "finite length-penalized cost" in doc["note"] and "\n" not in doc["note"]
 
-    @pytest.mark.parametrize("mode", ("wfsa-shortest", "lc"))
+    # every mode that converts the lattice or intersects it with constraints
+    LATTICE_MODES = ("wfsa-shortest", "lc", "hlc", "vc", "control-dag")
+
+    @staticmethod
+    def decode_overflowing(workspace, mode, doc):
+        """Decode the lattice `doc` with a feasible phrase and lexicon."""
+        tmp_path, _, table_path, table = workspace
+        bad = tmp_path / "overflow.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        cons = write_constraints(tmp_path, [{"phrases": [phrase_surface(table, (0,))]}])
+        lex = write_lexicon(tmp_path, [phrase_surface(table, (t,)) for t in range(6)])
+        return main(["decode", "--dag", str(bad), "--table", table_path, "--mode", mode,
+                     "--constraints", cons, "--lexicon", lex,
+                     "--target-len", "3", "--ke", "2", "--kt", "2"])
+
+    @pytest.mark.parametrize("mode", LATTICE_MODES)
     def test_log_probs_whose_sums_overflow(self, workspace, capsys, mode):
         # each log-prob is finite, but an emission plus a transition is -inf
-        tmp_path, dag_path, table_path, _ = workspace
+        _, dag_path, _, _ = workspace
         doc = json.loads(open(dag_path, encoding="utf-8").read())
         for vertex in doc["vertices"]:
             for key in ("emissions", "transitions"):
                 vertex[key] = [[i, -1.7e308] for i, _ in vertex[key]]
-        bad = tmp_path / "overflow.json"
-        bad.write_text(json.dumps(doc), encoding="utf-8")
-        code = main(["decode", "--dag", str(bad), "--table", table_path, "--mode", mode,
-                     "--target-len", "3", "--ke", "2", "--kt", "2"])
+        code = self.decode_overflowing(workspace, mode, doc)
+        self.assert_one_line_error(capsys, code, "arc weight inf is not a finite cost >= 0")
+
+    @pytest.mark.parametrize("mode", LATTICE_MODES)
+    def test_overflow_at_a_vertex_no_path_reaches(self, workspace, capsys, mode):
+        # 0 -> 1 -> 3 is the only path; vertex 2's one arc weighs inf
+        doc = {"version": 1, "num_vertices": 4, "vertices": [
+            {"emissions": [[0, -0.1]], "transitions": [[1, 0.0]]},
+            {"emissions": [[1, -0.2]], "transitions": [[3, 0.0]]},
+            {"emissions": [[2, -1.7e308]], "transitions": [[3, -1.7e308]]},
+            {"emissions": [[4, 0.0]], "transitions": []},
+        ]}
+        code = self.decode_overflowing(workspace, mode, doc)
         self.assert_one_line_error(capsys, code, "arc weight inf is not a finite cost >= 0")
 
     @pytest.mark.parametrize("mode", ("greedy", "wfsa-shortest"))

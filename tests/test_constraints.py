@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -19,14 +21,17 @@ from dagdec.constraints import (
     extract_lexicon,
     tokenize_phrase,
 )
+from dagdec.dag import Dag, PruneConfig, prune_dag
 from dagdec.length import LcConfig, dfs_viterbi
 from dagdec.tokens import TokenTable
 from dagdec.wfsa import (
     EPSILON,
     SIGMA,
+    Arc,
     Wfsa,
     _label_index,
     closure,
+    dag_to_wfsa,
     determinize_min,
     dump_wfsa,
     has_accepting_path,
@@ -40,8 +45,11 @@ from dagdec.wfsa import (
 
 from .lattices import (
     random_acyclic_wfsa,
+    random_constrained_lattice,
     random_constrained_product,
     random_joint_product,
+    toy_table,
+    uniform_lattice,
 )
 from .oracles import (
     arc_scan_intersect,
@@ -444,6 +452,88 @@ class TestConstrainedProduct:
         w = linear_acceptor((0, EPSILON, 1), weight=0.5)
         got = constrained_product(w, [ConstraintPhrase(tokens=(0, 1))])
         assert _cost_map(got) == {(0, 1): 1.5}
+
+
+def _outcome(make) -> tuple:
+    """The dump and the arc lists of the acceptor `make` returns, or the
+    message of the ValueError it raises."""
+    try:
+        w = make()
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+    return dump_wfsa(w), [w.arcs_from(s) for s in range(w.num_states)]
+
+
+def _dead_end(dag: Dag, u: int) -> Dag:
+    """`dag` with no transitions out of vertex u."""
+    transitions = list(dag.transitions)
+    transitions[u] = ()
+    return replace(dag, transitions=tuple(transitions))
+
+
+def _overflowing(dag: Dag, u: int) -> Dag:
+    """`dag` with every log-prob at vertex u so low that an emission plus a
+    transition there is -inf, so each arc out of u would weigh inf."""
+
+    def low(rows):
+        rows = list(rows)
+        rows[u] = tuple(sorted((i, -1.7e308) for i, _ in rows[u]))  # ties: by index
+        return tuple(rows)
+
+    return replace(dag, emissions=low(dag.emissions), transitions=low(dag.transitions))
+
+
+class TestPrunedLatticeProduct:
+    """`constrained_product` on the pruned `Dag` itself, against the
+    product of the acceptor `dag_to_wfsa` makes of the same lattice."""
+
+    def test_same_product_or_error_as_the_lattice_acceptor(self):
+        table = toy_table(4)
+        words = [f"w{i:03d}" for i in range(4)]
+        for seed in range(2000):
+            rng = random.Random(seed)
+            if seed % 2:
+                dag, cfg = random_constrained_lattice(rng, rng.choice((3, 4)))
+            else:  # tie-heavy, some vertices without emissions
+                dag, phrases = uniform_lattice(rng)
+                cfg = PruneConfig(k_e=rng.randint(1, 3), k_t=rng.randint(1, 3),
+                                  constraints=phrases)
+            if dag.num_vertices > 1 and rng.random() < 0.2:
+                dag = _dead_end(dag, rng.randrange(dag.num_vertices - 1))
+            if rng.random() < 0.05:
+                dag = _overflowing(dag, rng.randrange(dag.num_vertices))
+            entities = [" ".join(rng.choices(words, k=rng.randint(2, 3)))
+                        for _ in range(rng.randint(0, 2))]
+            lexicon = build_vocab_fsa(rng.sample(words, rng.randint(1, 4)), [], entities, table)
+            pruned = prune_dag(dag, cfg)
+            for vocab in (lexicon, lexicon.automaton, None):
+                for phrases in (cfg.constraints, ()):
+                    got = _outcome(lambda: constrained_product(pruned, phrases, vocab))
+                    want = _outcome(
+                        lambda: constrained_product(dag_to_wfsa(dag, cfg), phrases, vocab)
+                    )
+                    assert got == want, (seed, phrases, vocab)
+
+    def test_unknown_target_is_the_converters_error(self):
+        dag = Dag(num_vertices=2, emissions=(((0, -0.5),), ((1, 0.0),)),
+                  transitions=(((1, -0.1), (2, -0.2)), ()))
+        cfg = PruneConfig(k_e=1, k_t=2)
+        for make in (lambda: dag_to_wfsa(dag, cfg), lambda: constrained_product(dag, [])):
+            with pytest.raises(ValueError, match=r"^arc 0->2 references an unknown state$"):
+                make()
+
+    def test_runs_keep_the_arc_order_of_an_acceptor(self):
+        # the two arcs on token 0 out of state 0 are not adjacent, so they
+        # are two runs, and the product keeps the token-1 arc between them
+        w = Wfsa(num_states=4, start=0, finals={3})
+        w.add_arc(0, 0, 1.0, 1)
+        w.add_arc(0, 1, 2.0, 2)
+        w.add_arc(0, 0, 0.5, 2)
+        w.add_arc(1, 1, 0.0, 3)
+        w.add_arc(2, 0, 0.0, 3)
+        got = constrained_product(w, [])
+        assert got.arcs_from(0) == [Arc(0, 1.0, 1), Arc(1, 2.0, 2), Arc(0, 0.5, 2)]
+        assert _cost_map(got) == {(0, 1): 1.0, (1, 0): 2.0, (0, 0): 0.5}
 
 
 class TestIndexedVocab:

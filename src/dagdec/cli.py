@@ -236,14 +236,15 @@ def _run_decode(job: DecodeJob) -> DecodeResult:
         result = beam_decode(prune_dag(dag, prune_cfg), job.beam)
     elif job.mode == "cbs-dag":
         result = cbs_dag_decode(prune_dag(dag, prune_cfg), phrases, job.beam)
+    elif not (use_hlc or use_vc or use_lc):  # wfsa-shortest, or hlc without phrases
+        result = shortest_path(dag_to_wfsa(dag, prune_cfg))
     else:
+        lattice = prune_dag(dag, prune_cfg)
         hlc_phrases = phrases if use_hlc else []
+        product = None  # without constraints the pruned lattice is searched as it is
         if use_hlc or use_vc:
-            lattice = prune_dag(dag, prune_cfg)
-            w = constrained_product(lattice, hlc_phrases, vocab_fsa)
-        else:  # the lattice itself is searched; its acceptor has a final state
-            w = dag_to_wfsa(dag, prune_cfg)
-        if not w.finals:
+            product = constrained_product(lattice, hlc_phrases, vocab_fsa)
+        if product is not None and not product.finals:
             result = DecodeResult(
                 status=STATUS_EMPTY_INTERSECTION,
                 note=_empty_product_note(lattice, hlc_phrases, vocab_fsa),
@@ -255,9 +256,9 @@ def _run_decode(job: DecodeJob) -> DecodeResult:
                 edge_prune_threshold=job.edge_prune_threshold,
                 upper_bound=job.upper_bound,
             )
-            result = dfs_viterbi(w, cfg)
+            result = dfs_viterbi(lattice if product is None else product, cfg)
         else:
-            result = shortest_path(w)
+            result = shortest_path(product)
     elapsed = time.perf_counter() - started
 
     if result.status == STATUS_OK:

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 from . import wfsa
 from .dag import Dag
 from .tokens import TokenTable
-from .wfsa import _INF, EPSILON, SIGMA, Arc, Wfsa, _label_index, lexicon_dfa
+from .wfsa import _INF, EPSILON, SIGMA, Arc, Wfsa, _check_weights, _label_index, lexicon_dfa
 from .words import is_numeric_token, strip_punct
 
 # Punctuation accepted by the default special-token automaton.
@@ -265,11 +265,7 @@ def _check_arcs(dag: Dag) -> None:
             0.0 <= -(emissions[0][1] + transitions[0][1]) + 0.0
             and -(emissions[-1][1] + transitions[-1][1]) + 0.0 < _INF
         ):
-            for _, elp in emissions:
-                for _, tlp in transitions:
-                    weight = -(elp + tlp) + 0.0
-                    if not 0.0 <= weight < _INF:
-                        raise ValueError(f"arc weight {weight} is not a finite cost >= 0")
+            _check_weights(emissions, transitions)
 
 
 def constrained_product(

@@ -1,26 +1,31 @@
 """Target-length prediction and length-constrained lattice decoding.
 
 The decoder finds, for every candidate length l up to an upper bound, the
-cheapest accepting path with exactly l arcs. One backward sweep over the
-states in reverse topological order keeps, per state, a dense row of the
-costs delta(state, l) over a contiguous range of lengths: this is Mohri's
-topological shortest distance (2002) over the product of the acceptor
-with a length counter, with cumulative-probability arc pruning. The
-finite entries of the start row then compete on their cost scaled by an
-exponential penalty for falling short of the target length, and the arcs
-of the winner are recovered from the rows along its path alone.
+cheapest accepting path with exactly l arcs. It searches a pruned lattice
+directly, with each kept (emission, transition) pair of a vertex as one
+arc, or an epsilon-free acceptor such as a constrained product; both are
+read into one list of (weight, label, dst) arcs per state. One backward
+sweep over the states in reverse topological order keeps, per state, a
+dense row of the costs delta(state, l) over a contiguous range of
+lengths: this is Mohri's topological shortest distance (2002) over the
+product of the lattice with a length counter, with cumulative-probability
+arc pruning. The finite entries of the start row then compete on their
+cost scaled by an exponential penalty for falling short of the target
+length, and the arcs of the winner are recovered from the rows along its
+path alone.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import statistics
 from dataclasses import dataclass
 from typing import Sequence
 
+from .dag import Dag
 from .result import STATUS_INFEASIBLE, STATUS_OK, DecodeResult
-from .wfsa import EPSILON, Arc, Wfsa, shortest_path, topological_sort
+from .wfsa import (EPSILON, Wfsa, _check_weights, _lattice_acceptor, _topological_order,
+                   shortest_path)
 
 
 @dataclass(frozen=True)
@@ -87,7 +92,9 @@ def load_length_predictor(path: str) -> LengthPredictor:
 
 
 def default_upper_bound(target_length: int) -> int:
-    return min(target_length + 5, math.floor(target_length * 1.5))
+    """min(L_tgt + 5, floor(1.5 * L_tgt)), in integers, so a target too
+    large for a float has a bound too."""
+    return min(target_length + 5, target_length * 3 // 2)
 
 
 @dataclass(frozen=True)
@@ -125,7 +132,7 @@ def length_penalty(l: int, target_length: int, strictness: float) -> float:
     inf when that exceeds the largest float."""
     if l < 1:
         raise ValueError("length must be >= 1")
-    if l >= target_length:
+    if l >= target_length or strictness == 0.0:
         return 1.0
     try:
         return math.exp(strictness * (target_length / l - 1.0))
@@ -133,67 +140,112 @@ def length_penalty(l: int, target_length: int, strictness: float) -> float:
         return math.inf
 
 
-# (weight, label, dst) on Arc(label, weight, dst)
-_ARC_ORDER = operator.itemgetter(1, 0, 2)
+# A search arc (weight, label, dst): a row of them sorts by weight, then
+# label, then target with no key.
+_SearchArc = tuple[float, int, int]
 
 
-def _prune_arcs(arcs: list[Arc], threshold: float) -> list[Arc]:
-    """Arcs in (weight, label, dst) order, cut to the minimal cheapest-first
-    prefix whose renormalized probability mass exceeds the threshold; kept
-    in full if the mass never does."""
-    ordered = sorted(arcs, key=_ARC_ORDER)
-    if threshold >= 1.0 or not ordered:
-        return ordered
-    probs = [math.exp(-arc.weight) for arc in ordered]
-    total = math.fsum(probs)
-    if total <= 0.0:
-        return ordered
-    mass = 0.0
-    for i, p in enumerate(probs):
-        mass += p / total
-        if mass > threshold:
-            return ordered[: i + 1]
-    return ordered
+def _search_arcs(lattice: Dag | Wfsa) -> tuple[list[list[_SearchArc]], int, set[int]]:
+    """Each state's arcs as sorted search arcs, in a numbering where every
+    arc goes to a higher state, with the start and the finals in it.
 
-
-def _length_rows(
-    w: Wfsa, cfg: LcConfig
-) -> tuple[Wfsa, list[list[Arc]], list[int], list[list[float]]]:
-    """delta(state, l) for the lengths that can still fit under the bound,
-    as one dense row per state: rows[s][i] is delta(s, first[s] + i), inf
-    only where a length in between has no path.
-
-    A forward pass finds the fewest pruned arcs from the start to each
-    state; a backward pass then fills each state's row up to the bound less
-    that depth, trying arcs in pruned order and replacing only on strict <.
-    Only the first pruned arc into each successor is relaxed: any later arc
-    to it weighs at least as much, so it can never offer a strictly lower
-    cost, and the work is one row scan per distinct successor. No
-    back-pointers are kept; `_best_arc` recovers them along one path.
-    Returns the acceptor the rows index (renumbered topologically if it was
-    not), its pruned arcs, and each state's first length and cost row.
+    A pruned `Dag` gives the arcs of the acceptor `dag_to_wfsa` makes of
+    it without making it, and raises what that raises for any kept arc,
+    reached or not. A vertex's weights are checked at the two ends of its
+    sorted row, so the order of the `Dag`'s rows is not trusted, and only
+    a vertex where either end fails is scanned for its first bad pair (a
+    NaN weight, which only a NaN or +inf log-prob makes, can hide inside
+    a row). A `Dag` with a transition that does not go forward is read
+    through its acceptor instead. A `Wfsa` must be epsilon-free; it is
+    renumbered by `_topological_order` when some arc does not go forward,
+    as `topological_sort` would number it, but no second acceptor is built.
     """
-    n = w.num_states
+    if isinstance(lattice, Wfsa):
+        return _acceptor_arcs(lattice)
+    n = lattice.num_vertices
+    inf = math.inf
+    arcs = []
+    for u, (emissions, transitions) in enumerate(zip(lattice.emissions, lattice.transitions)):
+        for v, _ in transitions:
+            if not u < v < n:  # a backward arc, or a target that is no vertex
+                return _acceptor_arcs(_lattice_acceptor(lattice))
+        row = [(-(elp + tlp) + 0.0, token, v) for token, elp in emissions for v, tlp in transitions]
+        row.sort()
+        if row and not (0.0 <= row[0][0] and row[-1][0] < inf):
+            _check_weights(emissions, transitions)
+        arcs.append(row)
+    return arcs, 0, {lattice.final_vertex}
+
+
+def _acceptor_arcs(w: Wfsa) -> tuple[list[list[_SearchArc]], int, set[int]]:
+    """`_search_arcs` of an acceptor."""
     forward = True
-    for u in range(n):
+    for u in range(w.num_states):
         for label, _, dst in w.arcs_from(u):
             if label == EPSILON:
                 raise ValueError("epsilon arcs must be removed before length-constrained decoding")
             if dst <= u:
                 forward = False
-    if not forward:
-        w = topological_sort(w)
+    order = range(w.num_states) if forward else _topological_order(w)
+    renum = [0] * w.num_states
+    for new, old in enumerate(order):
+        renum[old] = new
+    arcs = [sorted([(weight, label, renum[dst]) for label, weight, dst in w.arcs_from(old)])
+            for old in order]
+    return arcs, renum[w.start], {renum[f] for f in w.finals}
+
+
+def _prune_arcs(ordered: list[_SearchArc], threshold: float) -> list[_SearchArc]:
+    """A sorted row cut to the minimal cheapest-first prefix whose
+    renormalized probability mass exceeds the threshold (kept in full if
+    the mass never does), then to the first arc into each successor: any
+    later one weighs at least as much, so it can never offer a strictly
+    lower cost."""
+    if threshold < 1.0 and ordered:
+        probs = [math.exp(-arc[0]) for arc in ordered]
+        total = math.fsum(probs)
+        if total > 0.0:
+            mass = 0.0
+            for i, p in enumerate(probs):
+                mass += p / total
+                if mass > threshold:
+                    ordered = ordered[: i + 1]
+                    break
+    first: dict[int, _SearchArc] = {}
+    for arc in ordered:
+        if arc[2] not in first:
+            first[arc[2]] = arc
+    return list(first.values())
+
+
+def _length_rows(
+    arcs: list[list[_SearchArc]], start: int, finals: set[int], cfg: LcConfig
+) -> tuple[list[list[_SearchArc]], list[int], list[list[float]]]:
+    """delta(state, l) for the lengths that can still fit under the bound,
+    as one dense row per state: rows[s][i] is delta(s, first[s] + i), inf
+    only where a length in between has no path.
+
+    `arcs` holds each state's sorted search arcs in a numbering where every
+    arc goes forward, as `_search_arcs` gives them. A forward pass finds
+    the fewest pruned arcs from the start to each state; a backward pass
+    then fills each state's row up to the bound less that depth, trying
+    arcs in pruned order and replacing only on strict <, so the work is
+    one row scan per pruned arc. No back-pointers are kept; `_best_arc`
+    recovers them along one path. Returns the pruned arcs, and each
+    state's first length and cost row.
+    """
+    n = len(arcs)
     bound = cfg.upper_bound
-    pruned = [_prune_arcs(w.arcs_from(u), cfg.edge_prune_threshold) for u in range(n)]
+    threshold = cfg.edge_prune_threshold
+    pruned = [_prune_arcs(row, threshold) for row in arcs]
     depth = [bound + 1] * n
-    depth[w.start] = 0
+    depth[start] = 0
     for u in range(n):
         d = depth[u] + 1
         for arc in pruned[u]:
-            if d < depth[arc.dst]:
-                depth[arc.dst] = d
+            if d < depth[arc[2]]:
+                depth[arc[2]] = d
     inf = math.inf
-    finals = w.finals
     first = [0] * n
     rows: list[list[float]] = [[] for _ in range(n)]
     for u in range(n - 1, -1, -1):
@@ -202,12 +254,7 @@ def _length_rows(
             continue
         row = [0.0] if u in finals else []
         lo = 0
-        relaxed = set()
-        for arc in pruned[u]:
-            dst = arc.dst
-            if dst in relaxed:
-                continue
-            relaxed.add(dst)
+        for weight, _, dst in pruned[u]:
             tail = rows[dst]
             start = first[dst] + 1
             keep = limit - start + 1
@@ -219,7 +266,6 @@ def _length_rows(
                     tail.pop()
                 if not tail:
                     continue
-            weight = arc.weight
             if not row:
                 row = [weight + c for c in tail]
                 lo = start
@@ -234,12 +280,12 @@ def _length_rows(
             row[i:j] = [y if (y := weight + c) < x else x for x, c in zip(row[i:j], tail)]
         rows[u] = row
         first[u] = lo
-    return w, pruned, first, rows
+    return pruned, first, rows
 
 
 def _best_arc(
-    pruned: list[list[Arc]], first: list[int], rows: list[list[float]], u: int, l: int
-) -> Arc | None:
+    pruned: list[list[_SearchArc]], first: list[int], rows: list[list[float]], u: int, l: int
+) -> _SearchArc | None:
     """The arc that starts the best length-l path from u: the first pruned
     arc whose weight plus delta(dst, l - 1) is strictly least, the same
     sum and tie rule the backward sweep applied."""
@@ -247,30 +293,36 @@ def _best_arc(
     best = inf
     best_arc = None
     for arc in pruned[u]:
-        dst = arc.dst
+        weight, _, dst = arc
         i = l - 1 - first[dst]
         row = rows[dst]
-        c = arc.weight + (row[i] if 0 <= i < len(row) else inf)
+        c = weight + (row[i] if 0 <= i < len(row) else inf)
         if c < best:
             best = c
             best_arc = arc
     return best_arc
 
 
-def _start_costs(w: Wfsa, first: list[int], rows: list[list[float]]) -> dict[int, float]:
+def _start_costs(start: int, first: list[int], rows: list[list[float]]) -> dict[int, float]:
     """delta(start, l) for l >= 1, finite entries of the start row only."""
-    lo = first[w.start]
-    return {lo + i: c for i, c in enumerate(rows[w.start]) if lo + i >= 1 and c != math.inf}
+    lo = first[start]
+    return {lo + i: c for i, c in enumerate(rows[start]) if lo + i >= 1 and c != math.inf}
 
 
-def length_cost_table(w: Wfsa, cfg: LcConfig) -> dict[int, float]:
-    """delta(start, l) for l = 1..upper_bound, finite entries only."""
-    w, _, first, rows = _length_rows(w, cfg)
-    return _start_costs(w, first, rows)
+def length_cost_table(lattice: Dag | Wfsa, cfg: LcConfig) -> dict[int, float]:
+    """delta(start, l) for l = 1..upper_bound, finite entries only, of a
+    pruned lattice or an epsilon-free acceptor."""
+    arcs, start, finals = _search_arcs(lattice)
+    _, first, rows = _length_rows(arcs, start, finals, cfg)
+    return _start_costs(start, first, rows)
 
 
-def dfs_viterbi(w: Wfsa, cfg: LcConfig) -> DecodeResult:
+def dfs_viterbi(lattice: Dag | Wfsa, cfg: LcConfig) -> DecodeResult:
     """Best length-penalized hypothesis among all lengths up to the bound.
+
+    Searches a pruned lattice from `prune_dag`, which gives the result the
+    acceptor `dag_to_wfsa` makes of it would, or any epsilon-free acyclic
+    acceptor, such as a constrained product.
 
     Returns the candidate minimizing length_penalty(l) * delta(start, l),
     preferring longer candidates on exact ties; the result carries both the
@@ -280,8 +332,9 @@ def dfs_viterbi(w: Wfsa, cfg: LcConfig) -> DecodeResult:
     cost, reports infeasibility along with what the unconstrained cheapest
     path would have looked like.
     """
-    sorted_w, pruned, first, rows = _length_rows(w, cfg)
-    candidates = _start_costs(sorted_w, first, rows)
+    arcs, start, finals = _search_arcs(lattice)
+    pruned, first, rows = _length_rows(arcs, start, finals, cfg)
+    candidates = _start_costs(start, first, rows)
     best_l = None
     best_cost = math.inf
     best_adjusted = math.inf
@@ -298,6 +351,9 @@ def dfs_viterbi(w: Wfsa, cfg: LcConfig) -> DecodeResult:
                 f"cost at target length {cfg.target_length} and strictness {cfg.strictness}"
             )
         else:
+            # the lattice is already pruned: pruning it again could drop
+            # the emissions its phrases forced
+            w = lattice if isinstance(lattice, Wfsa) else _lattice_acceptor(lattice)
             unconstrained = shortest_path(w)
             if unconstrained.status != STATUS_OK:
                 note = "no accepting path of any length"
@@ -309,11 +365,10 @@ def dfs_viterbi(w: Wfsa, cfg: LcConfig) -> DecodeResult:
                 )
         return DecodeResult(status=STATUS_INFEASIBLE, note=note)
     tokens = []
-    state = sorted_w.start
+    state = start
     for l in range(best_l, 0, -1):
-        arc = _best_arc(pruned, first, rows, state, l)
-        tokens.append(arc.label)
-        state = arc.dst
+        _, label, state = _best_arc(pruned, first, rows, state, l)
+        tokens.append(label)
     return DecodeResult(
         status=STATUS_OK,
         tokens=tuple(tokens),

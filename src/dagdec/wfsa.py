@@ -108,11 +108,16 @@ def dag_to_wfsa(dag: Dag, cfg: PruneConfig) -> Wfsa:
     is acyclic and epsilon-free, with vertex 0 as start and the final
     vertex as the unique final state.
 
-    Build it to search the lattice itself. A constrained decode passes
-    `prune_dag(dag, cfg)` to `constraints.constrained_product` instead,
-    which reads the same arcs from the pruned lattice without making them.
+    Build it to search the lattice by `shortest_path`. A constrained decode
+    passes `prune_dag(dag, cfg)` to `constraints.constrained_product`
+    instead, and a length-constrained one to `length.dfs_viterbi`; both
+    read the same arcs from the pruned lattice without making them.
     """
-    pruned = prune_dag(dag, cfg)
+    return _lattice_acceptor(prune_dag(dag, cfg))
+
+
+def _lattice_acceptor(pruned: Dag) -> Wfsa:
+    """`dag_to_wfsa`'s acceptor of a lattice that is already pruned."""
     n = pruned.num_vertices
     new_arc = tuple.__new__  # Arc(...) without the generated __new__ call
     arcs = []
@@ -129,6 +134,19 @@ def dag_to_wfsa(dag: Dag, cfg: PruneConfig) -> Wfsa:
                 row.append(new_arc(Arc, (token, weight, v)))
         arcs.append(row)
     return Wfsa(num_states=n, start=0, finals={pruned.final_vertex}, arcs=arcs)
+
+
+def _check_weights(
+    emissions: Sequence[tuple[int, float]], transitions: Sequence[tuple[int, float]]
+) -> None:
+    """Raise `dag_to_wfsa`'s error for the first (emission, transition)
+    pair of a vertex, in its arc order, whose weight `-(emission +
+    transition log-prob)` is not a finite cost >= 0."""
+    for _, elp in emissions:
+        for _, tlp in transitions:
+            weight = -(elp + tlp) + 0.0
+            if not 0.0 <= weight < _INF:
+                raise ValueError(f"arc weight {weight} is not a finite cost >= 0")
 
 
 def _copy_into(dst: Wfsa, src: Wfsa, offset: int) -> None:

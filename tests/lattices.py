@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
 from dagdec.constraints import (
     ConstraintPhrase,
@@ -268,6 +269,25 @@ def window_lattice(seed: int, gold_tokens: int = 40) -> tuple[Dag, tuple[Constra
         start = rng.randint(k * size, (k + 1) * size - 3)
         phrases.append(ConstraintPhrase(tokens=tuple(gold[start : start + 3])))
     return build_dag(emissions, transitions), tuple(phrases)
+
+
+def dead_end(dag: Dag, u: int) -> Dag:
+    """`dag` with no transitions out of vertex u."""
+    transitions = list(dag.transitions)
+    transitions[u] = ()
+    return replace(dag, transitions=tuple(transitions))
+
+
+def overflowing(dag: Dag, u: int) -> Dag:
+    """`dag` with every log-prob at vertex u so low that an emission plus a
+    transition there is -inf, so each arc out of u would weigh inf."""
+
+    def low(rows):
+        rows = list(rows)
+        rows[u] = tuple(sorted((i, -1.7e308) for i, _ in rows[u]))  # ties: by index
+        return tuple(rows)
+
+    return replace(dag, emissions=low(dag.emissions), transitions=low(dag.transitions))
 
 
 def _descending_probs(rng: random.Random, size: int) -> list[float]:

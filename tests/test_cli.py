@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dagdec.length as length_module
 from dagdec import cli
 from dagdec.cli import (
     EXIT_ERROR,
@@ -247,6 +248,37 @@ class TestConstrainedModesSearchThePrunedLattice:
             raise AssertionError("a constrained decode built the lattice acceptor")
 
         monkeypatch.setattr(cli, "dag_to_wfsa", refuse)
+        got = [run_decode(job) for job in jobs]
+        assert all(result.status == "ok" for result in got)
+        assert got == want
+
+
+class TestLengthModesSearchThePrunedLattice:
+    """lc, and control-dag without phrases or a lexicon, search the pruned
+    lattice directly and never build its acceptor."""
+
+    @pytest.mark.parametrize("mode", ("lc", "control-dag"))
+    def test_decodes_without_the_lattice_acceptor(self, tmp_path, monkeypatch, mode):
+        jobs = []
+        for seed in range(6):
+            dag, table, _, _, target = control_fixture(seed=seed)
+            folder = tmp_path / str(seed)
+            folder.mkdir()
+            write_dag(dag, str(folder / "c.json"))
+            write_token_table(table, str(folder / "c.table"))
+            jobs.append(DecodeJob(
+                dag_path=str(folder / "c.json"), table_path=str(folder / "c.table"), mode=mode,
+                target_length=target + seed % 3 - 1, k_e=2, k_t=2,
+                edge_prune_threshold=(0.7, 1.0)[seed % 2],
+            ))
+
+        want = [run_decode(job) for job in jobs]  # results compare without `extra`
+
+        def refuse(*args):
+            raise AssertionError("a length-constrained decode built the lattice acceptor")
+
+        monkeypatch.setattr(cli, "dag_to_wfsa", refuse)
+        monkeypatch.setattr(length_module, "_lattice_acceptor", refuse)
         got = [run_decode(job) for job in jobs]
         assert all(result.status == "ok" for result in got)
         assert got == want
@@ -1061,6 +1093,40 @@ class TestBadInput:
         doc = json.loads(captured.out)
         assert doc["status"] == "infeasible"
         assert "finite length-penalized cost" in doc["note"] and "\n" not in doc["note"]
+
+    @pytest.mark.parametrize("mode", ("lc", "control-dag"))
+    @pytest.mark.parametrize("target", (10**300, 10**400), ids=("1e300", "1e400"))
+    def test_target_beyond_a_float_exits_3(self, tmp_path, capsys, mode, target):
+        # 10**400 made the default length bound raise OverflowError
+        dag_path, table_path = str(tmp_path / "d.json"), str(tmp_path / "t.txt")
+        assert main(["synth", "--seed", "1", "--vertices", "12", "--out", dag_path,
+                     "--table-out", table_path]) == EXIT_OK
+        code = main(["decode", "--dag", dag_path, "--table", table_path, "--mode", mode,
+                     "--target-len", str(target)])
+        assert code == EXIT_INFEASIBLE
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        doc = json.loads(captured.out)
+        assert doc["status"] == "infeasible"
+        assert doc["note"].startswith(f"no candidate length up to {target + 5} has")
+        assert "\n" not in doc["note"]
+
+    def test_target_beyond_a_float_in_a_batch_is_infeasible(self, tmp_path):
+        dag_path, table_path = str(tmp_path / "d.json"), str(tmp_path / "t.txt")
+        assert main(["synth", "--seed", "1", "--vertices", "12", "--out", dag_path,
+                     "--table-out", table_path]) == EXIT_OK
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text("".join(
+            json.dumps({"dag": dag_path, "table": table_path, "mode": mode,
+                        "target_len": 10**400}) + "\n"
+            for mode in ("lc", "control-dag")
+        ), encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        assert main(["batch", "--manifest", str(manifest), "--out", str(out)]) == EXIT_OK
+        lines = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [d.get("status") for d in lines[:2]] == ["infeasible", "infeasible"]
+        assert all(d["note"].startswith("no candidate length") for d in lines[:2])
+        assert lines[2]["summary"]["errors"] == 0
 
     # every mode that converts the lattice or intersects it with constraints
     LATTICE_MODES = ("wfsa-shortest", "lc", "hlc", "vc", "control-dag")

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +43,8 @@ from dagdec.wfsa import (
 )
 
 from .lattices import (
+    dead_end,
+    overflowing,
     random_acyclic_wfsa,
     random_constrained_lattice,
     random_constrained_product,
@@ -464,25 +465,6 @@ def _outcome(make) -> tuple:
     return dump_wfsa(w), [w.arcs_from(s) for s in range(w.num_states)]
 
 
-def _dead_end(dag: Dag, u: int) -> Dag:
-    """`dag` with no transitions out of vertex u."""
-    transitions = list(dag.transitions)
-    transitions[u] = ()
-    return replace(dag, transitions=tuple(transitions))
-
-
-def _overflowing(dag: Dag, u: int) -> Dag:
-    """`dag` with every log-prob at vertex u so low that an emission plus a
-    transition there is -inf, so each arc out of u would weigh inf."""
-
-    def low(rows):
-        rows = list(rows)
-        rows[u] = tuple(sorted((i, -1.7e308) for i, _ in rows[u]))  # ties: by index
-        return tuple(rows)
-
-    return replace(dag, emissions=low(dag.emissions), transitions=low(dag.transitions))
-
-
 class TestPrunedLatticeProduct:
     """`constrained_product` on the pruned `Dag` itself, against the
     product of the acceptor `dag_to_wfsa` makes of the same lattice."""
@@ -499,9 +481,9 @@ class TestPrunedLatticeProduct:
                 cfg = PruneConfig(k_e=rng.randint(1, 3), k_t=rng.randint(1, 3),
                                   constraints=phrases)
             if dag.num_vertices > 1 and rng.random() < 0.2:
-                dag = _dead_end(dag, rng.randrange(dag.num_vertices - 1))
+                dag = dead_end(dag, rng.randrange(dag.num_vertices - 1))
             if rng.random() < 0.05:
-                dag = _overflowing(dag, rng.randrange(dag.num_vertices))
+                dag = overflowing(dag, rng.randrange(dag.num_vertices))
             entities = [" ".join(rng.choices(words, k=rng.randint(2, 3)))
                         for _ in range(rng.randint(0, 2))]
             lexicon = build_vocab_fsa(rng.sample(words, rng.randint(1, 4)), [], entities, table)

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dagdec.length as length_module
-from dagdec.dag import PruneConfig
+from dagdec.dag import Dag, PruneConfig, prune_dag
 from dagdec.length import (
     LcConfig,
     LengthPredictor,
@@ -19,6 +19,7 @@ from dagdec.length import (
     fit_length_predictor,
     _best_arc,
     _length_rows,
+    _search_arcs,
     length_cost_table,
     length_penalty,
     load_length_predictor,
@@ -26,9 +27,25 @@ from dagdec.length import (
     save_length_predictor,
 )
 from dagdec.result import STATUS_INFEASIBLE, STATUS_OK
-from dagdec.wfsa import EPSILON, Wfsa, dag_to_wfsa, linear_acceptor, rm_epsilon, topological_sort
+from dagdec.wfsa import (
+    EPSILON,
+    Arc,
+    Wfsa,
+    dag_to_wfsa,
+    linear_acceptor,
+    rm_epsilon,
+    topological_sort,
+)
 
-from .lattices import random_acyclic_wfsa, random_constrained_product, window_lattice
+from .lattices import (
+    dead_end,
+    overflowing,
+    random_acyclic_wfsa,
+    random_constrained_lattice,
+    random_constrained_product,
+    uniform_lattice,
+    window_lattice,
+)
 from .oracles import MemoLengthSearch, length_bucket_minima, ols_closed_form
 
 
@@ -129,6 +146,11 @@ class TestPenalty:
         assert length_penalty(2, 1000, 1.0) == pytest.approx(math.exp(499.0), rel=1e-12)
         assert length_penalty(1, 50_000_000, 0.0) == 1.0
 
+    def test_no_strictness_is_no_penalty_at_any_target(self):
+        # 10**400 / l is too large for a float, but exp(0 * x) is 1
+        assert length_penalty(1, 10**400, 0.0) == 1.0
+        assert length_penalty(1, 10**400, 1.0) == math.inf
+
     def test_requires_positive_length(self):
         with pytest.raises(ValueError):
             length_penalty(0, 8, 1.0)
@@ -147,6 +169,14 @@ class TestLcConfig:
         assert default_upper_bound(20) == 25
         assert default_upper_bound(4) == 6
         assert LcConfig(target_length=10).upper_bound == 15
+
+    def test_default_upper_bound_in_integers(self):
+        # the float form math.floor(t * 1.5) gives the same bound wherever
+        # it works, and raised OverflowError for a target beyond a float
+        for t in [*range(1, 2000), 2**53 + 1, 2**60 + 3, 10**300]:
+            assert default_upper_bound(t) == min(t + 5, math.floor(t * 1.5))
+        assert default_upper_bound(10**400) == 10**400 + 5
+        assert LcConfig(target_length=10**400).upper_bound == 10**400 + 5
 
     def test_override(self):
         assert LcConfig(target_length=10, upper_bound=11).upper_bound == 11
@@ -209,15 +239,28 @@ def finite_entries(first: list[int], rows: list[list[float]]) -> dict[tuple[int,
     }
 
 
+def length_rows(w: Wfsa, cfg: LcConfig):
+    """(start, finals, pruned arcs, first lengths, cost rows) of the length
+    search over w, in the numbering the search gives its states."""
+    arcs, start, finals = _search_arcs(w)
+    pruned, first, rows = _length_rows(arcs, start, finals, cfg)
+    return start, finals, pruned, first, rows
+
+
+def search_arc(arc: Arc) -> tuple[float, int, int]:
+    """The search's (weight, label, dst) form of an acceptor arc."""
+    return (arc.weight, arc.label, arc.dst)
+
+
 def assert_matches_memo_search(w: Wfsa, cfg: LcConfig) -> None:
     ref = MemoLengthSearch(w, cfg)
     assert length_cost_table(w, cfg) == ref.table()
     # every finite (state, l) the memo visited, with the arc that starts it
     finite = {key: c for key, c in ref.delta.items() if math.isfinite(c)}
-    _, pruned, first, rows = _length_rows(w, cfg)
+    _, _, pruned, first, rows = length_rows(w, cfg)
     assert {key: c for key, c in finite_entries(first, rows).items() if key[1] > 0} == finite
     assert {key: _best_arc(pruned, first, rows, *key) for key in finite} == {
-        key: ref.parent[key] for key in finite
+        key: search_arc(ref.parent[key]) for key in finite
     }
     r = dfs_viterbi(w, cfg)
     expected = ref.decode()
@@ -302,7 +345,7 @@ class TestDenseRows:
     def test_hole_between_finite_lengths(self):
         w = hole_wfsa()
         cfg = LcConfig(target_length=4, edge_prune_threshold=1.0, upper_bound=6)
-        _, _, first, rows = _length_rows(w, cfg)
+        _, _, _, first, rows = length_rows(w, cfg)
         assert first[0] == 1
         assert rows[0][1:3] == [math.inf, math.inf] and len(rows[0]) == 4
         assert set(length_cost_table(w, cfg)) == {1, 4}
@@ -320,7 +363,7 @@ class TestDenseRows:
         for i, s in enumerate((2, 3, 4, 5)):
             w.add_arc(s, 5 + i, 0.1, s + 1)
         cfg = LcConfig(target_length=5, edge_prune_threshold=1.0, upper_bound=5)
-        _, _, first, rows = _length_rows(w, cfg)
+        _, _, _, first, rows = length_rows(w, cfg)
         assert (first[2], rows[2][1:3]) == (1, [math.inf, math.inf])
         assert (first[1], rows[1]) == (2, [2.5])
         assert first[0] == 2 and rows[0][2] == math.inf and len(rows[0]) == 4
@@ -345,7 +388,7 @@ class TestDenseRows:
         w.add_arc(8, 3, 0.1, 9)
         w.add_arc(9, 4, 0.1, 10)
         cfg = LcConfig(target_length=5, strictness=3.0, edge_prune_threshold=1.0, upper_bound=7)
-        _, _, first, rows = _length_rows(w, cfg)
+        _, _, _, first, rows = length_rows(w, cfg)
         assert (first[1], first[5], first[6]) == (2, 1, 4)
         assert first[0] == 2 and len(rows[0]) == 4 and all(map(math.isfinite, rows[0]))
         assert_matches_memo_search(w, cfg)
@@ -360,7 +403,7 @@ class TestDenseRows:
         w.add_arc(1, 2, 0.25, 2)
         w.add_arc(2, 3, 0.25, 3)
         cfg = LcConfig(target_length=3, edge_prune_threshold=threshold)
-        _, _, first, rows = _length_rows(w, cfg)
+        _, _, _, first, rows = length_rows(w, cfg)
         assert (first[1], rows[1]) == (0, [0.0, math.inf, 0.5])
         assert (first[0], rows[0]) == (0, [0.0, 0.5, math.inf, 1.0])
         assert length_cost_table(w, cfg) == {1: 0.5, 3: 1.0}
@@ -370,8 +413,8 @@ class TestDenseRows:
     def test_upper_bound_below_the_shortest_path(self):
         w = linear_acceptor((3, 1, 4, 1, 5), weight=0.2)
         cfg = LcConfig(target_length=3, edge_prune_threshold=1.0, upper_bound=4)
-        sorted_w, _, _, rows = _length_rows(w, cfg)
-        assert rows[sorted_w.start] == []
+        start, _, _, _, rows = length_rows(w, cfg)
+        assert rows[start] == []
         assert length_cost_table(w, cfg) == {}
         r = dfs_viterbi(w, cfg)
         assert r.status == STATUS_INFEASIBLE and "5 tokens" in r.note
@@ -409,6 +452,112 @@ class TestSearchesTheProductAsIs:
         w = random_constrained_product(seed, vocab_size)
         cfg = LcConfig(target_length=target, edge_prune_threshold=threshold)
         assert dfs_viterbi(w, cfg) == dfs_viterbi(topological_sort(rm_epsilon(w)), cfg)
+
+
+def _outcome(make):
+    """What `make` returns, or the message of the ValueError it raises."""
+    try:
+        return make()
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+class TestLengthSearchOnPrunedLattice:
+    """`dfs_viterbi` and `length_cost_table` on the pruned `Dag` itself,
+    against the same calls on the acceptor `dag_to_wfsa` makes of it."""
+
+    @staticmethod
+    def draw(seed: int) -> tuple[Dag, PruneConfig, LcConfig]:
+        rng = random.Random(seed)
+        if seed % 10 < 5:
+            dag, cfg = random_constrained_lattice(rng, rng.choice((3, 4)))
+        else:
+            if seed % 10 < 9:  # tie-heavy, some vertices without emissions
+                dag, phrases = uniform_lattice(rng)
+            else:  # local windows: 6 emissions, so phrases force some
+                dag, phrases = window_lattice(seed, gold_tokens=rng.randint(9, 16))
+            cfg = PruneConfig(k_e=rng.randint(1, 4), k_t=rng.randint(1, 4), constraints=phrases)
+        if dag.num_vertices > 1 and rng.random() < 0.2:
+            dag = dead_end(dag, rng.randrange(dag.num_vertices - 1))
+        if rng.random() < 0.05:
+            dag = overflowing(dag, rng.randrange(dag.num_vertices))
+        n = dag.num_vertices
+        lc = LcConfig(
+            target_length=rng.randint(1, n + 2) if rng.random() < 0.95 else 10**6,
+            strictness=rng.choice((0.0, 1.0, 3.0)),
+            edge_prune_threshold=rng.choice((0.7, 1.0)),
+            upper_bound=rng.choice((None, rng.randint(1, max(1, n // 3)), rng.randint(1, n + 2))),
+        )
+        return dag, cfg, lc
+
+    def test_same_result_or_error_as_the_lattice_acceptor(self):
+        # outcomes, and the infeasible notes by their first words
+        seen = dict.fromkeys(("ok", "error", "forced", "no accepting path with",
+                              "no accepting path of", "no candidate length"), 0)
+        for seed in range(2000):
+            dag, cfg, lc = self.draw(seed)
+            pruned = prune_dag(dag, cfg)
+            got = _outcome(lambda: dfs_viterbi(pruned, lc))
+            want = _outcome(lambda: dfs_viterbi(dag_to_wfsa(dag, cfg), lc))
+            assert got == want, seed
+            assert _outcome(lambda: length_cost_table(pruned, lc)) == _outcome(
+                lambda: length_cost_table(dag_to_wfsa(dag, cfg), lc)
+            ), seed
+            if isinstance(got, tuple):
+                seen["error"] += 1
+            elif got.status == STATUS_OK:
+                seen["ok"] += 1
+            else:
+                seen[next(key for key in seen if got.note.startswith(key))] += 1
+            seen["forced"] += any(len(row) > cfg.k_e for row in pruned.emissions)
+        assert min(seen.values()) >= 20, seen
+
+    def test_rows_out_of_order_are_checked_in_full(self):
+        # a library-built row out of order: the bad middle pair (weight
+        # -0.4) is neither the first nor the last of the Dag's row
+        dag = Dag(num_vertices=2, emissions=(((0, -1.0), (1, 0.5), (2, -2.0)), ((2, 0.0),)),
+                  transitions=(((1, -0.1),), ()))
+        cfg = PruneConfig(k_e=3, k_t=1)
+        lc = LcConfig(target_length=1)
+        for make in (lambda: dag_to_wfsa(dag, cfg), lambda: dfs_viterbi(prune_dag(dag, cfg), lc),
+                     lambda: length_cost_table(prune_dag(dag, cfg), lc)):
+            with pytest.raises(ValueError, match=r"^arc weight -0.4 is not a finite cost >= 0$"):
+                make()
+
+    def test_unknown_target_is_the_converters_error(self):
+        dag = Dag(num_vertices=2, emissions=(((0, -0.5),), ((1, 0.0),)),
+                  transitions=(((1, -0.1), (2, -0.2)), ()))
+        for make in (lambda: dag_to_wfsa(dag, PruneConfig(k_e=1, k_t=2)),
+                     lambda: dfs_viterbi(dag, LcConfig(target_length=1))):
+            with pytest.raises(ValueError, match=r"^arc 0->2 references an unknown state$"):
+                make()
+
+    def test_weight_ties_are_cut_in_label_order(self):
+        # out of 0, token 0 to vertex 2 and token 1 to vertex 1 both weigh
+        # -log(0.24): in (weight, label, dst) order the mass cut at 0.5
+        # keeps 0 -> 2, the only arc that makes length 2
+        more, less = math.log(0.6), math.log(0.4)
+        dag = Dag(num_vertices=4,
+                  emissions=(((0, more), (1, less)), ((6, 0.0),), ((7, 0.0),), ((8, 0.0),)),
+                  transitions=(((1, more), (2, less)), ((2, 0.0),), ((3, 0.0),), ()))
+        lc = LcConfig(target_length=2, edge_prune_threshold=0.5)
+        want = length_cost_table(dag_to_wfsa(dag, PruneConfig(k_e=2, k_t=2)), lc)
+        assert want == {2: -(more + less) + 0.0, 3: -(more + more) + 0.0}
+        assert length_cost_table(dag, lc) == want
+
+    def test_backward_transitions_are_renumbered_as_the_acceptor(self):
+        # 2 -> 1 goes backward: the paths are 0 -> 2 -> 1 -> 3 and 0 -> 3
+        dag = Dag(num_vertices=4,
+                  emissions=(((5, -0.1), (6, -0.2)), ((7, 0.0),), ((8, -0.3),), ((9, 0.0),)),
+                  transitions=(((2, -0.1), (3, -0.5)), ((3, 0.0),), ((1, 0.0),), ()))
+        results = set()
+        for threshold in (0.7, 1.0):
+            for upper in (1, 2, 3, 5):
+                lc = LcConfig(target_length=3, edge_prune_threshold=threshold, upper_bound=upper)
+                want = dfs_viterbi(dag_to_wfsa(dag, PruneConfig(k_e=2, k_t=2)), lc)
+                assert dfs_viterbi(dag, lc) == want
+                results.add(want.tokens)
+        assert results == {(5,), (5, 8, 7)}
 
 
 class TestDfsViterbi:
@@ -543,18 +692,18 @@ class TestDfsViterbi:
         cases.append((two_lengths_wfsa(), 3))  # its 4-arc path overshoots the bound
         for w, upper in cases:
             cfg = LcConfig(target_length=6, edge_prune_threshold=1.0, upper_bound=upper)
-            sorted_w, pruned, first, rows = _length_rows(w, cfg)
+            _, finals, pruned, first, rows = length_rows(w, cfg)
             # dense rows: inf only inside a row, never at either end
             assert all(math.isfinite(row[0]) and math.isfinite(row[-1]) for row in rows if row)
             assert all(0 <= first[s] and first[s] + len(row) - 1 <= upper
                        for s, row in enumerate(rows) if row)
             entries = finite_entries(first, rows)
-            assert {s for s, l in entries if l == 0} <= sorted_w.finals
+            assert {s for s, l in entries if l == 0} <= finals
             assert sum(1 for _, l in entries if l > 0) <= cfg.upper_bound * w.num_states
             ref = MemoLengthSearch(w, cfg)
             ref.table()
             assert {key: _best_arc(pruned, first, rows, *key) for key in entries if key[1] > 0} == {
-                key: ref.parent[key] for key in entries if key[1] > 0
+                key: search_arc(ref.parent[key]) for key in entries if key[1] > 0
             }
 
     def test_deep_search_does_not_overflow(self):

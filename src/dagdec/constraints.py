@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 from . import wfsa
 from .dag import Dag
 from .tokens import TokenTable
-from .wfsa import _INF, EPSILON, SIGMA, Arc, Wfsa, _check_weights, _label_index, lexicon_dfa
+from .wfsa import EPSILON, SIGMA, Arc, Wfsa, _check_overflow, _label_index, lexicon_dfa
 from .words import is_numeric_token, strip_punct
 
 # Punctuation accepted by the default special-token automaton.
@@ -247,27 +247,6 @@ def _label_runs(arcs: list[Arc]) -> list[tuple[int, list[tuple[float, int]]]]:
     ]
 
 
-def _check_arcs(dag: Dag) -> None:
-    """Raise what `wfsa.dag_to_wfsa` raises for the first bad arc of a
-    pruned lattice: a transition to no vertex, or a weight
-    `-(emission + transition log-prob)` that is not a finite cost >= 0.
-
-    Rows are in descending order, so a vertex's weights lie between those
-    of its first and its last (emission, transition) pair, and only a
-    vertex where either fails is scanned pair by pair for the first.
-    """
-    n = dag.num_vertices
-    for u, (emissions, transitions) in enumerate(zip(dag.emissions, dag.transitions)):
-        for v, _ in transitions:
-            if not 0 <= v < n:
-                raise ValueError(f"arc {u}->{v} references an unknown state")
-        if emissions and transitions and not (
-            0.0 <= -(emissions[0][1] + transitions[0][1]) + 0.0
-            and -(emissions[-1][1] + transitions[-1][1]) + 0.0 < _INF
-        ):
-            _check_weights(emissions, transitions)
-
-
 def constrained_product(
     lattice: Dag | Wfsa,
     phrases: Sequence[ConstraintPhrase],
@@ -298,8 +277,9 @@ def constrained_product(
     emission over its kept transitions, and each arc's weight
     `-(emission + transition log-prob)` is made only once the vocabulary
     accepts the token. A `Wfsa` state gives its consecutive same-label
-    arcs. A `Dag` is checked first, with the errors `dag_to_wfsa` raises,
-    for every kept arc, reached or not.
+    arcs. A `Dag` has checked its own rows; the one error left, an arc
+    whose weight overflows to inf, is raised first as `dag_to_wfsa`
+    raises it, for every kept arc, reached or not.
 
     Before a new joint state is made, its lattice and vocab states are
     checked once per pair for a step they could take together (Allauzen,
@@ -321,7 +301,7 @@ def constrained_product(
     language.
     """
     if isinstance(lattice, Dag):
-        _check_arcs(lattice)
+        _check_overflow(lattice)
         num_states, lattice_start = lattice.num_vertices, 0
         lattice_finals = {lattice.final_vertex}
         dag_rows = lattice.transitions

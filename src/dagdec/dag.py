@@ -3,8 +3,11 @@
 A lattice has one emission distribution and one forward transition
 distribution per vertex, both stored sparsely as (index, log-probability)
 pairs sorted by descending probability. Vertex 0 is the start, vertex L-1
-the unique final. Pruning keeps the top-k entries per vertex and force-emits
-constraint-phrase continuation tokens so constrained paths survive.
+the unique final. The `Dag` constructor checks and orders every row, so
+the loader only reads the JSON around the rows, and no reader of a `Dag`
+checks its rows again. Pruning keeps the top-k entries per vertex and
+force-emits constraint-phrase continuation tokens so constrained paths
+survive.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import math
 import random
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
     from .constraints import ConstraintPhrase
@@ -31,17 +34,34 @@ class DagFormatError(ValueError):
 class Dag:
     """Immutable token lattice.
 
-    emissions[u]  : tuple of (token_id, logprob <= 0), descending probability
-    transitions[u]: tuple of (target > u, logprob <= 0), descending probability
-    (ties: smaller index first). Pruning and beam search take top-k entries
-    as prefixes, so every constructor must keep this order. `load_dag` keeps
-    a row as the document lists it when it is already in this order (as
-    `dump_dag` writes it) and sorts it only otherwise.
+    emissions[u]  : tuple of (token_id >= 0, logprob), descending probability
+    transitions[u]: tuple of (target, logprob) with u < target < num_vertices,
+                    descending probability
+    (ties: smaller index first). Every log-prob is a finite float <= 0, and
+    no row names an index twice. The constructor checks every row, vertex
+    by vertex, and raises `DagFormatError` for the first error, with the
+    words `load_dag` uses. It takes rows and pairs as lists or tuples and
+    stores them as tuples, with integer log-probs made floats; a row that
+    is not in this order is sorted. Pruning and beam search take top-k
+    entries as prefixes, and every reader relies on the order and the
+    ranges without checking them again.
     """
 
     num_vertices: int
     emissions: tuple[tuple[tuple[int, float], ...], ...]
     transitions: tuple[tuple[tuple[int, float], ...], ...]
+
+    def __post_init__(self) -> None:
+        n = self.num_vertices
+        if type(n) is not int or n < 1:
+            raise DagFormatError("num_vertices must be a positive integer")
+        for key in ("emissions", "transitions"):
+            rows = getattr(self, key)
+            if not isinstance(rows, (list, tuple)) or len(rows) != n:
+                raise DagFormatError(f"{key} must be a list of one row per vertex ({n})")
+        emissions, transitions = _read_rows(n, self.emissions, self.transitions)
+        object.__setattr__(self, "emissions", emissions)
+        object.__setattr__(self, "transitions", transitions)
 
     @property
     def start_vertex(self) -> int:
@@ -50,6 +70,14 @@ class Dag:
     @property
     def final_vertex(self) -> int:
         return self.num_vertices - 1
+
+
+def _checked_dag(num_vertices: int, emissions: tuple, transitions: tuple) -> Dag:
+    """A `Dag` of rows that already keep its rule, such as prefixes of a
+    `Dag`'s rows, made without checking them again."""
+    dag = object.__new__(Dag)
+    dag.__dict__.update(num_vertices=num_vertices, emissions=emissions, transitions=transitions)
+    return dag
 
 
 @dataclass(frozen=True)
@@ -94,35 +122,39 @@ def load_dag(source: str | bytes) -> Dag:
     vertices = doc.get("vertices")
     if not isinstance(vertices, list) or len(vertices) != num_vertices:
         raise DagFormatError("vertices list does not match num_vertices")
-
     emissions = []
     transitions = []
     for u, vertex in enumerate(vertices):
-        em = tr = None
-        if type(vertex) is dict:
-            em = _read_row(vertex.get("emissions", []), 0, sys.maxsize)
-            if em is not None:
-                tr = _read_row(vertex.get("transitions", []), u + 1, num_vertices)
-        if tr is None:
-            em, tr = _check_vertex(u, vertex, num_vertices)
-        emissions.append(em)
-        transitions.append(tr)
-    return Dag(
-        num_vertices=num_vertices,
-        emissions=tuple(emissions),
-        transitions=tuple(transitions),
-    )
+        if not isinstance(vertex, dict):
+            _read_rows(num_vertices, emissions, transitions)  # an earlier error comes first
+            raise DagFormatError(f"vertex {u}: not an object")
+        emissions.append(vertex.get("emissions", []))
+        transitions.append(vertex.get("transitions", []))
+    return Dag(num_vertices=num_vertices, emissions=emissions, transitions=transitions)
+
+
+def _read_rows(num_vertices: int, emissions: Sequence, transitions: Sequence) -> tuple[tuple, tuple]:
+    """The `Dag` rows of each vertex's emissions and transitions, in
+    vertex order; raises `DagFormatError` for the first error."""
+    em_rows = []
+    tr_rows = []
+    for u, (em, tr) in enumerate(zip(emissions, transitions)):
+        row = _read_row(em, 0, sys.maxsize)
+        em_rows.append(row if row is not None else _check_row(u, em, "emission", num_vertices))
+        row = _read_row(tr, u + 1, num_vertices)
+        tr_rows.append(row if row is not None else _check_row(u, tr, "transition", num_vertices))
+    return tuple(em_rows), tuple(tr_rows)
 
 
 def _read_row(pairs: object, lo: int, hi: int) -> tuple[tuple[int, float], ...] | None:
     """One row of (index in [lo, hi), finite float log-prob <= 0) pairs,
-    sorted only if the document does not list it in order.
+    sorted only if it is not listed in order.
 
-    Returns None on anything else (not a list, an int or bool, NaN, a
-    malformed pair, a duplicate index, an index out of range) so that the
-    caller checks the vertex entry by entry and words the error.
+    Returns None on anything else (not a list or tuple, an int or bool,
+    NaN, a malformed pair, a duplicate index, an index out of range) so
+    that the caller checks the row entry by entry and words the error.
     """
-    if type(pairs) is not list:
+    if type(pairs) is not list and type(pairs) is not tuple:
         return None
     row = []
     append = row.append
@@ -147,47 +179,37 @@ def _read_row(pairs: object, lo: int, hi: int) -> tuple[tuple[int, float], ...] 
     return tuple(row) if ordered else _sort_sparse(row)
 
 
-def _check_vertex(
-    u: int, vertex: object, num_vertices: int
-) -> tuple[tuple[tuple[int, float], ...], tuple[tuple[int, float], ...]]:
-    """Validate one vertex entry by entry, raising the first error it finds.
+def _check_row(
+    u: int, pairs: object, kind: str, num_vertices: int
+) -> tuple[tuple[int, float], ...]:
+    """Check vertex u's row of `kind` ("emission" or "transition") entry by
+    entry, raising the first error it finds.
 
     Also accepts what `_read_row` leaves to it, such as integer log-probs.
     """
-    if not isinstance(vertex, dict):
-        raise DagFormatError(f"vertex {u}: not an object")
-    em = []
-    seen_tokens: set[int] = set()
-    for pair in _pair_list(u, vertex, "emissions"):
-        token, logp = _parse_pair(u, pair, "emission")
-        if token < 0:
-            raise DagFormatError(f"vertex {u}: negative token id {token}")
-        if token in seen_tokens:
-            raise DagFormatError(f"vertex {u}: duplicate emission token {token}")
-        seen_tokens.add(token)
-        em.append((token, logp))
-    tr = []
-    seen_targets: set[int] = set()
-    for pair in _pair_list(u, vertex, "transitions"):
-        target, logp = _parse_pair(u, pair, "transition")
-        if target <= u:
-            raise DagFormatError(f"vertex {u}: backward edge {u}->{target}")
-        if target >= num_vertices:
-            raise DagFormatError(
-                f"vertex {u}: dangling vertex index {target} (num_vertices={num_vertices})"
-            )
-        if target in seen_targets:
-            raise DagFormatError(f"vertex {u}: duplicate transition target {target}")
-        seen_targets.add(target)
-        tr.append((target, logp))
-    return _sort_sparse(em), _sort_sparse(tr)
-
-
-def _pair_list(u: int, vertex: dict, key: str) -> list:
-    pairs = vertex.get(key, [])
-    if not isinstance(pairs, list):
-        raise DagFormatError(f"vertex {u}: {key} must be a list")
-    return pairs
+    if not isinstance(pairs, (list, tuple)):
+        raise DagFormatError(f"vertex {u}: {kind}s must be a list")
+    row = []
+    seen: set[int] = set()
+    for pair in pairs:
+        index, logp = _parse_pair(u, pair, kind)
+        if kind == "emission":
+            if index < 0:
+                raise DagFormatError(f"vertex {u}: negative token id {index}")
+            if index in seen:
+                raise DagFormatError(f"vertex {u}: duplicate emission token {index}")
+        else:
+            if index <= u:
+                raise DagFormatError(f"vertex {u}: backward edge {u}->{index}")
+            if index >= num_vertices:
+                raise DagFormatError(
+                    f"vertex {u}: dangling vertex index {index} (num_vertices={num_vertices})"
+                )
+            if index in seen:
+                raise DagFormatError(f"vertex {u}: duplicate transition target {index}")
+        seen.add(index)
+        row.append((index, logp))
+    return _sort_sparse(row)
 
 
 def _parse_pair(u: int, pair: object, kind: str) -> tuple[int, float]:
@@ -251,7 +273,7 @@ def prune_dag(dag: Dag, cfg: PruneConfig) -> Dag:
             follow.setdefault(toks[j], set()).add(toks[j + 1])
     if not follow:
         kept_rows = tuple(row[:k_e] for row in dag.emissions)
-        return Dag(num_vertices=dag.num_vertices, emissions=kept_rows, transitions=kept_tr)
+        return _checked_dag(dag.num_vertices, kept_rows, kept_tr)
 
     forced_at: list[set[int]] = [set() for _ in range(dag.num_vertices)]
     kept_em = []
@@ -270,7 +292,7 @@ def prune_dag(dag: Dag, cfg: PruneConfig) -> Dag:
         if pushed:
             for v, _ in kept_tr[u]:
                 forced_at[v] |= pushed
-    return Dag(num_vertices=dag.num_vertices, emissions=tuple(kept_em), transitions=kept_tr)
+    return _checked_dag(dag.num_vertices, tuple(kept_em), kept_tr)
 
 
 def generate_synthetic_dag(

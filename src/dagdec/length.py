@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .dag import Dag
 from .result import STATUS_INFEASIBLE, STATUS_OK, DecodeResult
-from .wfsa import (EPSILON, Wfsa, _check_weights, _lattice_acceptor, _topological_order,
+from .wfsa import (EPSILON, Wfsa, _check_overflow, _lattice_acceptor, _topological_order,
                    shortest_path)
 
 
@@ -150,29 +150,19 @@ def _search_arcs(lattice: Dag | Wfsa) -> tuple[list[list[_SearchArc]], int, set[
     arc goes to a higher state, with the start and the finals in it.
 
     A pruned `Dag` gives the arcs of the acceptor `dag_to_wfsa` makes of
-    it without making it, and raises what that raises for any kept arc,
-    reached or not. A vertex's weights are checked at the two ends of its
-    sorted row, so the order of the `Dag`'s rows is not trusted, and only
-    a vertex where either end fails is scanned for its first bad pair (a
-    NaN weight, which only a NaN or +inf log-prob makes, can hide inside
-    a row). A `Dag` with a transition that does not go forward is read
-    through its acceptor instead. A `Wfsa` must be epsilon-free; it is
-    renumbered by `_topological_order` when some arc does not go forward,
-    as `topological_sort` would number it, but no second acceptor is built.
+    it without making it, and raises what that raises (`_check_overflow`)
+    for any kept arc, reached or not; its transitions all go forward. A
+    `Wfsa` must be epsilon-free; it is renumbered by `_topological_order`
+    when some arc does not go forward, as `topological_sort` would number
+    it, but no second acceptor is built.
     """
     if isinstance(lattice, Wfsa):
         return _acceptor_arcs(lattice)
-    n = lattice.num_vertices
-    inf = math.inf
+    _check_overflow(lattice)
     arcs = []
-    for u, (emissions, transitions) in enumerate(zip(lattice.emissions, lattice.transitions)):
-        for v, _ in transitions:
-            if not u < v < n:  # a backward arc, or a target that is no vertex
-                return _acceptor_arcs(_lattice_acceptor(lattice))
+    for emissions, transitions in zip(lattice.emissions, lattice.transitions):
         row = [(-(elp + tlp) + 0.0, token, v) for token, elp in emissions for v, tlp in transitions]
         row.sort()
-        if row and not (0.0 <= row[0][0] and row[-1][0] < inf):
-            _check_weights(emissions, transitions)
         arcs.append(row)
     return arcs, 0, {lattice.final_vertex}
 
@@ -322,7 +312,9 @@ def dfs_viterbi(lattice: Dag | Wfsa, cfg: LcConfig) -> DecodeResult:
 
     Searches a pruned lattice from `prune_dag`, which gives the result the
     acceptor `dag_to_wfsa` makes of it would, or any epsilon-free acyclic
-    acceptor, such as a constrained product.
+    acceptor, such as a constrained product. A `Dag` checked its rows when
+    it was made, so the only error it can raise here is `dag_to_wfsa`'s
+    for an arc whose weight overflows to inf.
 
     Returns the candidate minimizing length_penalty(l) * delta(start, l),
     preferring longer candidates on exact ties; the result carries both the

@@ -106,7 +106,9 @@ def dag_to_wfsa(dag: Dag, cfg: PruneConfig) -> Wfsa:
     becomes one arc u -> successor labeled with the token and weighted by
     the summed emission and transition negative log-likelihood. The result
     is acyclic and epsilon-free, with vertex 0 as start and the final
-    vertex as the unique final state.
+    vertex as the unique final state. The `Dag` has checked its rows, so
+    the only error left is an arc whose log-probs sum to -inf
+    (`_check_overflow`).
 
     Build it to search the lattice by `shortest_path`. A constrained decode
     passes `prune_dag(dag, cfg)` to `constraints.constrained_product`
@@ -118,35 +120,25 @@ def dag_to_wfsa(dag: Dag, cfg: PruneConfig) -> Wfsa:
 
 def _lattice_acceptor(pruned: Dag) -> Wfsa:
     """`dag_to_wfsa`'s acceptor of a lattice that is already pruned."""
-    n = pruned.num_vertices
+    _check_overflow(pruned)
     new_arc = tuple.__new__  # Arc(...) without the generated __new__ call
-    arcs = []
-    for u, transitions in enumerate(pruned.transitions):
-        for v, _ in transitions:
-            if not 0 <= v < n:
-                raise ValueError(f"arc {u}->{v} references an unknown state")
-        row = []
-        for token, elp in pruned.emissions[u]:
-            for v, tlp in transitions:
-                weight = -(elp + tlp) + 0.0
-                if not 0.0 <= weight < _INF:
-                    raise ValueError(f"arc weight {weight} is not a finite cost >= 0")
-                row.append(new_arc(Arc, (token, weight, v)))
-        arcs.append(row)
-    return Wfsa(num_states=n, start=0, finals={pruned.final_vertex}, arcs=arcs)
+    arcs = [
+        [new_arc(Arc, (token, -(elp + tlp) + 0.0, v)) for token, elp in emissions
+         for v, tlp in transitions]
+        for emissions, transitions in zip(pruned.emissions, pruned.transitions)
+    ]
+    return Wfsa(num_states=pruned.num_vertices, start=0, finals={pruned.final_vertex}, arcs=arcs)
 
 
-def _check_weights(
-    emissions: Sequence[tuple[int, float]], transitions: Sequence[tuple[int, float]]
-) -> None:
-    """Raise `dag_to_wfsa`'s error for the first (emission, transition)
-    pair of a vertex, in its arc order, whose weight `-(emission +
-    transition log-prob)` is not a finite cost >= 0."""
-    for _, elp in emissions:
-        for _, tlp in transitions:
-            weight = -(elp + tlp) + 0.0
-            if not 0.0 <= weight < _INF:
-                raise ValueError(f"arc weight {weight} is not a finite cost >= 0")
+def _check_overflow(lattice: Dag) -> None:
+    """Raise `dag_to_wfsa`'s error when some arc of a lattice would weigh
+    inf, reached or not: each log-prob is finite, but an emission plus a
+    transition can overflow to -inf. A `Dag`'s rows descend, so a vertex's
+    smallest sum is that of its last emission and its last transition, and
+    every weight that fails is inf."""
+    for emissions, transitions in zip(lattice.emissions, lattice.transitions):
+        if emissions and transitions and emissions[-1][1] + transitions[-1][1] == -_INF:
+            raise ValueError(f"arc weight {_INF} is not a finite cost >= 0")
 
 
 def _copy_into(dst: Wfsa, src: Wfsa, offset: int) -> None:
@@ -615,21 +607,31 @@ def load_wfsa(text: str) -> Wfsa:
         raise ValueError("missing or unsupported automaton dump version")
     start = 0
     finals: set[int] = set()
+    named: list[tuple[str, int]] = []  # each start or final line and its state
     arcs: list[tuple[int, int, int, float]] = []
     num_states = None
     for line in lines[1:]:
         fields = line.split("\t")
-        if fields[0] == "states":
-            num_states = int(fields[1])
-        elif fields[0] == "start":
-            start = int(fields[1])
-        elif fields[0] == "final":
-            finals.add(int(fields[1]))
-        else:
-            src, dst, label, cost = fields
-            arcs.append((int(src), int(dst), _label_from_text(label), float(cost)))
+        try:
+            if fields[0] == "states":
+                (num_states,) = map(int, fields[1:])
+            elif fields[0] in ("start", "final"):
+                (state,) = map(int, fields[1:])
+                named.append((line, state))
+                if fields[0] == "start":
+                    start = state
+                else:
+                    finals.add(state)
+            else:
+                src, dst, label, cost = fields
+                arcs.append((int(src), int(dst), _label_from_text(label), float(cost)))
+        except ValueError as exc:
+            raise ValueError(f"malformed line {line!r}: {exc}") from None
     if num_states is None:
         raise ValueError("dump lacks a states header")
+    for line, state in named:
+        if not 0 <= state < num_states:
+            raise ValueError(f"line {line!r} names no state of {num_states}")
     w = Wfsa(num_states=num_states, start=start, finals=finals)
     for src, dst, label, cost in arcs:
         w.add_arc(src, label, cost, dst)

@@ -18,27 +18,15 @@ from dagdec.wfsa import EPSILON, Wfsa, dag_to_wfsa, intersect
 
 
 def build_dag(emission_probs, transition_probs) -> Dag:
-    """Build a lattice from probability-space per-vertex pair lists.
+    """Build a lattice from probability-space per-vertex pair lists, in any
+    order: the `Dag` sorts each row, and raises `DagFormatError` on a row
+    that names one token or target twice."""
 
-    Raises ValueError on a row that names one token or target twice: the
-    loader, pruning and the beam search all assume no row does.
-    """
+    def rows(vertices):
+        return [[(index, math.log(p)) for index, p in vertex] for vertex in vertices]
 
-    def rows(vertices, kind):
-        out = []
-        for u, vertex in enumerate(vertices):
-            seen = set()
-            for index, _ in vertex:
-                if index in seen:
-                    raise ValueError(f"vertex {u}: duplicate {kind} {index}")
-                seen.add(index)
-            pairs = ((index, math.log(p)) for index, p in vertex)
-            out.append(tuple(sorted(pairs, key=lambda x: (-x[1], x[0]))))
-        return tuple(out)
-
-    emissions = rows(emission_probs, "emission token")
-    transitions = rows(transition_probs, "transition target")
-    return Dag(num_vertices=len(emissions), emissions=emissions, transitions=transitions)
+    return Dag(num_vertices=len(emission_probs), emissions=rows(emission_probs),
+               transitions=rows(transition_probs))
 
 
 def tiny4() -> Dag:

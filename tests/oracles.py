@@ -21,7 +21,7 @@ from dagdec.dag import (
     Dag,
     DagFormatError,
     PruneConfig,
-    _check_vertex,
+    _check_row,
     _sort_sparse,
 )
 from dagdec.length import LcConfig, length_penalty
@@ -212,6 +212,16 @@ def reference_load_dag(source: str | bytes) -> Dag:
         num_vertices=num_vertices,
         emissions=tuple(em for em, _ in rows),
         transitions=tuple(tr for _, tr in rows),
+    )
+
+
+def _check_vertex(u: int, vertex: object, num_vertices: int) -> tuple[tuple, tuple]:
+    """One vertex's rows, read entry by entry and sorted."""
+    if not isinstance(vertex, dict):
+        raise DagFormatError(f"vertex {u}: not an object")
+    return tuple(
+        _check_row(u, vertex.get(f"{kind}s", []), kind, num_vertices)
+        for kind in ("emission", "transition")
     )
 
 

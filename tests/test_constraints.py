@@ -20,7 +20,7 @@ from dagdec.constraints import (
     extract_lexicon,
     tokenize_phrase,
 )
-from dagdec.dag import Dag, PruneConfig, prune_dag
+from dagdec.dag import Dag, DagFormatError, PruneConfig, prune_dag
 from dagdec.length import LcConfig, dfs_viterbi
 from dagdec.tokens import TokenTable
 from dagdec.wfsa import (
@@ -497,12 +497,11 @@ class TestPrunedLatticeProduct:
                     assert got == want, (seed, phrases, vocab)
 
     def test_unknown_target_is_the_converters_error(self):
-        dag = Dag(num_vertices=2, emissions=(((0, -0.5),), ((1, 0.0),)),
-                  transitions=(((1, -0.1), (2, -0.2)), ()))
-        cfg = PruneConfig(k_e=1, k_t=2)
-        for make in (lambda: dag_to_wfsa(dag, cfg), lambda: constrained_product(dag, [])):
-            with pytest.raises(ValueError, match=r"^arc 0->2 references an unknown state$"):
-                make()
+        # the Dag rejects a transition to no vertex, so no product reads it
+        with pytest.raises(DagFormatError,
+                           match=r"^vertex 0: dangling vertex index 2 \(num_vertices=2\)$"):
+            Dag(num_vertices=2, emissions=(((0, -0.5),), ((1, 0.0),)),
+                transitions=(((1, -0.1), (2, -0.2)), ()))
 
     def test_runs_keep_the_arc_order_of_an_acceptor(self):
         # the two arcs on token 0 out of state 0 are not adjacent, so they

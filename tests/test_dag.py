@@ -5,14 +5,16 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dagdec.constraints import ConstraintPhrase
 from dagdec.dag import (
+    Dag,
     DagFormatError,
     PruneConfig,
     dump_dag,
@@ -159,6 +161,53 @@ class TestLoadDag:
         ])
         dag = load_dag(src)
         assert [t for t, _ in dag.emissions[0]] == [1, 2, 3]  # tie broken by id
+
+
+_EM = (((0, -0.5),), ((1, 0.0),))
+_TR = (((1, -0.1),), ())
+
+
+class TestDagConstructor:
+    """A hand-built `Dag` keeps the rule `load_dag` applies, in its words."""
+
+    @pytest.mark.parametrize("num_vertices, emissions, transitions, message", [
+        # a bad pair in the middle of a row out of order
+        (2, (((0, -1.0), (1, 0.5), (2, -2.0)), ((2, 0.0),)), _TR,
+         "vertex 0: emission probability > 0 in log space (0.5)"),
+        # a NaN between two good ends of a row
+        (2, (((1, -1.0), (0, math.nan), (2, -2.0)), ((3, 0.0),)), (((1, -0.5),), ()),
+         "vertex 0: emission log-probability nan is not a finite float"),
+        (2, _EM, (((1, math.inf),), ()), "vertex 0: transition probability > 0 in log space (inf)"),
+        (2, (((0, -0.5),), ((1, -math.inf),)), _TR,
+         "vertex 1: emission log-probability -inf is not a finite float"),
+        (2, (((0, -0.5), (0, -0.7)), ((1, 0.0),)), _TR, "vertex 0: duplicate emission token 0"),
+        (3, (((0, 0.0),),) * 3, (((1, -0.5), (1, -0.7)), ((2, 0.0),), ()),
+         "vertex 0: duplicate transition target 1"),
+        (2, (((-1, -0.5),), ((1, 0.0),)), _TR, "vertex 0: negative token id -1"),
+        (2, _EM, (((1, -0.1),), ((0, 0.0),)), "vertex 1: backward edge 1->0"),
+        (2, _EM, (((1, -0.1), (2, -0.2)), ()),
+         "vertex 0: dangling vertex index 2 (num_vertices=2)"),
+        (2, _EM, (((True, 0.0),), ()), "vertex 0: transition index must be an integer"),
+        (2, ((0, -0.5), ((1, 0.0),)), _TR,
+         "vertex 0: emission entry must be a [index, logprob] pair"),
+        (2, (5, ()), _TR, "vertex 0: emissions must be a list"),
+        (2, _EM[:1], _TR, "emissions must be a list of one row per vertex (2)"),
+        (2, _EM, _TR + ((),), "transitions must be a list of one row per vertex (2)"),
+        (0, (), (), "num_vertices must be a positive integer"),
+        (True, _EM[:1], _TR[:1], "num_vertices must be a positive integer"),
+    ])
+    def test_bad_rows_are_rejected(self, num_vertices, emissions, transitions, message):
+        with pytest.raises(DagFormatError, match=f"^{re.escape(message)}$"):
+            Dag(num_vertices=num_vertices, emissions=emissions, transitions=transitions)
+
+    def test_rows_are_ordered_as_the_loader_orders_them(self):
+        rows = [[[3, -2.0], [1, -0.5], [2, -0.5], [0, 0]], []], [[[1, -1]], []]
+        dag = Dag(2, *rows)
+        assert dag.emissions == (((0, 0.0), (1, -0.5), (2, -0.5), (3, -2.0)), ())
+        assert dag.transitions == (((1, -1.0),), ())
+        assert type(dag.emissions[0][0][1]) is float
+        src = doc(2, [{"emissions": em, "transitions": tr} for em, tr in zip(*rows)])
+        assert dag == load_dag(src) and dump_dag(dag) == dump_dag(load_dag(src))
 
 
 class TestRoundTrip:
@@ -512,6 +561,19 @@ class TestAgainstReference:
         phrases += tuple(_planted_below_top_k(rng, dag, k_e, k_t) for _ in range(2))
         cfg = PruneConfig(k_e=k_e, k_t=k_t, constraints=phrases)
         assert prune_dag(dag, cfg) == reference_prune_dag(dag, cfg)
+
+
+    @given(lattice_documents())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_constructor_applies_the_loaders_rule(self, src):
+        vertices = json.loads(src)["vertices"]
+        assume(all(isinstance(vertex, dict) for vertex in vertices))
+
+        def construct(_):
+            return Dag(len(vertices), [vertex.get("emissions", []) for vertex in vertices],
+                       [vertex.get("transitions", []) for vertex in vertices])
+
+        assert _load_outcome(construct, src) == _load_outcome(load_dag, src)
 
 
 def _planted_below_top_k(rng, dag, k_e, k_t):

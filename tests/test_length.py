@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dagdec.length as length_module
-from dagdec.dag import Dag, PruneConfig, prune_dag
+from dagdec.dag import Dag, DagFormatError, PruneConfig, prune_dag
 from dagdec.length import (
     LcConfig,
     LengthPredictor,
@@ -513,24 +513,18 @@ class TestLengthSearchOnPrunedLattice:
         assert min(seen.values()) >= 20, seen
 
     def test_rows_out_of_order_are_checked_in_full(self):
-        # a library-built row out of order: the bad middle pair (weight
-        # -0.4) is neither the first nor the last of the Dag's row
-        dag = Dag(num_vertices=2, emissions=(((0, -1.0), (1, 0.5), (2, -2.0)), ((2, 0.0),)),
-                  transitions=(((1, -0.1),), ()))
-        cfg = PruneConfig(k_e=3, k_t=1)
-        lc = LcConfig(target_length=1)
-        for make in (lambda: dag_to_wfsa(dag, cfg), lambda: dfs_viterbi(prune_dag(dag, cfg), lc),
-                     lambda: length_cost_table(prune_dag(dag, cfg), lc)):
-            with pytest.raises(ValueError, match=r"^arc weight -0.4 is not a finite cost >= 0$"):
-                make()
+        # a row out of order with a bad middle pair, neither the first nor
+        # the last: the Dag itself rejects it, so no search can read it
+        with pytest.raises(DagFormatError,
+                           match=r"^vertex 0: emission probability > 0 in log space \(0.5\)$"):
+            Dag(num_vertices=2, emissions=(((0, -1.0), (1, 0.5), (2, -2.0)), ((2, 0.0),)),
+                transitions=(((1, -0.1),), ()))
 
     def test_unknown_target_is_the_converters_error(self):
-        dag = Dag(num_vertices=2, emissions=(((0, -0.5),), ((1, 0.0),)),
-                  transitions=(((1, -0.1), (2, -0.2)), ()))
-        for make in (lambda: dag_to_wfsa(dag, PruneConfig(k_e=1, k_t=2)),
-                     lambda: dfs_viterbi(dag, LcConfig(target_length=1))):
-            with pytest.raises(ValueError, match=r"^arc 0->2 references an unknown state$"):
-                make()
+        with pytest.raises(DagFormatError,
+                           match=r"^vertex 0: dangling vertex index 2 \(num_vertices=2\)$"):
+            Dag(num_vertices=2, emissions=(((0, -0.5),), ((1, 0.0),)),
+                transitions=(((1, -0.1), (2, -0.2)), ()))
 
     def test_weight_ties_are_cut_in_label_order(self):
         # out of 0, token 0 to vertex 2 and token 1 to vertex 1 both weigh
@@ -546,16 +540,22 @@ class TestLengthSearchOnPrunedLattice:
         assert length_cost_table(dag, lc) == want
 
     def test_backward_transitions_are_renumbered_as_the_acceptor(self):
-        # 2 -> 1 goes backward: the paths are 0 -> 2 -> 1 -> 3 and 0 -> 3
-        dag = Dag(num_vertices=4,
-                  emissions=(((5, -0.1), (6, -0.2)), ((7, 0.0),), ((8, -0.3),), ((9, 0.0),)),
-                  transitions=(((2, -0.1), (3, -0.5)), ((3, 0.0),), ((1, 0.0),), ()))
+        # 2 -> 1 goes backward: the paths are 0 -> 2 -> 1 -> 3 and 0 -> 3.
+        # A Dag cannot hold such a transition, so this is the acceptor a
+        # lattice with one would make, arc by arc.
+        emissions = (((5, -0.1), (6, -0.2)), ((7, 0.0),), ((8, -0.3),), ((9, 0.0),))
+        transitions = (((2, -0.1), (3, -0.5)), ((3, 0.0),), ((1, 0.0),), ())
+        w = Wfsa(num_states=4, start=0, finals={3})
+        for u, (em, tr) in enumerate(zip(emissions, transitions)):
+            for token, elp in em:
+                for v, tlp in tr:
+                    w.add_arc(u, token, -(elp + tlp) + 0.0, v)
         results = set()
         for threshold in (0.7, 1.0):
             for upper in (1, 2, 3, 5):
                 lc = LcConfig(target_length=3, edge_prune_threshold=threshold, upper_bound=upper)
-                want = dfs_viterbi(dag_to_wfsa(dag, PruneConfig(k_e=2, k_t=2)), lc)
-                assert dfs_viterbi(dag, lc) == want
+                want = dfs_viterbi(topological_sort(w), lc)
+                assert dfs_viterbi(w, lc) == want
                 results.add(want.tokens)
         assert results == {(5,), (5, 8, 7)}
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -576,6 +577,18 @@ class TestDumpFormat:
         assert "tok:3" in blob and "eps" in blob and "sigma" in blob
         got = load_wfsa(blob)
         assert got.num_arcs == 3 and got.finals == {1}
+
+    @pytest.mark.parametrize("text, line", [
+        ("#version 1\nstates", "states"),
+        ("#version 1\nstates\t2\nstart", "start"),
+        ("#version 1\nstates\t2\nfinal", "final"),
+        ("#version 1\nstates\t2\nstart\t5", "start\t5"),
+        ("#version 1\nstates\t2\nstart\t-1", "start\t-1"),
+        ("#version 1\nfinal\t9\nstates\t2", "final\t9"),
+    ])
+    def test_malformed_header_lines_are_named(self, text, line):
+        with pytest.raises(ValueError, match=re.escape(repr(line))):
+            load_wfsa(text)
 
     def test_trim_drops_dead_states(self):
         w = Wfsa(num_states=4, start=0, finals={2})

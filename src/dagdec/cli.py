@@ -123,6 +123,11 @@ def _read_lines(path: str) -> list[str]:
         return [line.rstrip("\n") for line in fh]
 
 
+def _content_lines(path: str) -> list[str]:
+    """The file's lines, less the blank and whitespace-only ones."""
+    return [line for line in _read_lines(path) if line.strip()]
+
+
 def _json_object(line: str, where: str) -> dict:
     doc = json.loads(line)
     if not isinstance(doc, dict):
@@ -141,7 +146,7 @@ def _load_constraints(job: DecodeJob) -> tuple[list[str], list[str]]:
     """Phrase and entity surfaces for this job from its constraint file."""
     if job.constraints_path is None:
         return [], []
-    lines = [ln for ln in _read_lines(job.constraints_path) if ln.strip()]
+    lines = _content_lines(job.constraints_path)
     if not 0 <= job.constraint_line < len(lines):
         raise ValueError(
             f"constraint line {job.constraint_line} out of range for {job.constraints_path}"
@@ -221,10 +226,8 @@ def _run_decode(job: DecodeJob) -> DecodeResult:
 
     vocab_fsa = None
     if use_vc:
-        dictionary = [w for w in _read_lines(job.lexicon_path) if w]
-        specials = None
-        if job.specials_path is not None:
-            specials = [s for s in _read_lines(job.specials_path) if s]
+        dictionary = _content_lines(job.lexicon_path)
+        specials = None if job.specials_path is None else _content_lines(job.specials_path)
         vocab_fsa = build_vocab_fsa(dictionary, specials, entity_surfaces, table)
 
     prune_cfg = PruneConfig(k_e=job.k_e, k_t=job.k_t, constraints=tuple(phrases))
@@ -330,7 +333,7 @@ def run_batch(manifest_path: str, defaults: DecodeJob) -> dict:
 
     Returns {"results": [per-job dicts in manifest order], "summary": {...}}.
     """
-    lines = [ln for ln in _read_lines(manifest_path) if ln.strip()]
+    lines = _content_lines(manifest_path)
     results = []
     records = []
     vocab_words: set[str] = set()
@@ -355,7 +358,7 @@ def run_batch(manifest_path: str, defaults: DecodeJob) -> dict:
         for surface in phrases + entities:
             vocab_words.update(surface.split())
         if job.lexicon_path:
-            vocab_words.update(w for w in _read_lines(job.lexicon_path) if w)
+            vocab_words.update(_content_lines(job.lexicon_path))
 
     vocab = build_eval_vocabulary(extra_words=vocab_words) if vocab_words else None
     summary = {
@@ -526,7 +529,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             )
         vocab = None
         if args.vocab:
-            vocab = build_eval_vocabulary(extra_words=[w for w in _read_lines(args.vocab) if w])
+            vocab = build_eval_vocabulary(extra_words=_content_lines(args.vocab))
         _emit([json.dumps(compute_report(records, vocab), ensure_ascii=False)], args.out)
         return EXIT_OK
 

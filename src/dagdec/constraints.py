@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 from . import wfsa
 from .dag import Dag
 from .tokens import TokenTable
-from .wfsa import EPSILON, SIGMA, Arc, Wfsa, _check_overflow, _label_index, lexicon_dfa
+from .wfsa import EPSILON, SIGMA, Arc, Wfsa, _check_overflow, _label_index
 from .words import is_numeric_token, strip_punct
 
 # Punctuation accepted by the default special-token automaton.
@@ -51,25 +51,38 @@ _LabelIndex = tuple[dict[int, tuple[int, ...]], tuple[int, ...]]
 
 
 class _IndexedVocab:
-    """An epsilon-free vocabulary acceptor and the label index of each state
-    a product has visited, filled on first visit.
-
-    The static closure of a lexicon is cached as one of these, so every
-    decode with that lexicon shares the index. The acceptor must not be
+    """An epsilon-free vocabulary acceptor, one row of arcs per state (a
+    `Wfsa`'s `Arc`s or a `wfsa.lexicon_register`'s pairs), and the label
+    index of each state a product has visited, filled from its row on first
+    visit. A `closed` register stands for its Kleene closure: the start is
+    final, and every other final has the start's row after its own, less
+    the pairs it has. No arc enters a register's start, so no epsilon is
+    needed. The static closure of a lexicon is cached as one of these, so
+    every decode with that lexicon shares the index. The rows must not be
     changed, and the index only gains entries. Two threads may index the
     same state at once; both build equal entries, so either may stay.
     """
 
-    __slots__ = ("automaton", "index")
+    __slots__ = ("rows", "start", "finals", "closed", "index")
 
-    def __init__(self, automaton: Wfsa) -> None:
-        self.automaton = automaton
+    def __init__(self, rows: Sequence, finals: set[int], start: int, closed: bool = False) -> None:
+        self.rows = rows
+        self.start = start
+        self.finals = finals | {start} if closed else finals
+        self.closed = closed
         self.index: dict[int, _LabelIndex] = {}
+
+    def row(self, q: int) -> Sequence[tuple]:
+        """State q's arcs in order."""
+        row = self.rows[q]
+        if self.closed and q in self.finals and q != self.start:
+            return row + tuple(pair for pair in self.rows[self.start] if pair not in row)
+        return row
 
     def label_index(self, q: int) -> _LabelIndex:
         entry = self.index.get(q)
         if entry is None:
-            entry = self.index[q] = _label_index(self.automaton.arcs_from(q))
+            entry = self.index[q] = _label_index(self.row(q))
         return entry
 
 
@@ -86,15 +99,16 @@ def _with_heads(entry: _LabelIndex, heads: Sequence[Arc]) -> _LabelIndex:
 class LexiconFsa:
     """Vocabulary acceptor.
 
-    The acceptor is a shared, indexed static closure with one input's entity
-    chains laid over it. The chain states are numbered after the closure's;
-    `heads` are the arcs into the chains, which the start and every final
-    state have after their own arcs; `finals` adds the chain ends to the
-    closure's finals. `overlay` holds the label index of every state whose
-    arcs are not the closure's: the chain states, and the closure's finals
-    as a product visits them. So the shared index never sees an entity.
-    `automaton` builds the whole acceptor as one `Wfsa` on first use;
-    `constrained_product` reads the parts and needs no copy.
+    The acceptor is a shared, indexed static closure (the rows of a lexicon
+    register, see `_IndexedVocab`) with one input's entity chains laid over
+    it. The chain states are numbered after the register's; `heads` are the
+    arcs into the chains, which the start and every final state have after
+    their own arcs; `finals` adds the chain ends to the closure's finals.
+    `overlay` holds the label index of every state whose arcs are not the
+    closure's: the chain states, and the closure's finals as a product
+    visits them. So the shared index never sees an entity.
+    `constrained_product` reads the parts and builds no acceptor;
+    `automaton` builds the whole acceptor as one `Wfsa` on first use.
     """
 
     static: _IndexedVocab
@@ -108,18 +122,20 @@ class LexiconFsa:
         entry = self.overlay.get(q)
         if entry is None:
             entry = self.static.label_index(q)
-            if self.heads and q in self.static.automaton.finals:
+            if self.heads and q in self.static.finals:
                 entry = self.overlay[q] = _with_heads(entry, self.heads)
         return entry
 
     @functools.cached_property
     def automaton(self) -> Wfsa:
-        """The acceptor as one `Wfsa`: a copy of the closure, then one token
-        chain per entity, whose last state is final and has the closure's
-        start arcs, then `heads` after the arcs of every final state."""
-        closure = self.static.automaton
-        lex = closure.copy()
-        start_arcs = closure.arcs_from(closure.start)
+        """A `build_vocab_fsa` acceptor as one `Wfsa`: the closure numbered
+        as its register's own acceptor (`wfsa.register_acceptor`), then one
+        token chain per entity, whose last state is final and has the
+        start's arcs, then `heads` after the arcs of every final state."""
+        static = self.static
+        rows = [static.row(q) for q in range(len(static.rows))]
+        lex = wfsa.register_acceptor(rows, static.finals, static.start)
+        start_arcs = lex.arcs_from(lex.start)
         for tokens in self.chains:
             state = lex.add_state()
             for token in tokens[1:]:
@@ -231,7 +247,7 @@ def _as_lexicon(a: Wfsa) -> LexiconFsa:
     """A plain vocabulary acceptor, without epsilons, with an index of its own."""
     if a.has_epsilon():
         a = wfsa._rm_epsilon_unweighted(a)
-    return LexiconFsa(static=_IndexedVocab(a), finals=a.finals)
+    return LexiconFsa(static=_IndexedVocab(a._arcs, a.finals, a.start), finals=a.finals)
 
 
 # Accepts every string: the vocabulary side of a product without one.
@@ -316,7 +332,7 @@ def constrained_product(
         vocab = _ANY_STRING
     elif isinstance(vocab, Wfsa):
         vocab = _as_lexicon(vocab)
-    if num_states == 0 or vocab.static.automaton.num_states == 0:
+    if num_states == 0 or not vocab.static.rows:
         return Wfsa(num_states=1, start=0)
     matchers = _Matchers(tuple(phrases))
     joint = matchers.states
@@ -346,7 +362,7 @@ def constrained_product(
     # leaves state arc_src[e]. Flat int lists and int tuples, not a list
     # per state, leave the garbage collector next to nothing to track while
     # the product is built.
-    start = (lattice_start, matchers.start[3], vocab.static.automaton.start)
+    start = (lattice_start, matchers.start[3], vocab.static.start)
     queue = [start]
     ids = {start: 0}
     arcs: list[tuple[int, float, int]] = []
@@ -431,30 +447,31 @@ def tokenize_phrase(surface: str, table: TokenTable) -> ConstraintPhrase:
     continuations are looked up bare. Multi-word surfaces tokenize word by
     word into a single phrase.
     """
+    return ConstraintPhrase(tokens=_segment(surface, table), surface=surface)
+
+
+def _segment(surface: str, table: TokenTable) -> tuple[int, ...]:
+    """The tokens of `tokenize_phrase`'s phrase, or its error."""
     words = surface.split()
     if not words:
         raise ValueError("cannot tokenize an empty phrase")
-    token_ids: list[int] = []
+    tokens: list[int] = []
     for word in words:
         pos = 0
         while pos < len(word):
-            match = None
-            prefixes = (table.sow_mark, "") if pos == 0 else ("",)
-            for prefix in prefixes:
-                for end in range(len(word), pos, -1):
-                    tid = table.lookup(prefix + word[pos:end])
-                    if tid is not None:
-                        match = (tid, end)
-                        break
-                if match:
-                    break
-            if match is None:
-                raise ValueError(
-                    f"cannot segment {word[pos:]!r} of word {word!r} with this token table"
-                )
-            token_ids.append(match[0])
-            pos = match[1]
-    return ConstraintPhrase(tokens=tuple(token_ids), surface=surface)
+            tid, pos = _longest_piece(word, pos, table)
+            tokens.append(tid)
+    return tuple(tokens)
+
+
+def _longest_piece(word: str, pos: int, table: TokenTable) -> tuple[int, int]:
+    """The id and end of the piece `tokenize_phrase` takes at `pos` of a word."""
+    for prefix in (table.sow_mark, "") if pos == 0 else ("",):
+        for end in range(len(word), pos, -1):
+            tid = table.lookup(prefix + word[pos:end])
+            if tid is not None:
+                return tid, end
+    raise ValueError(f"cannot segment {word[pos:]!r} of word {word!r} with this token table")
 
 
 def extract_lexicon(corpus: Iterable[str], cumulative_cutoff: float) -> list[str]:
@@ -514,51 +531,29 @@ STATIC_CACHE_SIZE = 16
 
 def build_static_vocab_fsa(
     dictionary: Sequence[str], specials: Sequence[str], table: TokenTable
-) -> Wfsa:
-    """Minimal acyclic DFA for the dictionary words, specials and digits.
-
-    This is the static component, built once per lexicon; dynamic entities
-    are added afterwards, per input.
-    """
-    words = [tokenize_phrase(word, table).tokens for word in dictionary]
+) -> tuple[list[tuple], set[int], int]:
+    """The register (`wfsa.lexicon_register`) of the dictionary words,
+    specials and digits: the static component, built once per lexicon;
+    dynamic entities are added afterwards, per input."""
+    words = [_segment(word, table) for word in dictionary]
     for s in specials:
         tid = table.lookup(s)
         if tid is None:
             raise ValueError(f"special token {s!r} is not in the token table")
         words.append((tid,))
     words.extend((tid,) for tid in table.numeric_ids)
-    return lexicon_dfa(words)
-
-
-def _lexicon_closure(dfa: Wfsa) -> Wfsa:
-    """Epsilon-free Kleene closure of a lexicon DFA.
-
-    The start becomes final, and every other final state gets copies of
-    the start arcs after its own arcs, skipping any (label, destination)
-    pair it already has. This is valid because a lexicon DFA is acyclic,
-    so no arc enters its start.
-    """
-    out = dfa.copy()
-    start_arcs = dfa.arcs_from(dfa.start)
-    for f in dfa.finals - {dfa.start}:
-        own = {(arc.label, arc.dst) for arc in dfa.arcs_from(f)}
-        for arc in start_arcs:
-            if (arc.label, arc.dst) not in own:
-                out.add_arc(f, arc.label, 0.0, arc.dst)
-    out.finals.add(out.start)
-    return out
+    return wfsa.lexicon_register(words)
 
 
 @functools.lru_cache(maxsize=STATIC_CACHE_SIZE)
 def _static_closure(
     dictionary: tuple[str, ...], specials: tuple[str, ...], table: TokenTable
 ) -> _IndexedVocab:
-    """Closure of the static component with its label index, cached for the
-    STATIC_CACHE_SIZE most recently used lexicons. The closure has no
-    epsilon arcs, so no product scans it for them. The result is shared:
-    the closure must not be changed, and its index is filled as products
-    visit its states."""
-    return _IndexedVocab(_lexicon_closure(build_static_vocab_fsa(dictionary, specials, table)))
+    """Closure of the static component, as its register's rows, finals and
+    start with their label index, cached for the STATIC_CACHE_SIZE most
+    recently used lexicons. The result is shared: its rows must not be
+    changed, and its index is filled as products visit its states."""
+    return _IndexedVocab(*build_static_vocab_fsa(dictionary, specials, table), closed=True)
 
 
 # `lru_cache` does not merge misses that happen at once: threads that first
@@ -574,10 +569,10 @@ def build_vocab_fsa(
 ) -> LexiconFsa:
     """Closure of (static dictionary+specials) union (per-input entities).
 
-    The static component is built once as a minimal acyclic DFA, closed
-    without epsilon arcs, and cached in memory by its content, with a
-    label index that products fill as they visit its states. Each call
-    lays one token chain per entity over that closure without copying it:
+    The static component is built once as the register of a minimal
+    acyclic DFA and cached in memory by its content; no acceptor is built,
+    and a product indexes a state from its row on first visit. Each call
+    lays one token chain per entity over its closure without copying it:
     the start and every final state get an arc into each chain, after
     their other arcs, and each chain's last state is final and gets copies
     of the static start arcs. The chain states and the final states are
@@ -589,12 +584,11 @@ def build_vocab_fsa(
         specials = default_specials(table)
     with _STATIC_LOCK:
         static = _static_closure(tuple(dictionary), tuple(specials), table)
-    closure = static.automaton
-    chains = tuple(tokenize_phrase(entity, table).tokens for entity in dynamic_entities)
+    chains = tuple(_segment(entity, table) for entity in dynamic_entities)
     heads: list[Arc] = []
     overlay: dict[int, _LabelIndex] = {}
     ends = []
-    state = closure.num_states
+    state = len(static.rows)
     for tokens in chains:
         heads.append(Arc(tokens[0], 0.0, state))
         for token in tokens[1:]:
@@ -602,17 +596,11 @@ def build_vocab_fsa(
             state += 1
         ends.append(state)
         state += 1
-    finals = closure.finals
+    finals = static.finals
     if ends:
         finals = finals | set(ends)
         # a chain end's arcs are the start's: the static start arcs, then heads
-        entry = _with_heads(static.label_index(closure.start), heads)
-        for q in (closure.start, *ends):
+        entry = _with_heads(static.label_index(static.start), heads)
+        for q in (static.start, *ends):
             overlay[q] = entry
-    return LexiconFsa(
-        static=static,
-        finals=finals,
-        chains=chains,
-        heads=tuple(heads),
-        overlay=overlay,
-    )
+    return LexiconFsa(static, finals, chains, tuple(heads), overlay)

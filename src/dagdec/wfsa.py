@@ -78,14 +78,6 @@ class Wfsa:
     def has_sigma(self) -> bool:
         return any(arc.label == SIGMA for arcs in self._arcs for arc in arcs)
 
-    def copy(self) -> "Wfsa":
-        return Wfsa(
-            num_states=self.num_states,
-            start=self.start,
-            finals=set(self.finals),
-            arcs=[list(a) for a in self._arcs],
-        )
-
 
 # ---------------------------------------------------------------------------
 # Construction
@@ -365,21 +357,23 @@ def intersect(w: Wfsa, a: Wfsa) -> Wfsa:
     return constrained_product(w, (), a)
 
 
-def _label_index(arcs: list[Arc]) -> tuple[dict[int, tuple[int, ...]], tuple[int, ...]]:
+def _label_index(arcs: Sequence[tuple]) -> tuple[dict[int, tuple[int, ...]], tuple[int, ...]]:
     """Group one constraint state's arcs for lookup by label.
 
-    Maps each label on the state's arcs to the destinations of every arc
-    that matches it, its own and the sigma arcs, in arc order; the second
-    item holds the sigma destinations alone, which any other label
-    matches. Each sigma arc adds one entry per label seen before it, so a
-    state without sigma arcs is indexed in time linear in its arcs. The
-    destinations are tuples of ints, which the garbage collector stops
-    tracking, so an index held through a product adds nothing to what each
-    collection must walk.
+    An arc is an `Arc` or a `lexicon_register` pair: its first item is its
+    label, its last its destination. Maps each label on the state's arcs to
+    the destinations of every arc that matches it, its own and the sigma
+    arcs, in arc order; the second item holds the sigma destinations alone,
+    which any other label matches. Each sigma arc adds one entry per label
+    seen before it, so a state without sigma arcs is indexed in time linear
+    in its arcs. The destinations are tuples of ints, which the garbage
+    collector stops tracking, so an index held through a product adds
+    nothing to what each collection must walk.
     """
     by_label: dict[int, tuple[int, ...]] = {}
     sigma: tuple[int, ...] = ()
-    for label, _, dst in arcs:
+    for arc in arcs:
+        label, dst = arc[0], arc[-1]
         if label == SIGMA:
             sigma += (dst,)
             for key, dsts in by_label.items():
@@ -393,26 +387,27 @@ def _label_index(arcs: list[Arc]) -> tuple[dict[int, tuple[int, ...]], tuple[int
 # Determinization and minimization (unweighted)
 
 
-def lexicon_dfa(words: Iterable[Sequence[int]]) -> Wfsa:
-    """Minimal deterministic acceptor for a finite set of token sequences.
+def lexicon_register(words: Iterable[Sequence[int]]) -> tuple[list[tuple], set[int], int]:
+    """The minimal deterministic acceptor for a finite set of token
+    sequences, as one row of `(label, dst)` pairs per state, in label
+    order, with its final states and its start.
 
     The words go into a trie, whose states are then merged bottom-up by
-    their signature (finality, sorted (label, merged child) pairs), after
-    Daciuk, Mihov, Watson & Watson (Comput. Linguist. 26(1), 2000). Time is
-    linear in the total word length, up to sorting each state's labels.
-    The result is trim: it is determinize_min of the union of the words
-    without that automaton's dead state. States are numbered breadth-first
-    from the start (state 0), and each state's arcs are in label order.
+    their signature (finality, row), after Daciuk, Mihov, Watson & Watson
+    (Comput. Linguist. 26(1), 2000). Time is linear in the total word
+    length, up to sorting each state's labels. Children are numbered before
+    parents. Every state is reachable and no arc enters the start: it is
+    determinize_min of the union of the words without its dead state.
     """
     children: list[dict[int, int]] = [{}]
     final = [False]
     for word in words:
         node = 0
         for label in word:
-            child = children[node].get(label)
+            kids = children[node]
+            child = kids.get(label)
             if child is None:
-                child = len(children)
-                children[node][label] = child
+                child = kids[label] = len(children)
                 children.append({})
                 final.append(False)
             node = child
@@ -423,26 +418,38 @@ def lexicon_dfa(words: Iterable[Sequence[int]]) -> Wfsa:
     register: dict[tuple[bool, tuple[tuple[int, int], ...]], int] = {}
     merged = [0] * len(children)
     for node in range(len(children) - 1, -1, -1):
-        sig = (final[node], tuple(sorted((lb, merged[c]) for lb, c in children[node].items())))
-        merged[node] = register.setdefault(sig, len(register))
-    signatures = list(register)
+        kids = children[node]
+        row = tuple([(lb, merged[c]) for lb, c in sorted(kids.items())]) if kids else ()
+        merged[node] = register.setdefault((final[node], row), len(register))
+    rows = [row for _, row in register]
+    finals = {q for q, (is_final, _) in enumerate(register) if is_final}
+    return rows, finals, merged[0]
 
-    out = Wfsa(num_states=len(signatures), start=0)
-    order = [merged[0]]
-    renum = {merged[0]: 0}
-    src = 0
-    while src < len(order):
-        is_final, row = signatures[order[src]]
-        if is_final:
+
+def register_acceptor(rows: Sequence[Sequence[tuple]], finals: set[int], start: int) -> Wfsa:
+    """The acceptor of `(label, dst)` rows whose every state is reachable
+    from `start`, numbered breadth-first from the start (state 0), with each
+    state's arcs in row order."""
+    out = Wfsa(num_states=len(rows), start=0)
+    order = [start]
+    renum = {start: 0}
+    for src, state in enumerate(order):  # grows as states are found
+        if state in finals:
             out.finals.add(src)
-        for label, child in row:
+        for label, child in rows[state]:
             dst = renum.get(child)
             if dst is None:
                 dst = renum[child] = len(order)
                 order.append(child)
             out.add_arc(src, label, 0.0, dst)
-        src += 1
     return out
+
+
+def lexicon_dfa(words: Iterable[Sequence[int]]) -> Wfsa:
+    """Minimal deterministic acceptor for a finite set of token sequences:
+    `lexicon_register`'s states built as one `Wfsa` by `register_acceptor`,
+    so state 0 is the start and each state's arcs are in label order."""
+    return register_acceptor(*lexicon_register(words))
 
 
 def determinize_min(a: Wfsa) -> Wfsa:

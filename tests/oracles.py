@@ -26,6 +26,7 @@ from dagdec.dag import (
 )
 from dagdec.length import LcConfig, length_penalty
 from dagdec.result import STATUS_EMPTY, STATUS_OK, DecodeResult
+from dagdec.tokens import TokenTable
 from dagdec.wfsa import EPSILON, SIGMA, Arc, Wfsa, _rm_epsilon_unweighted, topological_sort, trim
 
 
@@ -464,6 +465,80 @@ def arc_scan_intersect(w: Wfsa, a: Wfsa) -> Wfsa:
                 if carc.label == arc.label or carc.label == SIGMA:
                     out.add_arc(src, arc.label, arc.weight, state_id((arc.dst, carc.dst)))
     return trim(out)
+
+
+def reference_tokenize_phrase(surface: str, table: TokenTable) -> ConstraintPhrase:
+    """Greedy longest-match segmentation, as `constraints.tokenize_phrase`
+    was first written: each word-initial piece is looked up with the
+    start-of-word mark at every length, longest first, then bare at every
+    length; continuations are looked up bare."""
+    words = surface.split()
+    if not words:
+        raise ValueError("cannot tokenize an empty phrase")
+    token_ids: list[int] = []
+    for word in words:
+        pos = 0
+        while pos < len(word):
+            match = None
+            prefixes = (table.sow_mark, "") if pos == 0 else ("",)
+            for prefix in prefixes:
+                for end in range(len(word), pos, -1):
+                    tid = table.lookup(prefix + word[pos:end])
+                    if tid is not None:
+                        match = (tid, end)
+                        break
+                if match:
+                    break
+            if match is None:
+                raise ValueError(
+                    f"cannot segment {word[pos:]!r} of word {word!r} with this token table"
+                )
+            token_ids.append(match[0])
+            pos = match[1]
+    return ConstraintPhrase(tokens=tuple(token_ids), surface=surface)
+
+
+def lexicon_closure(dfa: Wfsa) -> Wfsa:
+    """Epsilon-free Kleene closure of a lexicon DFA.
+
+    The start becomes final, and every other final state gets copies of
+    the start arcs after its own arcs, skipping any (label, destination)
+    pair it already has. This is valid because a lexicon DFA is acyclic,
+    so no arc enters its start.
+    """
+    out = Wfsa(num_states=dfa.num_states, start=dfa.start, finals=set(dfa.finals),
+               arcs=[list(dfa.arcs_from(s)) for s in range(dfa.num_states)])
+    start_arcs = dfa.arcs_from(dfa.start)
+    for f in dfa.finals - {dfa.start}:
+        own = {(arc.label, arc.dst) for arc in dfa.arcs_from(f)}
+        for arc in start_arcs:
+            if (arc.label, arc.dst) not in own:
+                out.add_arc(f, arc.label, 0.0, arc.dst)
+    out.finals.add(out.start)
+    return out
+
+
+def with_entity_chains(closure: Wfsa, chains: Sequence[Sequence[int]]) -> Wfsa:
+    """A closed lexicon with one token chain per entity laid over it, as
+    one acceptor: each chain's states follow the closure's, its last state
+    is final and has the closure's start arcs, and the start and every
+    final state get an arc into each chain after their other arcs."""
+    lex = Wfsa(num_states=closure.num_states, start=closure.start, finals=set(closure.finals),
+               arcs=[list(closure.arcs_from(s)) for s in range(closure.num_states)])
+    start_arcs = closure.arcs_from(closure.start)
+    heads = []
+    for tokens in chains:
+        state = lex.add_state()
+        heads.append(Arc(tokens[0], 0.0, state))
+        for token in tokens[1:]:
+            nxt = lex.add_state()
+            lex.add_arc(state, token, 0.0, nxt)
+            state = nxt
+        lex.arcs_from(state).extend(start_arcs)
+        lex.finals.add(state)
+    for f in lex.finals:
+        lex.arcs_from(f).extend(heads)
+    return lex
 
 
 def contains_subsequence(haystack: tuple[int, ...], needle: tuple[int, ...]) -> bool:

@@ -437,6 +437,38 @@ class TestMainEntry:
                      "--ke", "2", "--kt", "2", "--out", str(tmp_path / "o.jsonl")])
         assert code == EXIT_INFEASIBLE
 
+    def test_whitespace_only_lexicon_and_specials_lines_are_skipped(self, tmp_path):
+        dag, table, lexicon, _ = vocab_fixture(seed=5)
+        write_dag(dag, str(tmp_path / "vc.json"))
+        write_token_table(table, str(tmp_path / "vc.table"))
+
+        def run(command, lines, specials):
+            folder = tmp_path / f"{command}-{len(lines)}"
+            folder.mkdir()
+            (folder / "lexicon.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+            (folder / "specials.txt").write_text("\n".join(specials) + "\n", encoding="utf-8")
+            job = {"dag": str(tmp_path / "vc.json"), "table": str(tmp_path / "vc.table"),
+                   "mode": "vc", "lexicon": str(folder / "lexicon.txt"),
+                   "specials": str(folder / "specials.txt"), "references": ["w001 w002"]}
+            out = folder / "out.jsonl"
+            if command == "decode":
+                args = ["--dag", job["dag"], "--table", job["table"], "--mode", "vc",
+                        "--lexicon", job["lexicon"], "--specials", job["specials"]]
+            else:
+                (folder / "m.jsonl").write_text(json.dumps(job) + "\n", encoding="utf-8")
+                args = ["--manifest", str(folder / "m.jsonl")]
+            assert main([command, *args, "--ke", "2", "--kt", "2", "--out", str(out)]) == EXIT_OK
+            docs = [json.loads(line) for line in out.read_text().splitlines()]
+            for doc in docs:
+                doc.pop("wall_time_s", None)
+            return docs
+
+        spaced = [lexicon[0], "   ", *lexicon[1:], "\t"]
+        for command in ("decode", "batch"):
+            want = run(command, lexicon, ["</s>"])
+            assert want[0]["status"] == "ok"
+            assert run(command, spaced, ["</s>", " "]) == want, command
+
     def test_io_error_exit_code(self, tmp_path, capsys):
         code = main(["decode", "--dag", str(tmp_path / "missing.json"),
                      "--table", str(tmp_path / "missing.table")])

@@ -6,13 +6,15 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dagdec.constraints as constraints_mod
+from dagdec import wfsa
 from dagdec.constraints import (
     ConstraintPhrase,
     _Matchers,
+    _segment,
     build_hlc_fsa,
     build_vocab_fsa,
     constrained_product,
@@ -35,6 +37,7 @@ from dagdec.wfsa import (
     dump_wfsa,
     has_accepting_path,
     intersect,
+    lexicon_dfa,
     linear_acceptor,
     shortest_path,
     string_cost,
@@ -43,6 +46,7 @@ from dagdec.wfsa import (
 )
 
 from .lattices import (
+    build_dag,
     dead_end,
     overflowing,
     random_acyclic_wfsa,
@@ -56,7 +60,10 @@ from .oracles import (
     arc_scan_intersect,
     contains_subsequence,
     enumerate_wfsa_paths,
+    lexicon_closure,
     nfa_accepts,
+    reference_tokenize_phrase,
+    with_entity_chains,
     word_frequencies,
 )
 
@@ -117,6 +124,29 @@ class TestTokenizePhrase:
     def test_detokenize_round_trip(self, subword_table):
         phrase = tokenize_phrase("Hong Kong", subword_table)
         assert subword_table.detokenize(phrase.tokens) == "Hong Kong"
+
+    # Overlapping pieces ("▁ab" and "▁a", "abc", "ab" and "bc"), word-initial
+    # pieces found only bare ("c", "."), and a letter no piece covers ("z").
+    PIECES = TokenTable(
+        surfaces=("▁ab", "▁a", "▁b", "abc", "ab", "bc", "b", "c", ".", "a", "<s>", "</s>"),
+        sow_mark="▁", eos_id=11, sos_id=10,
+    )
+
+    @given(st.text("abcz.▁ \t", max_size=12))
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_same_tokens_or_error_as_the_reference(self, surface):
+        try:
+            want = reference_tokenize_phrase(surface, self.PIECES)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                tokenize_phrase(surface, self.PIECES)
+            assert str(got.value) == str(exc)
+            with pytest.raises(ValueError) as got:
+                _segment(surface, self.PIECES)
+            assert str(got.value) == str(exc)
+        else:
+            assert tokenize_phrase(surface, self.PIECES) == want
+            assert _segment(surface, self.PIECES) == want.tokens
 
 
 class TestExtractLexicon:
@@ -517,9 +547,79 @@ class TestPrunedLatticeProduct:
         assert _cost_map(got) == {(0, 1): 1.0, (1, 0): 2.0, (0, 0): 0.5}
 
 
+# One piece per letter: "▁a" starts a word and "a" continues one, but no
+# piece starts a word with c, so a word ending in a state with an arc on
+# "c" may meet a word starting with "c" there.
+_LETTERS = TokenTable(surfaces=("▁a", "▁b", "a", "b", "c", "<s>", "</s>"),
+                      sow_mark="▁", eos_id=6, sos_id=5)
+
+
+@st.composite
+def _letter_vocabularies(draw) -> tuple[list[str], list[str]]:
+    """A dictionary over a, b and c, and entities. Stems share suffixes, and
+    the empty suffix makes a stem a word that is a prefix of others; the
+    dictionary may be empty, and an entity may be a dictionary word."""
+    stems = draw(st.lists(st.text("abc", min_size=1, max_size=2), min_size=1, max_size=3))
+    suffixes = draw(st.lists(st.text("abc", max_size=2), min_size=1, max_size=3))
+    words = [stem + suffix for stem in stems for suffix in suffixes]
+    dictionary = draw(st.lists(st.sampled_from(words), max_size=8))
+    entity = st.lists(st.text("abc", min_size=1, max_size=3), min_size=1, max_size=2).map(" ".join)
+    if dictionary:
+        entity = st.one_of(entity, st.sampled_from(dictionary))
+    return dictionary, draw(st.lists(entity, max_size=3))
+
+
 class TestIndexedVocab:
     """The product over a `LexiconFsa`: the label index of the cached
     closure, shared across decodes, and each decode's entity overlay."""
+
+    @given(_letter_vocabularies(), st.integers(min_value=0, max_value=10**6))
+    # the final state of "a" has an arc on "c", and so has the start, to
+    # another state: "ac" ends after "c", but "c" may go on to "ccc"
+    @example((["a", "ac", "c", "cc", "ccc"], ["a c"]), 19)
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_register_against_the_epsilon_closure_construction(self, vocabulary, seed):
+        dictionary, entities = vocabulary
+        lex = build_vocab_fsa(dictionary, [], entities, _LETTERS)
+        words = [tokenize_phrase(word, _LETTERS).tokens for word in dictionary]
+        chains = [tokenize_phrase(entity, _LETTERS).tokens for entity in entities]
+        static = (determinize_min(union(*[linear_acceptor(t) for t in words])) if words
+                  else Wfsa(num_states=1, start=0))
+        ref = closure(union(static, *[linear_acceptor(t) for t in chains]))
+        for draw in (seed, seed + 1):
+            w = random_acyclic_wfsa(draw, max_states=7, alphabet=tuple(range(5)),
+                                    arc_density=0.9, with_epsilon=draw % 2 == 1)
+            got = constrained_product(w, [], lex)
+            want = arc_scan_intersect(w, ref)
+            assert (got.num_states, got.finals) == (want.num_states, want.finals), draw
+            for q in range(want.num_states):
+                assert got.arcs_from(q) == want.arcs_from(q), (draw, q)
+        oracle = with_entity_chains(lexicon_closure(lexicon_dfa(words)), chains)
+        assert dump_wfsa(lex.automaton) == dump_wfsa(oracle)
+
+    def test_a_compile_builds_no_acceptor(self, subword_table, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an acceptor was built")
+
+        dag = build_dag(
+            [[(0, 0.5), (3, 0.3), (5, 0.2)], [(4, 0.6), (6, 0.3), (0, 0.1)],
+             [(2, 0.7), (3, 0.3)], []],
+            [[(1, 0.7), (2, 0.3)], [(2, 0.6), (3, 0.4)], [(3, 1.0)], []],
+        )
+        pruned = prune_dag(dag, PruneConfig(k_e=3, k_t=2))
+        constraints_mod._static_closure.cache_clear()
+        monkeypatch.setattr(wfsa.Wfsa, "add_arc", refuse)
+        lex = build_vocab_fsa(["cat", "photosynthesis"], ["."], ["Hong Kong"], subword_table)
+        got = dump_wfsa(constrained_product(pruned, [], lex))
+        assert got == (
+            "#version 1\nstates\t8\nstart\t0\nfinal\t5\nfinal\t7\n"
+            "0\t1\ttok:0\t1.0498221244986778\n0\t2\ttok:0\t1.8971199848858813\n"
+            "0\t3\ttok:3\t1.5606477482646686\n0\t4\ttok:5\t1.9661128563728327\n"
+            "1\t2\ttok:0\t2.8134107167600364\n1\t5\ttok:0\t3.2188758248682006\n"
+            "2\t5\ttok:2\t0.35667494393873245\n3\t6\ttok:4\t1.0216512475319814\n"
+            "3\t7\ttok:4\t1.4271163556401456\n4\t2\ttok:6\t1.7147984280919268\n"
+            "4\t5\ttok:6\t2.120263536200091\n6\t5\ttok:2\t0.35667494393873245\n"
+        )
 
     # "Hong Kong" and "photo cat" start with a dictionary word's first
     # token, so every final state has two arcs on that token.
@@ -589,20 +689,28 @@ class TestIndexedVocab:
     @staticmethod
     def assert_shared_index_has_no_entity(lex):
         """Every entry of the shared index indexes the closure alone: no entity arc."""
-        closure = lex.static.automaton
-        assert lex.static.index
-        for q, entry in lex.static.index.items():
-            assert entry == _label_index(closure.arcs_from(q)), q
+        static = lex.static
+        assert static.index
+        for q, entry in static.index.items():
+            assert entry == _label_index(static.row(q)), q
+            by_label, sigma = entry
+            # entity chain states are numbered from the register's size
+            assert all(dst < len(static.rows) for dsts in by_label.values() for dst in dsts), q
 
     def test_static_states_are_indexed_once_per_closure(self, subword_table, monkeypatch):
-        indexed = []
-        real = constraints_mod._label_index
+        indexed, rows_read = [], []
+        real_index, real_row = constraints_mod._label_index, constraints_mod._IndexedVocab.row
 
         def counting(arcs):
-            indexed.append(id(arcs))
-            return real(arcs)
+            indexed.append(arcs)
+            return real_index(arcs)
+
+        def reading(static, q):
+            rows_read.append((id(static), q))
+            return real_row(static, q)
 
         monkeypatch.setattr(constraints_mod, "_label_index", counting)
+        monkeypatch.setattr(constraints_mod._IndexedVocab, "row", reading)
         constraints_mod._static_closure.cache_clear()
         lattices = [self.lattice(seed) for seed in range(30)]
 
@@ -612,9 +720,10 @@ class TestIndexedVocab:
 
         decode_all()
         first = len(indexed)
-        assert first and len(set(indexed)) == first
+        # every index entry is built from one row, and no state's row twice
+        assert first and len(rows_read) == first and len(set(rows_read)) == first
         decode_all()
-        assert len(indexed) == first
+        assert len(indexed) == len(rows_read) == first
 
 
 class TestMatchers:

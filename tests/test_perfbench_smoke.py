@@ -16,7 +16,9 @@ the generator writes them) and the forward forced-emission prune. The
 traced control-warm run (`--trace 1`) also replays each job stage by stage
 through the public `build_hlc_fsa`, `intersect`, `rm_epsilon` and
 `topological_sort`, one constraint at a time, and the harness requires the
-replay to give the job's output.
+replay to give the job's output. The traced vocab-cold run replays through
+`LexiconFsa.automaton`, so it also guards the acceptor built on demand from
+a lexicon compiled per job.
 """
 
 from __future__ import annotations
@@ -50,3 +52,7 @@ def test_smoke_run_is_correct(workload):
 
 def test_traced_smoke_run_is_correct():
     _run("control-warm", trace=1)
+
+
+def test_traced_vocab_cold_smoke_run_is_correct():
+    _run("vocab-cold", trace=1)

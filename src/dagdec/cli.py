@@ -128,6 +128,12 @@ def _content_lines(path: str) -> list[str]:
     return [line for line in _read_lines(path) if line.strip()]
 
 
+def _words(path: str) -> list[str]:
+    """The words of a word-per-line file: each line split on whitespace,
+    as `build_vocab_fsa` splits a lexicon line."""
+    return [word for line in _read_lines(path) for word in line.split()]
+
+
 def _json_object(line: str, where: str) -> dict:
     doc = json.loads(line)
     if not isinstance(doc, dict):
@@ -358,7 +364,7 @@ def run_batch(manifest_path: str, defaults: DecodeJob) -> dict:
         for surface in phrases + entities:
             vocab_words.update(surface.split())
         if job.lexicon_path:
-            vocab_words.update(_content_lines(job.lexicon_path))
+            vocab_words.update(_words(job.lexicon_path))
 
     vocab = build_eval_vocabulary(extra_words=vocab_words) if vocab_words else None
     summary = {
@@ -529,7 +535,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             )
         vocab = None
         if args.vocab:
-            vocab = build_eval_vocabulary(extra_words=_content_lines(args.vocab))
+            vocab = build_eval_vocabulary(extra_words=_words(args.vocab))
         _emit([json.dumps(compute_report(records, vocab), ensure_ascii=False)], args.out)
         return EXIT_OK
 

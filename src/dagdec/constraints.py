@@ -50,42 +50,6 @@ class ConstraintPhrase:
 _LabelIndex = tuple[dict[int, tuple[int, ...]], tuple[int, ...]]
 
 
-class _IndexedVocab:
-    """An epsilon-free vocabulary acceptor, one row of arcs per state (a
-    `Wfsa`'s `Arc`s or a `wfsa.lexicon_register`'s pairs), and the label
-    index of each state a product has visited, filled from its row on first
-    visit. A `closed` register stands for its Kleene closure: the start is
-    final, and every other final has the start's row after its own, less
-    the pairs it has. No arc enters a register's start, so no epsilon is
-    needed. The static closure of a lexicon is cached as one of these, so
-    every decode with that lexicon shares the index. The rows must not be
-    changed, and the index only gains entries. Two threads may index the
-    same state at once; both build equal entries, so either may stay.
-    """
-
-    __slots__ = ("rows", "start", "finals", "closed", "index")
-
-    def __init__(self, rows: Sequence, finals: set[int], start: int, closed: bool = False) -> None:
-        self.rows = rows
-        self.start = start
-        self.finals = finals | {start} if closed else finals
-        self.closed = closed
-        self.index: dict[int, _LabelIndex] = {}
-
-    def row(self, q: int) -> Sequence[tuple]:
-        """State q's arcs in order."""
-        row = self.rows[q]
-        if self.closed and q in self.finals and q != self.start:
-            return row + tuple(pair for pair in self.rows[self.start] if pair not in row)
-        return row
-
-    def label_index(self, q: int) -> _LabelIndex:
-        entry = self.index.get(q)
-        if entry is None:
-            entry = self.index[q] = _label_index(self.row(q))
-        return entry
-
-
 def _with_heads(entry: _LabelIndex, heads: Sequence[Arc]) -> _LabelIndex:
     """A state's label index after `heads` are appended to its arcs."""
     by_label, sigma = entry
@@ -97,22 +61,28 @@ def _with_heads(entry: _LabelIndex, heads: Sequence[Arc]) -> _LabelIndex:
 
 @dataclass(frozen=True, eq=False)
 class LexiconFsa:
-    """Vocabulary acceptor.
+    """Vocabulary acceptor, epsilon-free, one row of arcs per state: a
+    `Wfsa`'s `Arc`s or a `wfsa.lexicon_register`'s `(label, dst)` pairs.
 
-    The acceptor is a shared, indexed static closure (the rows of a lexicon
-    register, see `_IndexedVocab`) with one input's entity chains laid over
-    it. The chain states are numbered after the register's; `heads` are the
-    arcs into the chains, which the start and every final state have after
-    their own arcs; `finals` adds the chain ends to the closure's finals.
-    `overlay` holds the label index of every state whose arcs are not the
-    closure's: the chain states, and the closure's finals as a product
-    visits them. So the shared index never sees an entity.
+    `index` holds the label index of each row a product has visited, filled
+    on first visit. `build_vocab_fsa` lays one input's entity chains over
+    the cached closure of a lexicon, sharing its `rows` and `index` without
+    copying them. The chain states are numbered after the rows; `heads` are
+    the arcs into the chains, which the start and every final state have
+    after their own arcs; `finals` adds the chain ends to the closure's
+    finals. `overlay` holds the label index of every state whose arcs are
+    not its row's: the chain states, and the finals as a product visits
+    them. So the shared index never sees an entity. The rows must not be
+    changed, and the index only gains entries. Two threads may index the
+    same state at once; both build equal entries, so either may stay.
     `constrained_product` reads the parts and builds no acceptor;
     `automaton` builds the whole acceptor as one `Wfsa` on first use.
     """
 
-    static: _IndexedVocab
+    rows: Sequence[Sequence[tuple]]
     finals: set[int]
+    start: int
+    index: dict[int, _LabelIndex] = field(default_factory=dict)
     chains: tuple[tuple[int, ...], ...] = ()
     heads: tuple[Arc, ...] = ()
     overlay: dict[int, _LabelIndex] = field(default_factory=dict)
@@ -121,8 +91,10 @@ class LexiconFsa:
         """State q's arcs grouped by label, as `wfsa._label_index` gives them."""
         entry = self.overlay.get(q)
         if entry is None:
-            entry = self.static.label_index(q)
-            if self.heads and q in self.static.finals:
+            entry = self.index.get(q)
+            if entry is None:
+                entry = self.index[q] = _label_index(self.rows[q])
+            if self.heads and q in self.finals:
                 entry = self.overlay[q] = _with_heads(entry, self.heads)
         return entry
 
@@ -132,9 +104,7 @@ class LexiconFsa:
         as its register's own acceptor (`wfsa.register_acceptor`), then one
         token chain per entity, whose last state is final and has the
         start's arcs, then `heads` after the arcs of every final state."""
-        static = self.static
-        rows = [static.row(q) for q in range(len(static.rows))]
-        lex = wfsa.register_acceptor(rows, static.finals, static.start)
+        lex = wfsa.register_acceptor(self.rows, self.finals, self.start)
         start_arcs = lex.arcs_from(lex.start)
         for tokens in self.chains:
             state = lex.add_state()
@@ -247,11 +217,11 @@ def _as_lexicon(a: Wfsa) -> LexiconFsa:
     """A plain vocabulary acceptor, without epsilons, with an index of its own."""
     if a.has_epsilon():
         a = wfsa._rm_epsilon_unweighted(a)
-    return LexiconFsa(static=_IndexedVocab(a._arcs, a.finals, a.start), finals=a.finals)
+    return LexiconFsa(a._arcs, a.finals, a.start)
 
 
 # Accepts every string: the vocabulary side of a product without one.
-_ANY_STRING = _as_lexicon(Wfsa(num_states=1, start=0, finals={0}, arcs=[[Arc(SIGMA, 0.0, 0)]]))
+_ANY_STRING = LexiconFsa([[Arc(SIGMA, 0.0, 0)]], {0}, 0)
 
 
 def _label_runs(arcs: list[Arc]) -> list[tuple[int, list[tuple[float, int]]]]:
@@ -275,11 +245,11 @@ def constrained_product(
     strings of the lattice that contain every phrase and, when `vocab` is
     given, that `vocab` accepts, each at its cost in the lattice; `vocab`
     is unweighted and its sigma arcs match any token. A `LexiconFsa` from
-    `build_vocab_fsa` brings the label index of its cached closure, shared
-    by every decode with that lexicon, plus its own entity states; a plain
-    `Wfsa` has its epsilon arcs removed up front and is indexed for this
-    call alone. One breadth-first pass explores the joint states
-    `(lattice state, matcher state, vocab state)` reachable from the
+    `build_vocab_fsa` brings the rows and label index of its cached
+    closure, shared by every decode with that lexicon, plus its own entity
+    states; a plain `Wfsa` has its epsilon arcs removed up front and is
+    indexed for this call alone. One breadth-first pass explores the joint
+    states `(lattice state, matcher state, vocab state)` reachable from the
     start: on a token arc of the lattice the phrases step together through
     their deterministic `_Matchers` tables, and the vocab state through its
     label index; an epsilon arc of the lattice keeps both. A joint state is
@@ -332,7 +302,7 @@ def constrained_product(
         vocab = _ANY_STRING
     elif isinstance(vocab, Wfsa):
         vocab = _as_lexicon(vocab)
-    if num_states == 0 or not vocab.static.rows:
+    if num_states == 0 or not vocab.rows:
         return Wfsa(num_states=1, start=0)
     matchers = _Matchers(tuple(phrases))
     joint = matchers.states
@@ -362,7 +332,7 @@ def constrained_product(
     # leaves state arc_src[e]. Flat int lists and int tuples, not a list
     # per state, leave the garbage collector next to nothing to track while
     # the product is built.
-    start = (lattice_start, matchers.start[3], vocab.static.start)
+    start = (lattice_start, matchers.start[3], vocab.start)
     queue = [start]
     ids = {start: 0}
     arcs: list[tuple[int, float, int]] = []
@@ -548,12 +518,18 @@ def build_static_vocab_fsa(
 @functools.lru_cache(maxsize=STATIC_CACHE_SIZE)
 def _static_closure(
     dictionary: tuple[str, ...], specials: tuple[str, ...], table: TokenTable
-) -> _IndexedVocab:
-    """Closure of the static component, as its register's rows, finals and
-    start with their label index, cached for the STATIC_CACHE_SIZE most
-    recently used lexicons. The result is shared: its rows must not be
-    changed, and its index is filled as products visit its states."""
-    return _IndexedVocab(*build_static_vocab_fsa(dictionary, specials, table), closed=True)
+) -> LexiconFsa:
+    """Kleene closure of the static component, cached for the
+    STATIC_CACHE_SIZE most recently used lexicons: its register's rows,
+    closed once, here. The start becomes final, and every other final gets
+    the start's pairs that it lacks after its own; no arc enters a
+    register's start, so no epsilon is needed. The result is shared: its
+    rows must not be changed, and its index is filled as products visit
+    its states."""
+    rows, finals, start = build_static_vocab_fsa(dictionary, specials, table)
+    for f in finals - {start}:
+        rows[f] += tuple(pair for pair in rows[start] if pair not in rows[f])
+    return LexiconFsa(tuple(rows), finals | {start}, start)
 
 
 # `lru_cache` does not merge misses that happen at once: threads that first
@@ -570,15 +546,17 @@ def build_vocab_fsa(
     """Closure of (static dictionary+specials) union (per-input entities).
 
     The static component is built once as the register of a minimal
-    acyclic DFA and cached in memory by its content; no acceptor is built,
-    and a product indexes a state from its row on first visit. Each call
-    lays one token chain per entity over its closure without copying it:
-    the start and every final state get an arc into each chain, after
-    their other arcs, and each chain's last state is final and gets copies
-    of the static start arcs. The chain states and the final states are
-    indexed apart from the shared index (see `LexiconFsa`). The result has
-    no epsilon arcs and accepts exactly the concatenations of permitted
-    word units, including the empty string.
+    acyclic DFA, closed, and cached in memory by its content
+    (`_static_closure`); no acceptor is built, and a product indexes a
+    state from its row on first visit. Each call returns a `LexiconFsa`
+    that shares the cached rows and index, and lays one token chain per
+    entity over them without copying them: the start and every final state
+    get an arc into each chain, after their other arcs, and each chain's
+    last state is final and gets copies of the static start arcs. The
+    chain states and the final states are indexed apart from the shared
+    index (see `LexiconFsa`). The result has no epsilon arcs and accepts
+    exactly the concatenations of permitted word units, including the
+    empty string.
     """
     if specials is None:
         specials = default_specials(table)
@@ -603,4 +581,6 @@ def build_vocab_fsa(
         entry = _with_heads(static.label_index(static.start), heads)
         for q in (static.start, *ends):
             overlay[q] = entry
-    return LexiconFsa(static, finals, chains, tuple(heads), overlay)
+    return LexiconFsa(
+        static.rows, finals, static.start, static.index, chains, tuple(heads), overlay
+    )

@@ -73,8 +73,8 @@ class Dag:
 
 
 def _checked_dag(num_vertices: int, emissions: tuple, transitions: tuple) -> Dag:
-    """A `Dag` of rows that already keep its rule, such as prefixes of a
-    `Dag`'s rows, made without checking them again."""
+    """A `Dag` of rows that already keep its rule, such as subsequences of
+    a `Dag`'s rows, made without checking them again."""
     dag = object.__new__(Dag)
     dag.__dict__.update(num_vertices=num_vertices, emissions=emissions, transitions=transitions)
     return dag
@@ -281,9 +281,9 @@ def prune_dag(dag: Dag, cfg: PruneConfig) -> Dag:
         kept = row[:k_e]
         forced = forced_at[u]
         if forced:
-            extra = [p for p in row[k_e:] if p[0] in forced]
+            extra = tuple(p for p in row[k_e:] if p[0] in forced)
             if extra:
-                kept = _sort_sparse(kept + tuple(extra))
+                kept += extra  # both parts keep the row's order
         kept_em.append(kept)
         pushed: set[int] = set()
         for t, _ in kept:

@@ -826,6 +826,35 @@ class TestDeterminismAndSummary:
         assert summary["metrics"] == direct
         assert direct["ser"] > 0.0  # the cross-check must not be vacuous
 
+    def test_lexicon_lines_count_as_their_words(self, tmp_path, capsys):
+        dag, table, lexicon, _ = vocab_fixture(seed=5)
+        write_dag(dag, str(tmp_path / "vc.json"))
+        write_token_table(table, str(tmp_path / "vc.table"))
+
+        def reports(name, lines):
+            lex = tmp_path / f"{name}.txt"
+            lex.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            job = {"dag": str(tmp_path / "vc.json"), "table": str(tmp_path / "vc.table"),
+                   "mode": "vc", "lexicon": str(lex), "references": ["w001 w002"]}
+            manifest = tmp_path / f"{name}.jsonl"
+            manifest.write_text(json.dumps(job) + "\n", encoding="utf-8")
+            out = tmp_path / f"{name}.out.jsonl"
+            assert main(["batch", "--manifest", str(manifest), "--ke", "2", "--kt", "2",
+                         "--out", str(out)]) == EXIT_OK
+            docs = [json.loads(line) for line in out.read_text().splitlines()]
+            records = tmp_path / f"{name}.records.jsonl"
+            records.write_text(json.dumps({"output": docs[0]["text"]}) + "\n", encoding="utf-8")
+            capsys.readouterr()
+            assert main(["evaluate", "--records", str(records), "--vocab", str(lex)]) == EXIT_OK
+            return docs[-1]["summary"], json.loads(capsys.readouterr().out)
+
+        plain = reports("plain", lexicon)
+        assert plain[0]["metrics"]["neo"] == 0.0 and plain[1]["neo"] == 0.0
+        # a line's words, not the line, are the vocabulary, as `decode` reads them
+        assert reports("spaced", [" " + word for word in lexicon]) == plain
+        paired = [" ".join(lexicon[i:i + 2]) for i in (0, 2)] + lexicon[4:]
+        assert reports("paired", paired) == plain
+
 
 @pytest.fixture()
 def gc_starts():

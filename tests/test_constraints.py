@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 import random
 
@@ -655,11 +656,12 @@ class TestIndexedVocab:
         dictionary = ["photo", "Hong"]
         hong_kong = linear_acceptor((3, 4, 2), weight=0.5)  # "Hong Kong."
         with_entity = build_vocab_fsa(dictionary, ["."], ["Hong Kong"], subword_table)
+        compiled = copy.deepcopy(with_entity.rows)
         assert _cost_map(constrained_product(hong_kong, [], with_entity)) == {(3, 4, 2): 1.5}
         without = build_vocab_fsa(dictionary, ["."], [], subword_table)
-        assert without.static is with_entity.static
+        assert without.rows is with_entity.rows and without.index is with_entity.index
         assert not constrained_product(hong_kong, [], without).finals
-        self.assert_shared_index_has_no_entity(without)
+        self.assert_shared_index_has_no_entity(without, compiled)
 
     def test_entities_stay_apart_under_threads(self, subword_table):
         import sys
@@ -667,6 +669,9 @@ class TestIndexedVocab:
 
         constraints_mod._static_closure.cache_clear()
         entity_sets = [[], ["Hong Kong"], ["Kong", "photo cat"], ["cat"]] * 12
+        # the rows as compiled, before any product: the uncached closure
+        compiled = constraints_mod._static_closure.__wrapped__(("photo", "Hong"), (".",),
+                                                               subword_table).rows
 
         def decode(job):
             seed, entities = job
@@ -683,34 +688,31 @@ class TestIndexedVocab:
         finally:
             sys.setswitchinterval(old_interval)
         assert all(same for _, same in results)
-        assert len({id(lex.static) for lex, _ in results}) == 1
-        self.assert_shared_index_has_no_entity(results[0][0])
+        assert len({id(lex.index) for lex, _ in results}) == 1
+        self.assert_shared_index_has_no_entity(results[0][0], compiled)
 
     @staticmethod
-    def assert_shared_index_has_no_entity(lex):
-        """Every entry of the shared index indexes the closure alone: no entity arc."""
-        static = lex.static
-        assert static.index
-        for q, entry in static.index.items():
-            assert entry == _label_index(static.row(q)), q
+    def assert_shared_index_has_no_entity(lex, compiled):
+        """The cached rows are still the `compiled` ones, and every entry of
+        the shared index indexes the closure alone: no entity arc."""
+        assert all(type(row) is tuple for row in lex.rows)
+        assert lex.rows == compiled
+        assert lex.index
+        for q, entry in lex.index.items():
+            assert entry == _label_index(lex.rows[q]), q
             by_label, sigma = entry
             # entity chain states are numbered from the register's size
-            assert all(dst < len(static.rows) for dsts in by_label.values() for dst in dsts), q
+            assert all(dst < len(lex.rows) for dsts in by_label.values() for dst in dsts), q
 
     def test_static_states_are_indexed_once_per_closure(self, subword_table, monkeypatch):
-        indexed, rows_read = [], []
-        real_index, real_row = constraints_mod._label_index, constraints_mod._IndexedVocab.row
+        indexed = []
+        real_index = constraints_mod._label_index
 
         def counting(arcs):
             indexed.append(arcs)
             return real_index(arcs)
 
-        def reading(static, q):
-            rows_read.append((id(static), q))
-            return real_row(static, q)
-
         monkeypatch.setattr(constraints_mod, "_label_index", counting)
-        monkeypatch.setattr(constraints_mod._IndexedVocab, "row", reading)
         constraints_mod._static_closure.cache_clear()
         lattices = [self.lattice(seed) for seed in range(30)]
 
@@ -720,10 +722,12 @@ class TestIndexedVocab:
 
         decode_all()
         first = len(indexed)
-        # every index entry is built from one row, and no state's row twice
-        assert first and len(rows_read) == first and len(set(rows_read)) == first
+        # every index entry is built from one cached row, and no row twice
+        rows = build_vocab_fsa(["cat", "photo"], ["."], [], subword_table).rows
+        assert first and len({id(arcs) for arcs in indexed}) == first
+        assert all(any(arcs is row for row in rows) for arcs in indexed)
         decode_all()
-        assert len(indexed) == len(rows_read) == first
+        assert len(indexed) == first
 
 
 class TestMatchers:

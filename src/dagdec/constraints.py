@@ -100,10 +100,10 @@ class LexiconFsa:
 
     @functools.cached_property
     def automaton(self) -> Wfsa:
-        """A `build_vocab_fsa` acceptor as one `Wfsa`: the closure numbered
-        as its register's own acceptor (`wfsa.register_acceptor`), then one
-        token chain per entity, whose last state is final and has the
-        start's arcs, then `heads` after the arcs of every final state."""
+        """The acceptor as one `Wfsa`: the rows, register pairs or `Arc`s,
+        numbered as `wfsa.register_acceptor` numbers them, then one token
+        chain per entity, whose last state is final and has the start's
+        arcs, then `heads` after the arcs of every final state."""
         lex = wfsa.register_acceptor(self.rows, self.finals, self.start)
         start_arcs = lex.arcs_from(lex.start)
         for tokens in self.chains:
@@ -415,33 +415,53 @@ def tokenize_phrase(surface: str, table: TokenTable) -> ConstraintPhrase:
     Word-initial pieces are looked up with the start-of-word mark first
     (falling back to the bare form, which covers punctuation-only words);
     continuations are looked up bare. Multi-word surfaces tokenize word by
-    word into a single phrase.
+    word into a single phrase. No candidate longer than the table's
+    longest surface is looked up (see `_segment`).
     """
     return ConstraintPhrase(tokens=_segment(surface, table), surface=surface)
 
 
 def _segment(surface: str, table: TokenTable) -> tuple[int, ...]:
-    """The tokens of `tokenize_phrase`'s phrase, or its error."""
+    """The tokens of `tokenize_phrase`'s phrase, or its error.
+
+    Each piece is the longest candidate in the table, tried from the
+    longest down. A candidate longer than the table's longest surface
+    cannot be in it, so none is built: a piece at `pos` of a word ends at
+    most at `pos + table.longest`, less the start-of-word mark's length
+    when the mark is prefixed. Lexicon words, entities and phrases are all
+    segmented here.
+    """
     words = surface.split()
     if not words:
         raise ValueError("cannot tokenize an empty phrase")
+    lookup = table._index.get
+    sow = table.sow_mark
+    longest = table.longest
+    sow_longest = longest - len(sow)
     tokens: list[int] = []
     for word in words:
+        n = len(word)
         pos = 0
-        while pos < len(word):
-            tid, pos = _longest_piece(word, pos, table)
+        while pos < n:
+            tid = None
+            if pos == 0:  # a word-initial piece: with the mark first
+                for end in range(n if n < sow_longest else sow_longest, 0, -1):
+                    tid = lookup(sow + word[:end])
+                    if tid is not None:
+                        break
+            if tid is None:
+                last = pos + longest
+                for end in range(n if n < last else last, pos, -1):
+                    tid = lookup(word[pos:end])
+                    if tid is not None:
+                        break
+                else:
+                    raise ValueError(
+                        f"cannot segment {word[pos:]!r} of word {word!r} with this token table"
+                    )
             tokens.append(tid)
+            pos = end
     return tuple(tokens)
-
-
-def _longest_piece(word: str, pos: int, table: TokenTable) -> tuple[int, int]:
-    """The id and end of the piece `tokenize_phrase` takes at `pos` of a word."""
-    for prefix in (table.sow_mark, "") if pos == 0 else ("",):
-        for end in range(len(word), pos, -1):
-            tid = table.lookup(prefix + word[pos:end])
-            if tid is not None:
-                return tid, end
-    raise ValueError(f"cannot segment {word[pos:]!r} of word {word!r} with this token table")
 
 
 def extract_lexicon(corpus: Iterable[str], cumulative_cutoff: float) -> list[str]:

@@ -76,6 +76,12 @@ class TokenTable:
             if surface.removeprefix(self.sow_mark).isdigit()
         )
 
+    @cached_property
+    def longest(self) -> int:
+        """Length of the longest surface, computed once per table on first
+        use: no longer string can be in the table."""
+        return max(map(len, self.surfaces))
+
     def surface(self, token_id: int) -> str:
         return self.surfaces[token_id]
 

@@ -394,9 +394,12 @@ def lexicon_register(words: Iterable[Sequence[int]]) -> tuple[list[tuple], set[i
 
     The words go into a trie, whose states are then merged bottom-up by
     their signature (finality, row), after Daciuk, Mihov, Watson & Watson
-    (Comput. Linguist. 26(1), 2000). Time is linear in the total word
-    length, up to sorting each state's labels. Children are numbered before
-    parents. Every state is reachable and no arc enters the start: it is
+    (Comput. Linguist. 26(1), 2000). Every leaf below the root ends a word,
+    so all of them are one state, registered at the first leaf and not
+    looked up again; a node with one child gets its one pair as its row,
+    and only a branching node sorts its labels. Time is linear in the total
+    word length, up to that sort. Children are numbered before parents.
+    Every state is reachable and no arc enters the start: it is
     determinize_min of the union of the words without its dead state.
     """
     children: list[dict[int, int]] = [{}]
@@ -417,9 +420,21 @@ def lexicon_register(words: Iterable[Sequence[int]]) -> tuple[list[tuple], set[i
     # every child before the node that points to it.
     register: dict[tuple[bool, tuple[tuple[int, int], ...]], int] = {}
     merged = [0] * len(children)
+    leaf = -1
     for node in range(len(children) - 1, -1, -1):
         kids = children[node]
-        row = tuple([(lb, merged[c]) for lb, c in sorted(kids.items())]) if kids else ()
+        if not kids:
+            if node:  # a leaf below the root, which ends a word
+                if leaf < 0:
+                    leaf = register[(True, ())] = len(register)
+                merged[node] = leaf
+                continue
+            row = ()  # the root of an empty trie
+        elif len(kids) == 1:
+            ((lb, c),) = kids.items()
+            row = ((lb, merged[c]),)
+        else:  # only a branching node has labels to sort
+            row = tuple([(lb, merged[c]) for lb, c in sorted(kids.items())])
         merged[node] = register.setdefault((final[node], row), len(register))
     rows = [row for _, row in register]
     finals = {q for q, (is_final, _) in enumerate(register) if is_final}
@@ -427,16 +442,19 @@ def lexicon_register(words: Iterable[Sequence[int]]) -> tuple[list[tuple], set[i
 
 
 def register_acceptor(rows: Sequence[Sequence[tuple]], finals: set[int], start: int) -> Wfsa:
-    """The acceptor of `(label, dst)` rows whose every state is reachable
-    from `start`, numbered breadth-first from the start (state 0), with each
-    state's arcs in row order."""
+    """The unweighted acceptor of rows, numbered breadth-first from the
+    start (state 0), with each state's arcs in row order; any state the
+    start does not reach is left after them, without arcs. A row entry is
+    a `lexicon_register` pair or an `Arc`: its first item is its label,
+    its last its destination."""
     out = Wfsa(num_states=len(rows), start=0)
     order = [start]
     renum = {start: 0}
     for src, state in enumerate(order):  # grows as states are found
         if state in finals:
             out.finals.add(src)
-        for label, child in rows[state]:
+        for entry in rows[state]:
+            label, child = entry[0], entry[-1]
             dst = renum.get(child)
             if dst is None:
                 dst = renum[child] = len(order)

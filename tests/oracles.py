@@ -498,6 +498,37 @@ def reference_tokenize_phrase(surface: str, table: TokenTable) -> ConstraintPhra
     return ConstraintPhrase(tokens=tuple(token_ids), surface=surface)
 
 
+def reference_lexicon_register(
+    words: Sequence[Sequence[int]],
+) -> tuple[list[tuple], set[int], int]:
+    """`wfsa.lexicon_register` as first written: a trie, then one reverse
+    sweep that sorts every node's children and looks every node's
+    signature (finality, row) up in the register, leaves included. Its
+    rows, finals, start and state numbering are the reference."""
+    children: list[dict[int, int]] = [{}]
+    final = [False]
+    for word in words:
+        node = 0
+        for label in word:
+            kids = children[node]
+            child = kids.get(label)
+            if child is None:
+                child = kids[label] = len(children)
+                children.append({})
+                final.append(False)
+            node = child
+        final[node] = True
+    register: dict[tuple[bool, tuple[tuple[int, int], ...]], int] = {}
+    merged = [0] * len(children)
+    for node in range(len(children) - 1, -1, -1):
+        kids = children[node]
+        row = tuple([(lb, merged[c]) for lb, c in sorted(kids.items())]) if kids else ()
+        merged[node] = register.setdefault((final[node], row), len(register))
+    rows = [row for _, row in register]
+    finals = {q for q, (is_final, _) in enumerate(register) if is_final}
+    return rows, finals, merged[0]
+
+
 def lexicon_closure(dfa: Wfsa) -> Wfsa:
     """Epsilon-free Kleene closure of a lexicon DFA.
 

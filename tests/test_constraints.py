@@ -14,6 +14,7 @@ import dagdec.constraints as constraints_mod
 from dagdec import wfsa
 from dagdec.constraints import (
     ConstraintPhrase,
+    _as_lexicon,
     _Matchers,
     _segment,
     build_hlc_fsa,
@@ -54,6 +55,7 @@ from .lattices import (
     random_constrained_lattice,
     random_constrained_product,
     random_joint_product,
+    random_nfa,
     toy_table,
     uniform_lattice,
 )
@@ -133,21 +135,73 @@ class TestTokenizePhrase:
         sow_mark="▁", eos_id=11, sos_id=10,
     )
 
+    # A two-character mark, pieces up to the longest surface with and
+    # without it ("##abcab" and the special "abcabca", 7 characters each),
+    # a bare mark and a bare "#", so a piece may end at the bound exactly.
+    WIDE = TokenTable(
+        surfaces=("##abcab", "##ab", "##a", "##b", "##", "#", "abc", "ab", "bc", "b", "c",
+                  ".", "a", "<s>", "</s>", "abcabca"),
+        sow_mark="##", eos_id=14, sos_id=13,
+    )
+
     @given(st.text("abcz.▁ \t", max_size=12))
     @settings(max_examples=400, deadline=None, derandomize=True)
     def test_same_tokens_or_error_as_the_reference(self, surface):
+        self.assert_same_as_the_reference(surface, self.PIECES)
+
+    @given(st.text("abcz.# \t", max_size=16))
+    @example("abcabcabca cabcabcab ##abcabx")
+    @example("###a #abcabca abcabcab.")
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_same_tokens_or_error_with_a_two_character_mark(self, surface):
+        self.assert_same_as_the_reference(surface, self.WIDE)
+
+    @staticmethod
+    def assert_same_as_the_reference(surface, table):
         try:
-            want = reference_tokenize_phrase(surface, self.PIECES)
+            want = reference_tokenize_phrase(surface, table)
         except ValueError as exc:
             with pytest.raises(ValueError) as got:
-                tokenize_phrase(surface, self.PIECES)
+                tokenize_phrase(surface, table)
             assert str(got.value) == str(exc)
             with pytest.raises(ValueError) as got:
-                _segment(surface, self.PIECES)
+                _segment(surface, table)
             assert str(got.value) == str(exc)
         else:
-            assert tokenize_phrase(surface, self.PIECES) == want
-            assert _segment(surface, self.PIECES) == want.tokens
+            assert tokenize_phrase(surface, table) == want
+            assert _segment(surface, table) == want.tokens
+
+    @pytest.mark.parametrize("table, longest, word, tokens, lookups", [
+        # the longest surface is "</s>": "▁abc", "▁ab"; "cabc" down to "c";
+        # "abca", "abc" twice; the last "abc" ends the word
+        (PIECES, 4, "abcabcabcabc", (0, 7, 3, 3, 3), 11),
+        # "##abcab"; "cabcabc" down to "c"; "abcabca"; "b" ends the word
+        (WIDE, 7, "abcabcabcabcab", (0, 10, 15, 9), 10),
+    ])
+    def test_no_candidate_is_longer_than_the_longest_surface(
+        self, table, longest, word, tokens, lookups
+    ):
+        asked = []
+
+        class Counting(dict):
+            def get(self, key, default=None):
+                asked.append(key)
+                return super().get(key, default)
+
+            def __getitem__(self, key):
+                asked.append(key)
+                return super().__getitem__(key)
+
+            def __contains__(self, key):
+                asked.append(key)
+                return super().__contains__(key)
+
+        table = TokenTable(table.surfaces, table.sow_mark, table.eos_id, table.sos_id)
+        object.__setattr__(table, "_index", Counting(table._index))
+        assert _segment(word, table) == tokens
+        assert table.longest == longest
+        assert max(map(len, asked)) <= longest
+        assert len(asked) == lookups
 
 
 class TestExtractLexicon:
@@ -636,6 +690,23 @@ class TestIndexedVocab:
     def lattice(seed: int) -> Wfsa:
         return random_acyclic_wfsa(seed, max_states=7, alphabet=TestIndexedVocab.ALPHABET,
                                    arc_density=0.9, with_epsilon=seed % 3 == 0)
+
+    def test_the_acceptor_of_a_wfsa_vocabulary(self):
+        # `_as_lexicon` keeps a `Wfsa`'s `Arc`s as its rows; its acceptor
+        # must read them as it reads register pairs
+        one_arc = Wfsa(num_states=2, start=0, finals={1})
+        one_arc.add_arc(0, 3, 0.0, 1)
+        vocabs = [one_arc] + [
+            random_nfa(seed, max_states=5, alphabet=self.ALPHABET + (SIGMA,), with_epsilon=False)
+            for seed in range(40)
+        ]
+        for i, vocab in enumerate(vocabs):
+            lex = _as_lexicon(vocab)
+            for seed in range(5):
+                w = self.lattice(seed)
+                want = dump_wfsa(arc_scan_intersect(w, vocab))
+                assert dump_wfsa(arc_scan_intersect(w, lex.automaton)) == want, (i, seed)
+                assert dump_wfsa(constrained_product(w, [], lex)) == want, (i, seed)
 
     @pytest.mark.parametrize("dictionary, entities", VOCABS)
     def test_arc_for_arc_against_the_arc_scan(self, subword_table, dictionary, entities):

@@ -128,6 +128,16 @@ class TestNumericIds:
         assert table.numeric_ids is table.numeric_ids == (5,)
 
 
+class TestLongest:
+    def test_longest_surface_in_characters(self):
+        table = load_token_table(table_text(BASIC + [(5, "▁photo"), (6, "ß")]))
+        assert table.longest == len("▁photo") == 6
+        assert "longest" in vars(table)  # kept after the first use
+
+    def test_a_table_of_one_character_pieces(self):
+        assert load_token_table(table_text([(0, "a"), (1, "b")])).longest == 1
+
+
 class TestReadCache:
     @pytest.fixture(autouse=True)
     def empty_cache(self):

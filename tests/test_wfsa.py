@@ -8,7 +8,7 @@ import math
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dagdec.constraints import ConstraintPhrase, build_hlc_fsa
@@ -26,6 +26,7 @@ from dagdec.wfsa import (
     has_accepting_path,
     intersect,
     lexicon_dfa,
+    lexicon_register,
     linear_acceptor,
     load_wfsa,
     rm_epsilon,
@@ -43,7 +44,12 @@ from .lattices import (
     random_nfa,
     tiny4,
 )
-from .oracles import arc_scan_intersect, min_wfsa_path, nfa_accepts
+from .oracles import (
+    arc_scan_intersect,
+    min_wfsa_path,
+    nfa_accepts,
+    reference_lexicon_register,
+)
 
 INF = float("inf")
 
@@ -298,7 +304,34 @@ def _lexicons(draw) -> list[tuple[int, ...]]:
     return draw(st.lists(st.sampled_from(combos), min_size=1, max_size=8))
 
 
+_chain = st.lists(st.integers(min_value=0, max_value=2), max_size=4).map(tuple)
+
+
+@st.composite
+def _register_word_sets(draw) -> list[tuple[int, ...]]:
+    """Word sets with leaves, one-child chains (pieces up to 4 tokens long),
+    words that are prefixes of others (an empty suffix), duplicates (a word
+    sampled twice), shared suffixes, the empty word (every piece empty),
+    and no word at all."""
+    stems = draw(st.lists(_chain, min_size=1, max_size=3))
+    suffixes = draw(st.lists(_chain, min_size=1, max_size=3))
+    combos = [m + x for m in stems for x in suffixes]
+    return draw(st.lists(st.sampled_from(combos), max_size=8))
+
+
 class TestLexiconDfa:
+    @given(_register_word_sets())
+    @example([])
+    @example([()])
+    @example([(), (0,), (0,)])
+    @example([(0, 1, 2, 0), (0, 1), (2, 2, 2)])
+    @example([(0, 1), (2, 1), (1,), (1,)])
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_register_matches_the_reference_state_for_state(self, words):
+        # the product reads states by their register numbers, so the rows,
+        # finals and start must match, not only the language
+        assert lexicon_register(words) == reference_lexicon_register(words)
+
     @given(_lexicons())
     @settings(max_examples=40, deadline=None)
     def test_equals_determinize_min_without_dead_state(self, words):

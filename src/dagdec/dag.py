@@ -3,11 +3,11 @@
 A lattice has one emission distribution and one forward transition
 distribution per vertex, both stored sparsely as (index, log-probability)
 pairs sorted by descending probability. Vertex 0 is the start, vertex L-1
-the unique final. The `Dag` constructor checks and orders every row, so
-the loader only reads the JSON around the rows, and no reader of a `Dag`
-checks its rows again. Pruning keeps the top-k entries per vertex and
-force-emits constraint-phrase continuation tokens so constrained paths
-survive.
+the unique final. The loader and the `Dag` constructor read each row
+with one reader, which checks and orders it in one pass, so no reader of
+a `Dag` checks its rows again. Pruning keeps the top-k entries per
+vertex and force-emits constraint-phrase continuation tokens so
+constrained paths survive.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 import random
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
     from .constraints import ConstraintPhrase
@@ -40,11 +40,12 @@ class Dag:
     (ties: smaller index first). Every log-prob is a finite float <= 0, and
     no row names an index twice. The constructor checks every row, vertex
     by vertex, and raises `DagFormatError` for the first error, with the
-    words `load_dag` uses. It takes rows and pairs as lists or tuples and
-    stores them as tuples, with integer log-probs made floats; a row that
-    is not in this order is sorted. Pruning and beam search take top-k
-    entries as prefixes, and every reader relies on the order and the
-    ranges without checking them again.
+    words `load_dag` uses. A row is a list or a tuple of pairs, and a pair
+    is a list or a tuple (not a dict, a set or another iterable) of index
+    and log-prob. It stores both as tuples, with integer log-probs made
+    floats; a row that is not in this order is sorted. Pruning and beam
+    search take top-k entries as prefixes, and every reader relies on the
+    order and the ranges without checking them again.
     """
 
     num_vertices: int
@@ -59,9 +60,13 @@ class Dag:
             rows = getattr(self, key)
             if not isinstance(rows, (list, tuple)) or len(rows) != n:
                 raise DagFormatError(f"{key} must be a list of one row per vertex ({n})")
-        emissions, transitions = _read_rows(n, self.emissions, self.transitions)
-        object.__setattr__(self, "emissions", emissions)
-        object.__setattr__(self, "transitions", transitions)
+        emissions = []
+        transitions = []
+        for u, (em, tr) in enumerate(zip(self.emissions, self.transitions)):
+            emissions.append(_read_row(u, em, "emission", 0, sys.maxsize))
+            transitions.append(_read_row(u, tr, "transition", u + 1, n))
+        object.__setattr__(self, "emissions", tuple(emissions))
+        object.__setattr__(self, "transitions", tuple(transitions))
 
     @property
     def start_vertex(self) -> int:
@@ -126,97 +131,56 @@ def load_dag(source: str | bytes) -> Dag:
     transitions = []
     for u, vertex in enumerate(vertices):
         if not isinstance(vertex, dict):
-            _read_rows(num_vertices, emissions, transitions)  # an earlier error comes first
             raise DagFormatError(f"vertex {u}: not an object")
-        emissions.append(vertex.get("emissions", []))
-        transitions.append(vertex.get("transitions", []))
-    return Dag(num_vertices=num_vertices, emissions=emissions, transitions=transitions)
+        emissions.append(_read_row(u, vertex.get("emissions", []), "emission", 0, sys.maxsize))
+        transitions.append(
+            _read_row(u, vertex.get("transitions", []), "transition", u + 1, num_vertices)
+        )
+    return _checked_dag(num_vertices, tuple(emissions), tuple(transitions))
 
 
-def _read_rows(num_vertices: int, emissions: Sequence, transitions: Sequence) -> tuple[tuple, tuple]:
-    """The `Dag` rows of each vertex's emissions and transitions, in
-    vertex order; raises `DagFormatError` for the first error."""
-    em_rows = []
-    tr_rows = []
-    for u, (em, tr) in enumerate(zip(emissions, transitions)):
-        row = _read_row(em, 0, sys.maxsize)
-        em_rows.append(row if row is not None else _check_row(u, em, "emission", num_vertices))
-        row = _read_row(tr, u + 1, num_vertices)
-        tr_rows.append(row if row is not None else _check_row(u, tr, "transition", num_vertices))
-    return tuple(em_rows), tuple(tr_rows)
-
-
-def _read_row(pairs: object, lo: int, hi: int) -> tuple[tuple[int, float], ...] | None:
-    """One row of (index in [lo, hi), finite float log-prob <= 0) pairs,
-    sorted only if it is not listed in order.
-
-    Returns None on anything else (not a list or tuple, an int or bool,
-    NaN, a malformed pair, a duplicate index, an index out of range) so
-    that the caller checks the row entry by entry and words the error.
-    """
-    if type(pairs) is not list and type(pairs) is not tuple:
-        return None
-    row = []
-    append = row.append
-    seen = set()
-    add = seen.add
-    last = 1.0  # above any log-prob, so the first pair is in order
-    ordered = True
-    try:
-        for i, lp in pairs:
-            if (type(i) is not int or type(lp) is not float
-                    or not lo <= i < hi or not _MIN_LOGPROB <= lp <= 0.0):
-                return None
-            if lp >= last:  # a tie or a rise: let the sort settle it
-                ordered = False
-            last = lp
-            add(i)
-            append((i, lp))
-    except (TypeError, ValueError):  # an entry that is not a pair
-        return None
-    if len(seen) != len(row):
-        return None
-    return tuple(row) if ordered else _sort_sparse(row)
-
-
-def _check_row(
-    u: int, pairs: object, kind: str, num_vertices: int
+def _read_row(
+    u: int, pairs: object, kind: str, lo: int, hi: int
 ) -> tuple[tuple[int, float], ...]:
-    """Check vertex u's row of `kind` ("emission" or "transition") entry by
-    entry, raising the first error it finds.
+    """Vertex u's row of `kind` ("emission" or "transition") pairs, sorted
+    only if it is not listed in order.
 
-    Also accepts what `_read_row` leaves to it, such as integer log-probs.
+    An entry is taken as it stands if it is a list or tuple of an int index
+    in [lo, hi) that the row has not named yet and a float log-prob in
+    [-max, 0]. The first entry that is not goes to `_odd_entry`, which
+    raises its error or accepts it, so errors come in row order.
     """
     if not isinstance(pairs, (list, tuple)):
         raise DagFormatError(f"vertex {u}: {kind}s must be a list")
-    row = []
-    seen: set[int] = set()
+    row = {}  # index -> log-prob, in the order listed
+    last = 1.0  # above any log-prob, so the first pair is in order
+    ordered = True
     for pair in pairs:
-        index, logp = _parse_pair(u, pair, kind)
-        if kind == "emission":
-            if index < 0:
-                raise DagFormatError(f"vertex {u}: negative token id {index}")
-            if index in seen:
-                raise DagFormatError(f"vertex {u}: duplicate emission token {index}")
-        else:
-            if index <= u:
-                raise DagFormatError(f"vertex {u}: backward edge {u}->{index}")
-            if index >= num_vertices:
-                raise DagFormatError(
-                    f"vertex {u}: dangling vertex index {index} (num_vertices={num_vertices})"
-                )
-            if index in seen:
-                raise DagFormatError(f"vertex {u}: duplicate transition target {index}")
-        seen.add(index)
-        row.append((index, logp))
-    return _sort_sparse(row)
+        try:
+            i, lp = pair
+        except (TypeError, ValueError):  # an entry that is not a pair
+            i = lp = None
+        if (type(pair) is not list and type(pair) is not tuple
+                or type(i) is not int or type(lp) is not float
+                or not lo <= i < hi or not _MIN_LOGPROB <= lp <= 0.0 or i in row):
+            i, lp = _odd_entry(u, pair, kind, hi, row)
+        if lp >= last:  # a tie or a rise: let the sort settle it
+            ordered = False
+        last = lp
+        row[i] = lp
+    return tuple(row.items()) if ordered else _sort_sparse(row.items())
 
 
-def _parse_pair(u: int, pair: object, kind: str) -> tuple[int, float]:
+def _odd_entry(u: int, pair: object, kind: str, hi: int, row: dict) -> tuple[int, float]:
+    """An entry of vertex u's `kind` row that `_read_row` did not take as
+    it stands. Raises its first error, or returns the pair the row stores:
+    a list- or tuple-subclass pair, an int-subclass index, an emission index of
+    `sys.maxsize` or more, or an int or float-subclass log-prob made a float.
+    """
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise DagFormatError(f"vertex {u}: {kind} entry must be a [index, logprob] pair")
-    idx, logp = pair
-    if not isinstance(idx, int) or isinstance(idx, bool):
+    index, logp = pair
+    if not isinstance(index, int) or isinstance(index, bool):
         raise DagFormatError(f"vertex {u}: {kind} index must be an integer")
     if isinstance(logp, bool) or not isinstance(logp, (int, float)):
         raise DagFormatError(f"vertex {u}: {kind} log-probability must be a number, not {logp!r}")
@@ -224,7 +188,17 @@ def _parse_pair(u: int, pair: object, kind: str) -> tuple[int, float]:
         raise DagFormatError(f"vertex {u}: {kind} probability > 0 in log space ({logp})")
     if not logp >= _MIN_LOGPROB:  # -inf, NaN, or an int below the float range
         raise DagFormatError(f"vertex {u}: {kind} log-probability {logp} is not a finite float")
-    return idx, float(logp)
+    emission = kind == "emission"
+    if emission and index < 0:
+        raise DagFormatError(f"vertex {u}: negative token id {index}")
+    if not emission and index <= u:
+        raise DagFormatError(f"vertex {u}: backward edge {u}->{index}")
+    if not emission and index >= hi:
+        raise DagFormatError(f"vertex {u}: dangling vertex index {index} (num_vertices={hi})")
+    if index in row:
+        noun = "token" if emission else "target"
+        raise DagFormatError(f"vertex {u}: duplicate {kind} {noun} {index}")
+    return index, float(logp)
 
 
 def dump_dag(dag: Dag) -> str:

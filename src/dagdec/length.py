@@ -18,7 +18,6 @@ path alone.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -38,6 +37,8 @@ class LengthPredictor:
 
 def fit_length_predictor(pairs: Sequence[tuple[float, float]]) -> LengthPredictor:
     """Ordinary least squares over (input length, output length) pairs."""
+    import statistics  # here, not at start-up: it loads fractions and decimal
+
     if len(pairs) < 2:
         raise ValueError("need at least two pairs to fit a length predictor")
     xs = [float(x) for x, _ in pairs]

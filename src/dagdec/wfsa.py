@@ -606,7 +606,9 @@ def _label_from_text(text: str) -> int:
     if text == "sigma":
         return SIGMA
     if text.startswith("tok:"):
-        return int(text[4:])
+        label = int(text[4:])
+        if label >= 0:  # a token id; a negative label would read as eps or sigma
+            return label
     raise ValueError(f"unknown arc label {text!r}")
 
 

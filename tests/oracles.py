@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -21,7 +22,6 @@ from dagdec.dag import (
     Dag,
     DagFormatError,
     PruneConfig,
-    _check_row,
     _sort_sparse,
 )
 from dagdec.length import LcConfig, length_penalty
@@ -189,9 +189,14 @@ def enumerate_dag_paths(dag: Dag) -> list[tuple[tuple[int, ...], float]]:
     return out
 
 
+_MIN_LOGPROB = -sys.float_info.max
+
+
 def reference_load_dag(source: str | bytes) -> Dag:
     """The lattice reader that checks every vertex entry by entry and sorts
-    every row, whatever order the file lists it in."""
+    every row, whatever order the file lists it in. Its row checks
+    (`_check_row`, `_parse_pair`) are its own, so that the loader is never
+    checked against its own code."""
     if isinstance(source, bytes):
         source = source.decode("utf-8")
     try:
@@ -216,6 +221,17 @@ def reference_load_dag(source: str | bytes) -> Dag:
     )
 
 
+def reference_dag_rows(num_vertices: int, emissions, transitions) -> tuple[tuple, tuple]:
+    """The rows `Dag(num_vertices, emissions, transitions)` keeps, each
+    vertex's emissions checked before its transitions, entry by entry."""
+    rows = [
+        (_check_row(u, em, "emission", num_vertices),
+         _check_row(u, tr, "transition", num_vertices))
+        for u, (em, tr) in enumerate(zip(emissions, transitions))
+    ]
+    return tuple(em for em, _ in rows), tuple(tr for _, tr in rows)
+
+
 def _check_vertex(u: int, vertex: object, num_vertices: int) -> tuple[tuple, tuple]:
     """One vertex's rows, read entry by entry and sorted."""
     if not isinstance(vertex, dict):
@@ -224,6 +240,54 @@ def _check_vertex(u: int, vertex: object, num_vertices: int) -> tuple[tuple, tup
         _check_row(u, vertex.get(f"{kind}s", []), kind, num_vertices)
         for kind in ("emission", "transition")
     )
+
+
+def _check_row(
+    u: int, pairs: object, kind: str, num_vertices: int
+) -> tuple[tuple[int, float], ...]:
+    """Check vertex u's row of `kind` ("emission" or "transition") entry by
+    entry, raising the first error it finds.
+
+    Also accepts integer log-probs, made floats.
+    """
+    if not isinstance(pairs, (list, tuple)):
+        raise DagFormatError(f"vertex {u}: {kind}s must be a list")
+    row = []
+    seen: set[int] = set()
+    for pair in pairs:
+        index, logp = _parse_pair(u, pair, kind)
+        if kind == "emission":
+            if index < 0:
+                raise DagFormatError(f"vertex {u}: negative token id {index}")
+            if index in seen:
+                raise DagFormatError(f"vertex {u}: duplicate emission token {index}")
+        else:
+            if index <= u:
+                raise DagFormatError(f"vertex {u}: backward edge {u}->{index}")
+            if index >= num_vertices:
+                raise DagFormatError(
+                    f"vertex {u}: dangling vertex index {index} (num_vertices={num_vertices})"
+                )
+            if index in seen:
+                raise DagFormatError(f"vertex {u}: duplicate transition target {index}")
+        seen.add(index)
+        row.append((index, logp))
+    return _sort_sparse(row)
+
+
+def _parse_pair(u: int, pair: object, kind: str) -> tuple[int, float]:
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise DagFormatError(f"vertex {u}: {kind} entry must be a [index, logprob] pair")
+    idx, logp = pair
+    if not isinstance(idx, int) or isinstance(idx, bool):
+        raise DagFormatError(f"vertex {u}: {kind} index must be an integer")
+    if isinstance(logp, bool) or not isinstance(logp, (int, float)):
+        raise DagFormatError(f"vertex {u}: {kind} log-probability must be a number, not {logp!r}")
+    if logp > 0.0:
+        raise DagFormatError(f"vertex {u}: {kind} probability > 0 in log space ({logp})")
+    if not logp >= _MIN_LOGPROB:  # -inf, NaN, or an int below the float range
+        raise DagFormatError(f"vertex {u}: {kind} log-probability {logp} is not a finite float")
+    return idx, float(logp)
 
 
 def emission_logprob(dag: Dag, u: int, token: int) -> float:

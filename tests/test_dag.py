@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import enum
 import json
 import math
 import random
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dagdec import dag as dag_module
 from dagdec.constraints import ConstraintPhrase
 from dagdec.dag import (
     Dag,
@@ -24,7 +26,13 @@ from dagdec.dag import (
 )
 
 from .lattices import build_dag, uniform_lattice
-from .oracles import emission_logprob, force_emit, reference_load_dag, reference_prune_dag
+from .oracles import (
+    emission_logprob,
+    force_emit,
+    reference_dag_rows,
+    reference_load_dag,
+    reference_prune_dag,
+)
 
 
 def doc(num_vertices, vertices, version=1):
@@ -162,6 +170,22 @@ class TestLoadDag:
         dag = load_dag(src)
         assert [t for t, _ in dag.emissions[0]] == [1, 2, 3]  # tie broken by id
 
+    def test_well_formed_entries_never_reach_the_error_helper(self, monkeypatch, tiny4_path):
+        calls = []
+        helper = dag_module._odd_entry
+
+        def counted(*args):
+            calls.append(args)
+            return helper(*args)
+
+        monkeypatch.setattr(dag_module, "_odd_entry", counted)
+        with open(tiny4_path, encoding="utf-8") as fh:
+            load_dag(fh.read())
+        load_dag(dump_dag(generate_synthetic_dag(3, 40, 4, 3, 0.5)))
+        assert calls == []
+        load_dag(doc(1, [{"emissions": [[0, 0]]}]))  # an int log-prob takes the helper
+        assert len(calls) == 1
+
 
 _EM = (((0, -0.5),), ((1, 0.0),))
 _TR = (((1, -0.1),), ())
@@ -195,6 +219,13 @@ class TestDagConstructor:
         (2, _EM, _TR + ((),), "transitions must be a list of one row per vertex (2)"),
         (0, (), (), "num_vertices must be a positive integer"),
         (True, _EM[:1], _TR[:1], "num_vertices must be a positive integer"),
+        # two-item iterables that are not lists or tuples
+        (2, (({0: None, -0.5: None},), ((1, 0.0),)), _TR,
+         "vertex 0: emission entry must be a [index, logprob] pair"),
+        (2, (({0, -0.5},), ((1, 0.0),)), _TR,
+         "vertex 0: emission entry must be a [index, logprob] pair"),
+        (2, (((x for x in (2, -0.1)),), ((1, 0.0),)), _TR,
+         "vertex 0: emission entry must be a [index, logprob] pair"),
     ])
     def test_bad_rows_are_rejected(self, num_vertices, emissions, transitions, message):
         with pytest.raises(DagFormatError, match=f"^{re.escape(message)}$"):
@@ -574,6 +605,99 @@ class TestAgainstReference:
                        [vertex.get("transitions", []) for vertex in vertices])
 
         assert _load_outcome(construct, src) == _load_outcome(load_dag, src)
+
+
+class _Pair(tuple):
+    """A pair of a tuple subclass."""
+
+
+class _LogProb(float):
+    """A log-prob of a float subclass."""
+
+
+_Index = enum.IntEnum("_Index", [(f"I{k}", k) for k in range(10)])
+
+# Entries that JSON cannot express. Each maker builds a fresh object, so
+# that the constructor and the oracle each read a generator of their own.
+_ODD_ENTRIES = {
+    "tuple subclass": lambda i, lp: _Pair((i, lp)),
+    "int-subclass index": lambda i, lp: (_Index(i), lp),
+    "float-subclass log-prob": lambda i, lp: [i, _LogProb(lp)],
+    "dict": lambda i, lp: {i: None, lp: None},
+    "set": lambda i, lp: {i, lp},
+    "generator": lambda i, lp: (x for x in (i, lp)),
+    # one entry that breaks two rules, whichever its index and log-prob
+    "two rules": lambda i, lp: (True, 0.5),
+    "duplicate and positive": lambda i, lp: (i, 0.5),
+    "negative and NaN": lambda i, lp: [-1, math.nan],
+    "dangling and -inf": lambda i, lp: (99, -math.inf),
+}
+_NOT_A_PAIR = {"dict", "set", "generator"}
+
+
+@st.composite
+def hand_built_rows(draw):
+    """(num_vertices, the odd entry's kind or None, row specs) for a
+    hand-built `Dag`: each row spec is (tuple row?, [(maker, index,
+    log-prob), ...]), with list and tuple pairs and at most one odd entry."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    rows = []
+    for u in range(n):
+        targets = st.integers(min_value=u + 1, max_value=n - 1) if u < n - 1 else None
+        for ids in (st.integers(min_value=0, max_value=9), targets):
+            indices = draw(st.lists(ids, unique=True, max_size=4)) if ids is not None else []
+            pair = draw(st.sampled_from(("list", "tuple")))
+            rows.append((draw(st.booleans()), [(pair, i, draw(_LOGPROBS)) for i in indices]))
+    odd = draw(st.none() | st.sampled_from(sorted(_ODD_ENTRIES)))
+    candidates = [entries for _, entries in rows if entries]
+    if odd is not None and candidates:
+        entries = draw(st.sampled_from(candidates))
+        j = draw(st.integers(min_value=0, max_value=len(entries) - 1))
+        _, i, lp = entries[j]
+        if odd == "duplicate and positive":
+            i = entries[j - 1][1]  # the entry before it, or the last one
+        entries[j] = (odd, i, lp)
+    else:
+        odd = None
+    return n, odd, rows
+
+
+def _build_rows(rows):
+    """Fresh emissions and transitions of the row specs, as lists or tuples."""
+    makers = {"list": lambda i, lp: [i, lp], "tuple": lambda i, lp: (i, lp), **_ODD_ENTRIES}
+    built = [
+        (tuple if as_tuple else list)(makers[maker](i, lp) for maker, i, lp in entries)
+        for as_tuple, entries in rows
+    ]
+    return built[0::2], tuple(built[1::2])
+
+
+def _rows_outcome(read, n, rows):
+    try:
+        emissions, transitions = read(n, *_build_rows(rows))
+    except DagFormatError as exc:
+        return "error", str(exc)
+    return "ok", repr((emissions, transitions))
+
+
+def _constructed_rows(n, emissions, transitions):
+    dag = Dag(n, emissions, transitions)
+    assert all(type(lp) is float for row in dag.emissions + dag.transitions for _, lp in row)
+    return dag.emissions, dag.transitions
+
+
+class TestHandBuiltRows:
+    """`Dag(...)` on entries JSON cannot express, against the oracle's
+    entry-by-entry reader."""
+
+    @given(hand_built_rows())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_constructor_matches_the_reference(self, case):
+        n, odd, rows = case
+        got = _rows_outcome(_constructed_rows, n, rows)
+        assert got == _rows_outcome(reference_dag_rows, n, rows)
+        if odd in _NOT_A_PAIR:
+            assert got[0] == "error" and got[1].endswith("entry must be a [index, logprob] pair")
 
 
 def _planted_below_top_k(rng, dag, k_e, k_t):

@@ -26,6 +26,24 @@ print(json.dumps({{
 """
 
 
+# Prints which of `statistics` and the modules it loads `import dagdec.cli`
+# left loaded: only fitting a length predictor needs them, not start-up.
+_COLD_START_PROBE = f"""
+import json, sys
+sys.path.insert(0, {str(SRC)!r})
+import dagdec.cli
+print(json.dumps(sorted({{"statistics", "fractions", "decimal", "numbers"}} & set(sys.modules))))
+"""
+
+
+def test_cli_import_leaves_statistics_out():
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", _COLD_START_PROBE], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
 def test_every_module_imports_only_the_standard_library():
     proc = subprocess.run(
         [sys.executable, "-I", "-c", _PROBE], capture_output=True, text=True, timeout=60

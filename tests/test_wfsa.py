@@ -623,6 +623,14 @@ class TestDumpFormat:
         with pytest.raises(ValueError, match=re.escape(repr(line))):
             load_wfsa(text)
 
+    # A negative id would alias eps (-1), sigma (-2) or take the epsilon
+    # branch of the product (any other negative label).
+    @pytest.mark.parametrize("label", ["tok:-1", "tok:-2", "tok:-5"])
+    def test_negative_token_ids_are_refused(self, label):
+        text = f"#version 1\nstates\t2\nstart\t0\nfinal\t1\n0\t1\t{label}\t0.5"
+        with pytest.raises(ValueError, match=re.escape(f"unknown arc label {label!r}")):
+            load_wfsa(text)
+
     def test_trim_drops_dead_states(self):
         w = Wfsa(num_states=4, start=0, finals={2})
         w.add_arc(0, 0, 0.0, 1)

@@ -270,14 +270,13 @@ def _run_decode(job: DecodeJob) -> DecodeResult:
             result = shortest_path(product)
     elapsed = time.perf_counter() - started
 
+    extra = {**result.extra, "mode": job.mode, "wall_time_s": elapsed, "dag": job.dag_path}
+    changes: dict[str, object] = {"extra": extra}
     if result.status == STATUS_OK:
-        flags = tuple(_contains(result.tokens, p.tokens) for p in phrases)
+        changes["text"] = table.detokenize(result.tokens)
         if not result.constraints_met:
-            result = replace(result, constraints_met=flags)
-        result = replace(result, text=table.detokenize(result.tokens))
-    extra = dict(result.extra)
-    extra.update({"mode": job.mode, "wall_time_s": elapsed, "dag": job.dag_path})
-    return replace(result, extra=extra)
+            changes["constraints_met"] = tuple(_contains(result.tokens, p.tokens) for p in phrases)
+    return replace(result, **changes)
 
 
 def _empty_product_note(

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 from . import wfsa
 from .dag import Dag
 from .tokens import TokenTable
-from .wfsa import EPSILON, SIGMA, Arc, Wfsa, _check_overflow, _label_index
+from .wfsa import SIGMA, Arc, Wfsa, _check_overflow, _label_index
 from .words import is_numeric_token, strip_punct
 
 # Punctuation accepted by the default special-token automaton.
@@ -267,19 +267,13 @@ def constrained_product(
     whose weight overflows to inf, is raised first as `dag_to_wfsa`
     raises it, for every kept arc, reached or not.
 
-    Before a new joint state is made, its lattice and vocab states are
-    checked once per pair for a step they could take together (Allauzen,
-    Riley and Schalkwyk 2009): the state is made only if the lattice state
-    is final or has an epsilon or sigma arc, or the vocab state has a sigma
-    arc, or they share a label. Any other state would have no arcs and not
-    be final, so it is dropped with the arc that found it; it could find
-    no state, so every other state is found in the same order. A backward
-    pass from the finals then keeps the states that can still accept,
-    numbered in the order they were found; every found state is reachable
-    from the start, so no forward pass is needed. Each state's arcs follow
-    its lattice arcs, and each lattice arc's matches follow the vocab
-    state's arc order. The result is epsilon-free and acyclic whenever the
-    lattice is; it has a final state exactly when it accepts some string.
+    A backward pass from the finals then keeps the states that can still
+    accept, numbered in the order they were found; every found state is
+    reachable from the start, so no forward pass is needed. Each state's
+    arcs follow its lattice arcs, and each lattice arc's matches follow
+    the vocab state's arc order. The result is epsilon-free and acyclic
+    whenever the lattice is; it has a final state exactly when it accepts
+    some string.
 
     A sigma arc of a `Wfsa` lattice raises `ValueError` when the pass
     reaches its source state. One the pass never reaches is not rejected:
@@ -308,22 +302,6 @@ def constrained_product(
     joint = matchers.states
     vocab_finals = vocab.finals
     vocab_index: dict[int, _LabelIndex] = {}
-    lattice_labels: dict[int, frozenset[int] | None] = {}
-    can_step: dict[tuple[int, int], bool] = {}
-
-    def steps_together(p: int, q: int) -> bool:
-        """Whether a joint state at lattice state p and vocab state q
-        could have an arc or be final."""
-        if p not in lattice_labels:
-            labels = frozenset(label for label, _ in runs[p])
-            if p in lattice_finals or EPSILON in labels or SIGMA in labels:
-                labels = None
-            lattice_labels[p] = labels
-        labels = lattice_labels[p]
-        if q not in vocab_index:
-            vocab_index[q] = vocab.label_index(q)
-        by_label, sigma = vocab_index[q]
-        return labels is None or bool(sigma) or not by_label.keys().isdisjoint(labels)
 
     # A state is `(lattice state, matcher index, vocab state)`, and its id
     # is its position in `queue`. States are expanded in id order, so the
@@ -367,12 +345,6 @@ def constrained_product(
                     key = (p_dst, nxt[3], q_dst)
                     dst = ids.get(key)
                     if dst is None:
-                        pair = (p_dst, q_dst)
-                        ok = can_step.get(pair)
-                        if ok is None:
-                            ok = can_step[pair] = steps_together(p_dst, q_dst)
-                        if not ok:
-                            continue
                         dst = ids[key] = len(queue)
                         queue.append(key)
                         last_in.append(-1)

@@ -69,11 +69,11 @@ class TokenTable:
     @cached_property
     def numeric_ids(self) -> tuple[int, ...]:
         """Ids of the tokens whose surface, less a leading start-of-word
-        mark, is all digits; computed once per table on first use."""
+        mark, is all decimal digits; computed once per table on first use."""
         return tuple(
             tid
             for tid, surface in enumerate(self.surfaces)
-            if surface.removeprefix(self.sow_mark).isdigit()
+            if surface.removeprefix(self.sow_mark).isdecimal()
         )
 
     @cached_property
@@ -143,9 +143,21 @@ def load_token_table(text: str) -> TokenTable:
 
 def _line_int(text: str, lineno: int) -> int:
     try:
-        return int(text)
+        return _decimal(text)
     except ValueError as exc:
         raise TokenTableError(f"line {lineno}: {exc}") from None
+
+
+def _decimal(text: str) -> int:
+    """The integer `text` spells in ASCII decimal digits, and nothing else.
+
+    The token table and automaton dump formats have one spelling per
+    integer: `int()` would also take a sign, spaces, underscores and other
+    scripts' digits, which their dumps never write.
+    """
+    if text.isascii() and text.isdigit():
+        return int(text)
+    raise ValueError(f"expected ASCII decimal digits, got {text!r}")
 
 
 def dump_token_table(table: TokenTable) -> str:

@@ -14,6 +14,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .dag import Dag, PruneConfig, prune_dag
 from .result import STATUS_EMPTY, STATUS_OK, DecodeResult
+from .tokens import _decimal
 
 EPSILON = -1
 SIGMA = -2
@@ -606,9 +607,10 @@ def _label_from_text(text: str) -> int:
     if text == "sigma":
         return SIGMA
     if text.startswith("tok:"):
-        label = int(text[4:])
-        if label >= 0:  # a token id; a negative label would read as eps or sigma
-            return label
+        try:  # a token id, unsigned: a negative label would read as eps or sigma
+            return _decimal(text[4:])
+        except ValueError:
+            pass
     raise ValueError(f"unknown arc label {text!r}")
 
 
@@ -641,9 +643,9 @@ def load_wfsa(text: str) -> Wfsa:
         fields = line.split("\t")
         try:
             if fields[0] == "states":
-                (num_states,) = map(int, fields[1:])
+                (num_states,) = map(_decimal, fields[1:])
             elif fields[0] in ("start", "final"):
-                (state,) = map(int, fields[1:])
+                (state,) = map(_decimal, fields[1:])
                 named.append((line, state))
                 if fields[0] == "start":
                     start = state
@@ -651,7 +653,7 @@ def load_wfsa(text: str) -> Wfsa:
                     finals.add(state)
             else:
                 src, dst, label, cost = fields
-                arcs.append((int(src), int(dst), _label_from_text(label), float(cost)))
+                arcs.append((_decimal(src), _decimal(dst), _label_from_text(label), float(cost)))
         except ValueError as exc:
             raise ValueError(f"malformed line {line!r}: {exc}") from None
     if num_states is None:

@@ -683,6 +683,10 @@ class TestIndexedVocab:
         (["photo", "photosynthesis", "Hong"], ["Hong Kong"]),
         (["cat", "Hong", "photo"], ["Hong Kong", "photo cat", "Kong"]),
         ([], ["Hong Kong", "cat"]),
+        # Most words go on with a token the lattices never emit ("▁ca",
+        # "<s>", "</s>"), so about 3 in 4 found states share no label with
+        # their lattice state: they take no step.
+        (["Hong</s>", "Kong<s>", "photo</s>", "cat<s>", "ca", "synthesis<s>"], ["Kong</s>"]),
     ]
     ALPHABET = (0, 2, 3, 4, 5, 6)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from dagdec import tokens as tokens_mod
@@ -80,6 +82,18 @@ class TestLoad:
         with pytest.raises(TokenTableError, match=rf"^line {line}: .*'one'"):
             load_token_table("\n".join(lines) + "\n")
 
+    # int() reads each of these as 1; a dump writes only the plain ASCII digits
+    @pytest.mark.parametrize("spelling", ["+1", " 1", "1 ", "0_1", "١"])
+    @pytest.mark.parametrize("field, line", [("id", 6), ("eos", 3), ("sos", 4)])
+    def test_integers_are_ascii_digits_only(self, field, line, spelling):
+        lines = table_text(BASIC).splitlines()
+        if field == "id":
+            lines[line - 1] = f"{spelling}\t</s>"
+        else:
+            lines[line - 1] = f"#{field} {spelling}"
+        with pytest.raises(TokenTableError, match=rf"^line {line}: .*{re.escape(repr(spelling))}"):
+            load_token_table("\n".join(lines) + "\n")
+
 
 class TestDigest:
     def test_equal_tables_share_a_digest(self):
@@ -121,7 +135,10 @@ class TestDigest:
 class TestNumericIds:
     def test_digit_surfaces_with_or_without_the_mark(self):
         entries = BASIC + [(5, "▁1984"), (6, "7"), (7, "▁"), (8, "1a"), (9, "▁▁3")]
-        assert load_token_table(table_text(entries)).numeric_ids == (5, 6)
+        # superscript and circled digits are digits but not decimal ones, and
+        # int() refuses them; Arabic-Indic digits are decimal
+        entries += [(10, "▁²"), (11, "③"), (12, "▁٣")]
+        assert load_token_table(table_text(entries)).numeric_ids == (5, 6, 12)
 
     def test_computed_once_per_table(self):
         table = load_token_table(table_text(BASIC + [(5, "42")]))

@@ -631,6 +631,25 @@ class TestDumpFormat:
         with pytest.raises(ValueError, match=re.escape(f"unknown arc label {label!r}")):
             load_wfsa(text)
 
+    # int() reads each of these as the digit it wraps; a dump writes only
+    # the plain ASCII digits, so no other spelling is one of the format's.
+    @pytest.mark.parametrize("spell", [
+        "+{}".format, " {}".format, "{} ".format, "0_{}".format, lambda d: chr(0x660 + d),
+    ], ids=["sign", "leading-space", "trailing-space", "underscore", "arabic-indic"])
+    @pytest.mark.parametrize("field", ["states", "start", "final", "src", "dst", "label"])
+    def test_integers_are_ascii_digits_only(self, field, spell):
+        values = {"states": 2, "start": 0, "final": 1, "src": 0, "dst": 1, "label": 1}
+        text = {name: str(value) for name, value in values.items()}
+        text[field] = spell(values[field])
+        arc = f"{text['src']}\t{text['dst']}\ttok:{text['label']}\t0.5"
+        dump = (
+            f"#version 1\nstates\t{text['states']}\nstart\t{text['start']}\n"
+            f"final\t{text['final']}\n{arc}\n"
+        )
+        bad = f"tok:{text['label']}" if field == "label" else text[field]
+        with pytest.raises(ValueError, match=r"^malformed line .*" + re.escape(repr(bad))):
+            load_wfsa(dump)
+
     def test_trim_drops_dead_states(self):
         w = Wfsa(num_states=4, start=0, finals={2})
         w.add_arc(0, 0, 0.0, 1)

@@ -21,6 +21,7 @@ from .cbs import beam_decode, cbs_dag_decode, greedy_decode
 from .constraints import (
     ConstraintPhrase,
     LexiconFsa,
+    _completion_masks,
     build_vocab_fsa,
     constrained_product,
     extract_lexicon,
@@ -283,11 +284,13 @@ def _empty_product_note(
     lattice: Dag, phrases: list[ConstraintPhrase], vocab: LexiconFsa | None
 ) -> str:
     """Names the first constraint that alone empties the product of the
-    pruned lattice: each phrase in turn, then the vocabulary."""
+    pruned lattice: each phrase in turn, then the vocabulary. A phrase
+    alone can appear when its bit 0 is set in vertex 0's completion mask."""
     if not constrained_product(lattice, []).finals:
         return "the pruned lattice has no accepting path"
-    for i, phrase in enumerate(phrases):
-        if not constrained_product(lattice, [phrase]).finals:
+    masks, offsets = _completion_masks(lattice, phrases)
+    for i, (phrase, offset) in enumerate(zip(phrases, offsets)):
+        if not masks[0] >> offset & 1:
             return f"phrase {i} ({phrase.surface!r}) cannot appear in the pruned lattice"
     if vocab is not None and not constrained_product(lattice, [], vocab).finals:
         return "no path of the pruned lattice stays inside the vocabulary"

@@ -137,14 +137,96 @@ def _step_table(tokens: tuple[int, ...]) -> tuple[dict[int, int], ...]:
     return tuple(rows)
 
 
+def _completion_masks(
+    lattice: Dag, phrases: Sequence[ConstraintPhrase]
+) -> tuple[list[int], list[int]]:
+    """Per vertex of a pruned `Dag`, the phrases' matcher states from which
+    the vertex can still complete them, packed in one int, and the bit
+    offset of each phrase in it.
+
+    Phrase `i` of `L` tokens owns bits `offsets[i] + s` for its states
+    `s = 0..L`. Bit `s < L` is set when some path from the vertex, starting
+    in state `s`, completes the phrase and reaches the final vertex; bit
+    `L`, done, is set when the vertex reaches the final vertex. So bit
+    `offsets[i]` of vertex 0 says whether phrase `i` alone can appear in
+    the lattice.
+
+    One backward pass ORs a vertex's successors' masks, then steps each
+    kept emission through `_step_table`. A token foreign to a phrase sends
+    its every state short of done to 0, so one such token sets all of the
+    phrase's bits below done when the OR has its bit 0; that part depends
+    on the OR alone and is worked out once per OR.
+    """
+    offsets = []
+    foreign = []  # per phrase: its bit 0, and its bits below done
+    done = width = 0
+    # token of some phrase -> {bit of a next state: bits of the states that
+    # step to it}, over the phrases that hold the token; and -> the bits of
+    # those phrases
+    by_token: dict[int, dict[int, int]] = {}
+    owned: dict[int, int] = {}
+    for phrase in phrases:
+        zero, end = 1 << width, 1 << width + len(phrase)
+        offsets.append(width)
+        foreign.append((zero, end - zero))
+        done |= end
+        for t in set(phrase.tokens):
+            by_next = by_token.setdefault(t, {})
+            by_next[end] = end  # done stays done
+            owned[t] = owned.get(t, 0) | (end << 1) - zero
+            for s, row in enumerate(_step_table(phrase.tokens)):
+                nxt = 1 << width + row.get(t, 0)
+                by_next[nxt] = by_next.get(nxt, 0) | 1 << width + s
+        width += len(phrase) + 1
+    every = (1 << width) - 1
+    # token of some phrase -> (the bits of the phrases it is foreign to, its steps)
+    steps = {t: (every & ~owned[t], tuple(by_next.items())) for t, by_next in by_token.items()}
+    resets: dict[int, int] = {}  # OR of the successors -> what a foreign token sets
+    emissions, transitions = lattice.emissions, lattice.transitions
+    masks = [0] * lattice.num_vertices
+    masks[-1] = done
+    for u in range(lattice.num_vertices - 2, -1, -1):
+        succ = 0
+        for v, _ in transitions[u]:
+            succ |= masks[v]
+        if not succ:
+            continue
+        mask = foreign_at = 0  # the bits of the phrases that see a foreign token at u
+        for t, _ in emissions[u]:
+            step = steps.get(t)
+            if step is None:
+                foreign_at = every
+            else:
+                others, pairs = step
+                foreign_at |= others
+                for nxt, srcs in pairs:
+                    if succ & nxt:
+                        mask |= srcs
+        if foreign_at:
+            reset = resets.get(succ)
+            if reset is None:
+                reset = succ & done
+                for zero, below in foreign:
+                    if succ & zero:
+                        reset |= below
+                resets[succ] = reset
+            mask |= reset & foreign_at
+        masks[u] = mask
+    return masks, offsets
+
+
 class _Matchers:
     """The constraint phrases' KMP matchers, stepped together.
 
-    A joint state is `(match_states, unmet tokens, moves, index)`; `moves`
-    caches `token -> next joint state` for tokens of the phrase alphabet, so
-    each such (state, token) pair goes through the per-phrase tables once
-    per matcher set, and `index` numbers the joint states in the order they
-    are first made; `states[index]` is the joint state. A phrase's
+    A joint state is `(match_states, unmet tokens, moves, index, need)`;
+    `moves` caches `token -> next joint state` for tokens of the phrase
+    alphabet, so each such (state, token) pair goes through the per-phrase
+    tables once per matcher set, and `index` numbers the joint states in the
+    order they are first made; `states[index]` is the joint state. `need`
+    sets, for each phrase, the bit of its matcher state at the phrase's
+    offset in the packed masks of `_completion_masks`, when `offsets` are
+    given, and is 0 without them: each phrase can still complete from the
+    joint state at a vertex whose mask has every bit of `need`. A phrase's
     `_step_table`, cached per phrase, holds per state short of completion
     `{token: next}` for the phrase tokens whose next state is not 0; any
     other token resets the matcher to 0, and a completed phrase stays
@@ -155,10 +237,13 @@ class _Matchers:
     `moves`.
     """
 
-    def __init__(self, constraints: tuple[ConstraintPhrase, ...]) -> None:
+    def __init__(
+        self, constraints: tuple[ConstraintPhrase, ...], offsets: Sequence[int] = ()
+    ) -> None:
         self.tables = [(p.tokens, _step_table(p.tokens)) for p in constraints]
         self.alphabet = frozenset(t for p in constraints for t in p.tokens)
         self.total = sum(len(p) for p in constraints)
+        self.offsets = offsets
         self._joint: dict[tuple[int, ...], tuple] = {}
         self.states: list[tuple] = []
         self.resets: list[tuple | None] = []
@@ -167,7 +252,10 @@ class _Matchers:
     def _state(self, match_states: tuple[int, ...]) -> tuple:
         state = self._joint.get(match_states)
         if state is None:
-            state = (match_states, self.total - sum(match_states), {}, len(self._joint))
+            need = 0
+            for offset, s in zip(self.offsets, match_states):
+                need |= 1 << offset + s
+            state = (match_states, self.total - sum(match_states), {}, len(self._joint), need)
             self._joint[match_states] = state
             self.states.append(state)
             self.resets.append(None)
@@ -233,6 +321,13 @@ def _label_runs(arcs: list[Arc]) -> list[tuple[int, list[tuple[float, int]]]]:
     ]
 
 
+# The most joint states one product may find. Phrases whose tokens recur
+# all over a lattice keep every subset of them completable, and so live: 9
+# one-token phrases that each recur 8-11 times on a 902-vertex lattice give
+# about 300,000 states and 770 MB, and 12 such phrases more than 3 GB.
+MAX_PRODUCT_STATES = 200_000
+
+
 def constrained_product(
     lattice: Dag | Wfsa,
     phrases: Sequence[ConstraintPhrase],
@@ -255,6 +350,16 @@ def constrained_product(
     label index; an epsilon arc of the lattice keeps both. A joint state is
     final when its lattice and vocab states are and every phrase has
     completed.
+
+    On a `Dag`, the pass makes a joint state only when every phrase can
+    still complete from its vertex and matcher state (`_completion_masks`
+    and `_Matchers`' `need`). This is necessary for
+    acceptance, so it drops only states that cannot accept, and the product
+    is the same; the pass no longer finds a state for every subset of
+    completed phrases it can reach, only for those whose other phrases
+    still lie ahead. A `Wfsa` lattice is explored without this filter.
+    A pass that would find more than `MAX_PRODUCT_STATES` states raises
+    `ValueError`.
 
     The pass walks each lattice state's arcs as label runs, so the vocab
     lookup and the matcher step run once per run, not once per arc. A
@@ -287,21 +392,24 @@ def constrained_product(
         dag_rows = lattice.transitions
         # a run is (token, emission log-prob); its arcs are made from dag_rows
         runs = [em if tr else () for em, tr in zip(lattice.emissions, dag_rows)]
+        completion, offsets = _completion_masks(lattice, phrases)
     else:
         num_states, lattice_start = lattice.num_states, lattice.start
         lattice_finals = lattice.finals
         dag_rows = None
         runs = [_label_runs(lattice.arcs_from(p)) for p in range(num_states)]
+        completion, offsets = [0] * num_states, []
     if vocab is None:
         vocab = _ANY_STRING
     elif isinstance(vocab, Wfsa):
         vocab = _as_lexicon(vocab)
     if num_states == 0 or not vocab.rows:
         return Wfsa(num_states=1, start=0)
-    matchers = _Matchers(tuple(phrases))
+    matchers = _Matchers(tuple(phrases), offsets)
     joint = matchers.states
     vocab_finals = vocab.finals
     vocab_index: dict[int, _LabelIndex] = {}
+    limit = MAX_PRODUCT_STATES
 
     # A state is `(lattice state, matcher index, vocab state)`, and its id
     # is its position in `queue`. States are expanded in id order, so the
@@ -340,12 +448,17 @@ def constrained_product(
                 nxt = moves.get(label) or matchers.step(match, label)
             if dag_rows is not None:  # run is the emission log-prob
                 run = [(-(run + tlp) + 0.0, v) for v, tlp in dag_rows[p]]
+            m_dst, need = nxt[3], nxt[4]
             for weight, p_dst in run:
                 for q_dst in q_dsts:
-                    key = (p_dst, nxt[3], q_dst)
+                    key = (p_dst, m_dst, q_dst)
                     dst = ids.get(key)
                     if dst is None:
+                        if completion[p_dst] & need != need:
+                            continue  # some phrase can no longer complete from p_dst
                         dst = ids[key] = len(queue)
+                        if dst == limit:
+                            raise ValueError(f"the constraint product exceeds {limit} states")
                         queue.append(key)
                         last_in.append(-1)
                     prev_in.append(last_in[dst])
@@ -354,7 +467,22 @@ def constrained_product(
                     arc_src.append(src)
         bounds.append(len(arcs))
 
-    live = [False] * len(queue)
+    return _trim(finals, arcs, bounds, arc_src, last_in, prev_in)
+
+
+def _trim(
+    finals: list[int],
+    arcs: list[tuple[int, float, int]],
+    bounds: list[int],
+    arc_src: list[int],
+    last_in: list[int],
+    prev_in: list[int],
+) -> Wfsa:
+    """The states of `constrained_product`'s forward pass that can still
+    accept, with their arcs among them, numbered in the order they were
+    found; the arguments are the pass's flat lists, one entry of `last_in`
+    per found state."""
+    live = [False] * len(last_in)
     for f in finals:
         live[f] = True
     stack = list(finals)

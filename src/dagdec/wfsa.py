@@ -614,6 +614,16 @@ def _label_from_text(text: str) -> int:
     raise ValueError(f"unknown arc label {text!r}")
 
 
+def _cost(text: str) -> float:
+    """The arc cost `text` spells as `dump_wfsa` writes one, `repr` of a
+    float, and nothing else: `float()` would also take a sign, spaces,
+    underscores, other scripts' digits and other spellings of one value."""
+    cost = float(text)
+    if repr(cost) != text:
+        raise ValueError(f"expected a cost as repr writes it, got {text!r}")
+    return cost
+
+
 def dump_wfsa(w: Wfsa) -> str:
     """Canonical textual dump; arcs ordered by (src, label, dst)."""
     lines = [
@@ -653,7 +663,7 @@ def load_wfsa(text: str) -> Wfsa:
                     finals.add(state)
             else:
                 src, dst, label, cost = fields
-                arcs.append((_decimal(src), _decimal(dst), _label_from_text(label), float(cost)))
+                arcs.append((_decimal(src), _decimal(dst), _label_from_text(label), _cost(cost)))
         except ValueError as exc:
             raise ValueError(f"malformed line {line!r}: {exc}") from None
     if num_states is None:

@@ -338,6 +338,33 @@ class TestEmptyIntersectionNote:
         assert got.status == "empty_intersection"
         assert got.note == "the pruned lattice has no accepting path"
 
+    def test_phrase_that_completes_only_into_a_dead_end(self, workspace):
+        tmp_path, _, table_path, table = workspace
+        dag_path = tmp_path / "dead_branch.json"  # 0 -> 1 -> 4 spells w000 w001;
+        # 0 -> 2 -> 3 spells w000 w002, but vertex 3 has no way on to vertex 4
+        write_dag(build_dag([[(0, 1.0)], [(1, 1.0)], [(2, 1.0)], [(3, 1.0)], [(4, 1.0)]],
+                            [[(1, 0.5), (2, 0.5)], [(4, 1.0)], [(3, 1.0)], [], []]),
+                  str(dag_path))
+        cons = write_constraints(tmp_path, [{"phrases": [phrase_surface(table, (0, 2))]}])
+        got = run_decode(DecodeJob(dag_path=str(dag_path), table_path=table_path, mode="hlc",
+                                   constraints_path=cons))
+        assert got.status == "empty_intersection"
+        assert got.note == "phrase 0 ('w000 w002') cannot appear in the pruned lattice"
+
+    def test_the_note_builds_no_product_per_phrase(self, workspace, monkeypatch):
+        from dagdec import cli
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return constrained_product(*args)
+
+        monkeypatch.setattr(cli, "constrained_product", counting)
+        got = self.decode(workspace, "hlc", [(0,), (1,), (2,), (4,)])
+        assert got.note == "no path of the pruned lattice meets every constraint together"
+        assert len(calls) == 2  # the decode's, and the one without constraints
+
     def test_success_builds_one_product(self, workspace, monkeypatch):
         from dagdec import cli
 
@@ -468,6 +495,19 @@ class TestMainEntry:
             want = run(command, lexicon, ["</s>"])
             assert want[0]["status"] == "ok"
             assert run(command, spaced, ["</s>", " "]) == want, command
+
+    def test_product_over_the_state_bound_exits_1_with_one_line(
+        self, workspace, capsys, monkeypatch
+    ):
+        import dagdec.constraints as constraints_module
+
+        tmp_path, dag_path, table_path, table = workspace
+        monkeypatch.setattr(constraints_module, "MAX_PRODUCT_STATES", 3)
+        cons = write_constraints(tmp_path, [{"phrases": [phrase_surface(table, (0,))]}])
+        code = main(["decode", "--dag", dag_path, "--table", table_path, "--mode", "hlc",
+                     "--constraints", cons, "--ke", "2", "--kt", "2"])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == "error: the constraint product exceeds 3 states\n"
 
     def test_io_error_exit_code(self, tmp_path, capsys):
         code = main(["decode", "--dag", str(tmp_path / "missing.json"),

@@ -14,6 +14,7 @@ import dagdec.constraints as constraints_mod
 from dagdec import wfsa
 from dagdec.constraints import (
     ConstraintPhrase,
+    LexiconFsa,
     _as_lexicon,
     _Matchers,
     _segment,
@@ -33,6 +34,7 @@ from dagdec.wfsa import (
     Arc,
     Wfsa,
     _label_index,
+    _lattice_acceptor,
     closure,
     dag_to_wfsa,
     determinize_min,
@@ -55,13 +57,16 @@ from .lattices import (
     random_constrained_lattice,
     random_constrained_product,
     random_joint_product,
+    random_kept_path,
     random_nfa,
     toy_table,
     uniform_lattice,
+    window_lattice,
 )
 from .oracles import (
     arc_scan_intersect,
     contains_subsequence,
+    enumerate_dag_paths,
     enumerate_wfsa_paths,
     lexicon_closure,
     nfa_accepts,
@@ -607,6 +612,141 @@ class TestPrunedLatticeProduct:
 # "c" may meet a word starting with "c" there.
 _LETTERS = TokenTable(surfaces=("▁a", "▁b", "a", "b", "c", "<s>", "</s>"),
                       sow_mark="▁", eos_id=6, sos_id=5)
+
+
+def _gold_path(dag: Dag) -> list[int]:
+    """The tokens of a lattice's top path: the top emission at each vertex
+    and the top transition out of it. On a `window_lattice` this is the
+    planted gold path, which every top-k pruning keeps."""
+    u, gold = 0, []
+    while u != dag.final_vertex:
+        gold.append(dag.emissions[u][0][0])
+        u = dag.transitions[u][0][0]
+    return gold
+
+
+def _many_phrase_draw(seed: int) -> tuple[Dag, tuple[ConstraintPhrase, ...], LexiconFsa | None]:
+    """A pruned lattice with 1-12 phrases and, half the time, a vocabulary.
+
+    The phrases are windows of one path, overlapping and repeated, and now
+    and then a random phrase. Odd seeds take a `random_constrained_lattice`
+    (a `generate_synthetic_dag` lattice, or a single vertex), its phrases
+    and a kept path of it; even seeds take a small `window_lattice` and its
+    gold path. A vocabulary always has the path's words, and may have more.
+    A fifth of the lattices get a dead end.
+    """
+    rng = random.Random(seed)
+    count = rng.randint(1, 12)
+    if seed % 2:
+        vocab_size = rng.choice((3, 4))
+        dag, cfg = random_constrained_lattice(rng, vocab_size)
+        k_e, k_t = cfg.k_e, cfg.k_t
+        path = random_kept_path(dag, cfg, rng.randrange(2**32))
+        phrases = list(cfg.constraints)
+    else:
+        vocab_size = 60
+        dag, _ = window_lattice(seed, gold_tokens=rng.randint(9, 16))
+        k_e, k_t = rng.randint(1, 3), rng.randint(1, 3)
+        path = _gold_path(dag)
+        phrases = []
+    while len(phrases) < count:
+        if path and rng.random() < 0.9:
+            start = rng.randrange(len(path))
+            tokens = path[start : start + rng.randint(1, 3)]
+        else:
+            tokens = rng.choices(range(vocab_size), k=rng.randint(1, 3))
+        phrases.append(ConstraintPhrase(tokens=tuple(tokens)))
+    if dag.num_vertices > 1 and rng.random() < 0.2:
+        dag = dead_end(dag, rng.randrange(dag.num_vertices - 1))
+    phrases = tuple(phrases[:count])
+    pruned = prune_dag(dag, PruneConfig(k_e=k_e, k_t=k_t, constraints=phrases))
+    vocab = None
+    if rng.random() < 0.5:
+        table = toy_table(vocab_size)
+        words = [f"w{i:03d}" for i in range(vocab_size)]
+        dictionary = {words[t] for t in path} | set(rng.sample(words, rng.randint(0, 3)))
+        entities = [" ".join(rng.choices(words, k=2)) for _ in range(rng.randint(0, 2))]
+        vocab = build_vocab_fsa(sorted(dictionary), [], entities, table)
+    return pruned, phrases, vocab
+
+
+class TestCompletionFilter:
+    """The `Dag` path of `constrained_product` makes a joint state only when
+    every phrase can still complete from its vertex (`_completion_masks`);
+    the `Wfsa` path has no such filter and is the reference."""
+
+    def test_masks_against_enumeration(self):
+        # bit s of a phrase at vertex u: some path from u completes it when
+        # its matcher starts in state s, that is after tokens[:s]; bit L:
+        # some path from u reaches the final vertex
+        for seed in range(300):
+            rng = random.Random(seed)
+            dag, cfg = random_constrained_lattice(rng, rng.choice((2, 3)))
+            if dag.num_vertices > 1 and rng.random() < 0.3:
+                dag = dead_end(dag, rng.randrange(dag.num_vertices - 1))
+            pruned = prune_dag(dag, cfg)
+            phrases = cfg.constraints + tuple(
+                ConstraintPhrase(tokens=tuple(rng.choices(range(3), k=rng.randint(1, 3))))
+                for _ in range(rng.randint(0, 2))
+            )
+            masks, offsets = constraints_mod._completion_masks(pruned, phrases)
+            assert offsets == [sum(len(p) + 1 for p in phrases[:i]) for i in range(len(phrases))]
+            for u in range(pruned.num_vertices):
+                sub = Dag(num_vertices=pruned.num_vertices - u,
+                          emissions=pruned.emissions[u:],
+                          transitions=tuple(tuple((v - u, lp) for v, lp in row)
+                                            for row in pruned.transitions[u:]))
+                spellings = [t for t, _ in enumerate_dag_paths(sub)]
+                want = 0
+                for phrase, offset in zip(phrases, offsets):
+                    tokens = phrase.tokens
+                    want |= sum(
+                        1 << s for s in range(len(tokens))
+                        if any(contains_subsequence(tokens[:s] + t, tokens) for t in spellings)
+                    ) + (1 << len(tokens) if spellings else 0) << offset
+                assert masks[u] == want, (seed, phrases, u)
+
+    def test_same_product_as_the_unfiltered_acceptor_path(self):
+        for seed in range(400):
+            pruned, phrases, vocab = _many_phrase_draw(seed)
+            got = _outcome(lambda: constrained_product(pruned, phrases, vocab))
+            want = _outcome(lambda: constrained_product(_lattice_acceptor(pruned), phrases, vocab))
+            assert got == want, (seed, phrases)
+
+    def test_twelve_phrases_find_few_states(self, monkeypatch):
+        # twelve two-token windows of the gold path of a 73-vertex lattice:
+        # without the filter the pass finds tens of thousands of states,
+        # one for every subset of completed phrases it can reach
+        found = []
+
+        def counting(finals, arcs, bounds, *rest):
+            found.append(len(bounds) - 1)
+            return trim_found(finals, arcs, bounds, *rest)
+
+        trim_found = constraints_mod._trim
+        monkeypatch.setattr(constraints_mod, "_trim", counting)
+        dag, _ = window_lattice(16, gold_tokens=16)
+        gold = _gold_path(dag)
+        phrases = tuple(ConstraintPhrase(tokens=tuple(gold[s : s + 2]))
+                        for s in (round(i * (len(gold) - 2) / 11) for i in range(12)))
+        pruned = prune_dag(dag, PruneConfig(k_e=2, k_t=2, constraints=phrases))
+        got = constrained_product(pruned, phrases)
+        assert got.finals
+        filtered = found.pop()
+        assert dump_wfsa(constrained_product(_lattice_acceptor(pruned), phrases)) == dump_wfsa(got)
+        unfiltered = found.pop()
+        assert filtered <= 3 * got.num_states
+        assert unfiltered > 100 * filtered
+
+    def test_found_states_are_bounded(self, monkeypatch):
+        # a chain of 5 vertices and no constraint finds its 5 states
+        chain = build_dag([[(0, 1.0)]] * 5, [[(u + 1, 1.0)] for u in range(4)] + [[]])
+        for lattice in (chain, _lattice_acceptor(chain)):
+            monkeypatch.setattr(constraints_mod, "MAX_PRODUCT_STATES", 5)
+            assert constrained_product(lattice, []).num_states == 5
+            monkeypatch.setattr(constraints_mod, "MAX_PRODUCT_STATES", 4)
+            with pytest.raises(ValueError, match=r"^the constraint product exceeds 4 states$"):
+                constrained_product(lattice, [])
 
 
 @st.composite

@@ -650,6 +650,17 @@ class TestDumpFormat:
         with pytest.raises(ValueError, match=r"^malformed line .*" + re.escape(repr(bad))):
             load_wfsa(dump)
 
+    # float() reads each of these as 0.5, 5.0 or inf; a dump writes a cost
+    # as repr(cost), so no other spelling is one of the format's
+    @pytest.mark.parametrize("cost", [
+        "0_5", " 0.5", "0.5 ", "+0.5", ".5", "\u0660.5", "0.50", "5e-1", "1e400",
+    ], ids=["underscore", "leading-space", "trailing-space", "sign", "no-leading-zero",
+            "arabic-indic", "trailing-zero", "exponent", "overflow"])
+    def test_costs_are_repr_spellings_only(self, cost):
+        dump = f"#version 1\nstates\t2\nstart\t0\nfinal\t1\n0\t1\ttok:1\t{cost}\n"
+        with pytest.raises(ValueError, match=r"^malformed line .*" + re.escape(repr(cost))):
+            load_wfsa(dump)
+
     def test_trim_drops_dead_states(self):
         w = Wfsa(num_states=4, start=0, finals={2})
         w.add_arc(0, 0, 0.0, 1)

@@ -129,12 +129,6 @@ def _content_lines(path: str) -> list[str]:
     return [line for line in _read_lines(path) if line.strip()]
 
 
-def _words(path: str) -> list[str]:
-    """The words of a word-per-line file: each line split on whitespace,
-    as `build_vocab_fsa` splits a lexicon line."""
-    return [word for line in _read_lines(path) for word in line.split()]
-
-
 def _json_object(line: str, where: str) -> dict:
     doc = json.loads(line)
     if not isinstance(doc, dict):
@@ -237,7 +231,9 @@ def _run_decode(job: DecodeJob) -> DecodeResult:
         specials = None if job.specials_path is None else _content_lines(job.specials_path)
         vocab_fsa = build_vocab_fsa(dictionary, specials, entity_surfaces, table)
 
-    prune_cfg = PruneConfig(k_e=job.k_e, k_t=job.k_t, constraints=tuple(phrases))
+    # only the modes that enforce phrases force their emissions in pruning
+    enforced = phrases if use_hlc or job.mode == "cbs-dag" else []
+    prune_cfg = PruneConfig(k_e=job.k_e, k_t=job.k_t, constraints=tuple(enforced))
 
     started = time.perf_counter()
     if job.mode == "greedy":
@@ -250,14 +246,13 @@ def _run_decode(job: DecodeJob) -> DecodeResult:
         result = shortest_path(dag_to_wfsa(dag, prune_cfg))
     else:
         lattice = prune_dag(dag, prune_cfg)
-        hlc_phrases = phrases if use_hlc else []
         product = None  # without constraints the pruned lattice is searched as it is
         if use_hlc or use_vc:
-            product = constrained_product(lattice, hlc_phrases, vocab_fsa)
+            product = constrained_product(lattice, enforced, vocab_fsa)
         if product is not None and not product.finals:
             result = DecodeResult(
                 status=STATUS_EMPTY_INTERSECTION,
-                note=_empty_product_note(lattice, hlc_phrases, vocab_fsa),
+                note=_empty_product_note(lattice, enforced, vocab_fsa),
             )
         elif use_lc:
             cfg = LcConfig(
@@ -344,31 +339,25 @@ def run_batch(manifest_path: str, defaults: DecodeJob) -> dict:
     lines = _content_lines(manifest_path)
     results = []
     records = []
-    vocab_words: set[str] = set()
+    vocab_texts: set[str] = set()  # surfaces and lexicon lines, read whole
     for idx, line in enumerate(lines):
         try:
             job = _job_from_manifest(line, f"{manifest_path} job {idx}", defaults)
             payload = run_decode(job).to_dict()
+            if payload["status"] == STATUS_OK:
+                phrases, entities = _load_constraints(job)
+                lexicon = [] if job.lexicon_path is None else _read_lines(job.lexicon_path)
+                records.append(EvalRecord(payload["text"], phrases, job.references))
+                vocab_texts.update(phrases, entities, lexicon)
         except Exception as exc:  # one bad job must not take down the batch
             payload = {"status": "error", "error": str(exc), "error_type": type(exc).__name__}
         payload["job"] = idx
         results.append(payload)
-        if payload.get("status") != STATUS_OK or payload.get("text") is None:
-            continue
-        phrases, entities = _load_constraints(job)
-        records.append(
-            EvalRecord(
-                output=payload["text"],
-                required_values=tuple(phrases),
-                references=tuple(job.references),
-            )
-        )
-        for surface in phrases + entities:
-            vocab_words.update(surface.split())
-        if job.lexicon_path:
-            vocab_words.update(_words(job.lexicon_path))
 
-    vocab = build_eval_vocabulary(extra_words=vocab_words) if vocab_words else None
+    try:
+        vocab = build_eval_vocabulary(extra_words=vocab_texts)
+    except ValueError:  # no job brought a word, so there is no neologism rate
+        vocab = None
     summary = {
         "jobs": len(lines),
         "decoded": sum(1 for r in results if r.get("status") == STATUS_OK),
@@ -537,7 +526,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             )
         vocab = None
         if args.vocab:
-            vocab = build_eval_vocabulary(extra_words=_words(args.vocab))
+            vocab = build_eval_vocabulary(extra_words=_read_lines(args.vocab))
         _emit([json.dumps(compute_report(records, vocab), ensure_ascii=False)], args.out)
         return EXIT_OK
 

@@ -23,7 +23,7 @@ from . import wfsa
 from .dag import Dag
 from .tokens import TokenTable
 from .wfsa import SIGMA, Arc, Wfsa, _check_overflow, _label_index
-from .words import is_numeric_token, strip_punct
+from .words import content_words
 
 # Punctuation accepted by the default special-token automaton.
 DEFAULT_SPECIAL_PUNCTUATION = "$&'()*+,-./:;=>?@[]_"
@@ -567,20 +567,13 @@ def _segment(surface: str, table: TokenTable) -> tuple[int, ...]:
 def extract_lexicon(corpus: Iterable[str], cumulative_cutoff: float) -> list[str]:
     """Frequent unigrams covering the requested share of the corpus mass.
 
-    Space-delimited unigrams are stripped of edge punctuation; empty and
-    numeric residues are dropped and true case is kept. Words are ordered
-    by descending frequency (ties lexicographic) and truncated at the
-    smallest prefix whose cumulative frequency reaches the cutoff.
+    The unigrams are each line's `content_words`, in true case. Words are
+    ordered by descending frequency (ties lexicographic) and truncated at
+    the smallest prefix whose cumulative frequency reaches the cutoff.
     """
     if not 0.0 < cumulative_cutoff <= 1.0:
         raise ValueError("cumulative_cutoff must be in (0, 1]")
-    counts: Counter[str] = Counter()
-    for line in corpus:
-        for raw in line.split():
-            word = strip_punct(raw)
-            if not word or is_numeric_token(word):
-                continue
-            counts[word] += 1
+    counts = Counter(word for line in corpus for word in content_words(line))
     total = sum(counts.values())
     if total == 0:
         return []

@@ -9,11 +9,12 @@ term that flags too-short generation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .words import is_numeric_token, strip_punct
+from .words import content_words
 
 
 @dataclass(frozen=True)
@@ -48,22 +49,10 @@ def build_eval_vocabulary(
     required_values: Iterable[str] = (),
     extra_words: Iterable[str] = (),
 ) -> EvalVocabulary:
-    """Corpus words (punctuation-stripped, numerics dropped, true-cased)
-    plus all words of the required values and any extra words, verbatim."""
-    words: set[str] = set()
-    for line in corpus:
-        for raw in line.split():
-            w = strip_punct(raw)
-            if w and not is_numeric_token(w):
-                words.add(w)
-    for value in required_values:
-        for raw in value.split():
-            words.add(raw)
-            w = strip_punct(raw)
-            if w:
-                words.add(w)
-    words.update(extra_words)
-    return EvalVocabulary(words=frozenset(words))
+    """The `content_words` (true-cased) of the corpus lines, the required
+    values and the extra words."""
+    texts = itertools.chain(corpus, required_values, extra_words)
+    return EvalVocabulary(words=frozenset(w for text in texts for w in content_words(text)))
 
 
 def slot_error_rate(records: Sequence[EvalRecord]) -> float:
@@ -90,24 +79,13 @@ def exact_occurrence_error_rate(records: Sequence[EvalRecord]) -> float:
     return 100.0 * errors / len(records)
 
 
-def _oov_words(output: str, vocab: EvalVocabulary) -> list[str]:
-    oov = []
-    for raw in output.split():
-        word = strip_punct(raw)
-        if word and not is_numeric_token(word) and word not in vocab:
-            oov.append(word)
-    return oov
-
-
 def neologism_rate(records: Sequence[EvalRecord], vocab: EvalVocabulary) -> float:
-    """Percentage of records containing at least one out-of-vocabulary word.
-
-    A word is out-of-vocabulary when, after stripping edge punctuation, it
-    is nonempty, non-numeric, and absent from the vocabulary.
-    """
+    """Percentage of records with a `content_words` word not in the vocabulary."""
     if not records:
         return 0.0
-    flagged = sum(1 for record in records if _oov_words(record.output, vocab))
+    flagged = sum(
+        1 for record in records if any(w not in vocab for w in content_words(record.output))
+    )
     return 100.0 * flagged / len(records)
 
 

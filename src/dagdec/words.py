@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import string
+from typing import Iterator
 
 _PUNCT = set(string.punctuation)
 _NUMERIC_SEPARATORS = set(",.:-/")
@@ -30,3 +31,13 @@ def is_numeric_token(word: str) -> bool:
         elif ch not in _NUMERIC_SEPARATORS:
             return False
     return has_digit
+
+
+def content_words(text: str) -> Iterator[str]:
+    """The words of `text` as every vocabulary and the neologism check read
+    them: each whitespace-separated piece less its edge punctuation, with
+    empty and numeric pieces left out."""
+    for raw in text.split():
+        word = strip_punct(raw)
+        if word and not is_numeric_token(word):
+            yield word

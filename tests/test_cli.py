@@ -33,7 +33,7 @@ from dagdec.cli import (
 from dagdec.constraints import constrained_product
 from dagdec.dag import PruneConfig, prune_dag, write_dag
 from dagdec.length import default_upper_bound, length_penalty
-from dagdec.tokens import write_token_table
+from dagdec.tokens import TokenTable, write_token_table
 from dagdec.wfsa import dag_to_wfsa, shortest_path
 
 from .lattices import (
@@ -282,6 +282,34 @@ class TestLengthModesSearchThePrunedLattice:
         got = [run_decode(job) for job in jobs]
         assert all(result.status == "ok" for result in got)
         assert got == want
+
+
+class TestPhrasesShapeOnlyTheModesThatEnforceThem:
+    """A constraint file's phrases force emissions in pruning only for
+    `hlc`, `control-dag` and `cbs-dag`."""
+
+    @pytest.mark.parametrize("mode", ("vc", "lc", "wfsa-shortest", "beam"))
+    def test_decode_is_the_same_without_the_phrases(self, tmp_path, mode):
+        # at --ke 1 vertex 1 keeps only w001, unless the phrase forces w002
+        dag = build_dag(
+            emission_probs=[[(0, 1.0)], [(1, 0.9), (2, 0.1)], [(3, 1.0)]],
+            transition_probs=[[(1, 0.9), (2, 0.1)], [(2, 1.0)], []],
+        )
+        write_dag(dag, str(tmp_path / "d.json"))
+        write_token_table(toy_table(4), str(tmp_path / "t.table"))
+        lexicon = write_lexicon(tmp_path, ["w000", "w002", "w003"])
+
+        def decode(phrases):
+            path = tmp_path / "c.jsonl"
+            path.write_text(json.dumps({"phrases": phrases}) + "\n", encoding="utf-8")
+            job = DecodeJob(dag_path=str(tmp_path / "d.json"),
+                            table_path=str(tmp_path / "t.table"), mode=mode,
+                            constraints_path=str(path), lexicon_path=lexicon,
+                            target_length=2, k_e=1, k_t=1)
+            result = run_decode(job)
+            return result.status, result.tokens, result.cost
+
+        assert decode(["w000 w002"]) == decode([])
 
 
 class TestEmptyIntersectionNote:
@@ -694,6 +722,31 @@ class TestBatch:
         assert lines[3]["summary"]["errors"] == 2
 
     @pytest.mark.parametrize(
+        "content, error_type",
+        [(None, "FileNotFoundError"), (b"w001\n\xff\xfe\n", "UnicodeDecodeError")],
+        ids=["missing", "invalid-utf8"],
+    )
+    def test_unreadable_lexicon_is_one_failed_job(self, workspace, tmp_path, content, error_type):
+        # the evaluation read of a decoded job's lexicon used to end the batch,
+        # even in a mode whose decode never opens it
+        _, dag_path, table_path, _ = workspace
+        lexicon = tmp_path / "lexicon.txt"
+        if content is not None:
+            lexicon.write_bytes(content)
+        entries = [
+            {"dag": dag_path, "table": table_path, "mode": "greedy", "lexicon": str(lexicon)},
+            {"dag": dag_path, "table": table_path, "mode": "greedy"},
+        ]
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text("".join(json.dumps(e) + "\n" for e in entries), encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        assert main(["batch", "--manifest", str(manifest), "--out", str(out)]) == EXIT_OK
+        lines = [json.loads(l) for l in out.read_text().splitlines()]
+        assert [d.get("status") for d in lines[:2]] == ["error", "ok"]
+        assert lines[0]["error_type"] == error_type
+        assert lines[2]["summary"] == dict(lines[2]["summary"], jobs=2, decoded=1, errors=1)
+
+    @pytest.mark.parametrize(
         "key, value, kind",
         [
             ("len_upper", 12.5, "an integer"),
@@ -894,6 +947,46 @@ class TestDeterminismAndSummary:
         assert reports("spaced", [" " + word for word in lexicon]) == plain
         paired = [" ".join(lexicon[i:i + 2]) for i in (0, 2)] + lexicon[4:]
         assert reports("paired", paired) == plain
+
+    def test_punctuated_entity_and_lexicon_words_are_in_vocabulary(self, tmp_path):
+        # the vocabulary held `St.` while the check looked up `St`: neo read 100.0
+        table = TokenTable(surfaces=("▁St.", "▁Louis", "▁is", "<s>", "</s>"),
+                           sow_mark="▁", eos_id=4, sos_id=3)
+        dag = build_dag(
+            emission_probs=[[(0, 1.0)], [(1, 1.0)], [(2, 1.0)], [(4, 1.0)]],
+            transition_probs=[[(1, 1.0)], [(2, 1.0)], [(3, 1.0)], []],
+        )
+        write_dag(dag, str(tmp_path / "d.json"))
+        write_token_table(table, str(tmp_path / "t.table"))
+        job = {"dag": str(tmp_path / "d.json"), "table": str(tmp_path / "t.table"),
+               "mode": "vc", "lexicon": write_lexicon(tmp_path, ["is"]),
+               "constraints": write_constraints(tmp_path, [{"entities": ["St. Louis"]}])}
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text(json.dumps(job) + "\n", encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        assert main(["batch", "--manifest", str(manifest), "--out", str(out)]) == EXIT_OK
+        docs = [json.loads(line) for line in out.read_text().splitlines()]
+        assert docs[0]["text"] == "St. Louis is"
+        assert docs[1]["summary"]["metrics"]["neo"] == 0.0
+
+    def test_evaluate_vocabulary_words_lose_their_edge_punctuation(self, tmp_path, capsys):
+        records = tmp_path / "records.jsonl"
+        records.write_text(json.dumps({"output": "Mr. Smith"}) + "\n", encoding="utf-8")
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("Mr.\nSmith\n", encoding="utf-8")
+        assert main(["evaluate", "--records", str(records), "--vocab", str(vocab)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["neo"] == 0.0
+
+    def test_batch_whose_jobs_bring_no_word_has_no_neologism_rate(self, workspace, tmp_path):
+        _, dag_path, table_path, _ = workspace
+        job = {"dag": dag_path, "table": table_path, "mode": "greedy",
+               "lexicon": write_lexicon(tmp_path, ["555-1234", "42"])}
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text(json.dumps(job) + "\n", encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        assert main(["batch", "--manifest", str(manifest), "--out", str(out)]) == EXIT_OK
+        summary = json.loads(out.read_text().splitlines()[-1])["summary"]
+        assert summary["decoded"] == 1 and summary["metrics"]["neo"] is None
 
 
 @pytest.fixture()
@@ -1106,6 +1199,56 @@ class TestBadInput:
         records.write_text('{"output": "a b", ' + field + "}\n", encoding="utf-8")
         code = main(["evaluate", "--records", str(records)])
         self.assert_one_line_error(capsys, code, "list of strings")
+
+    def test_evaluation_vocabulary_of_numbers_only(self, tmp_path, capsys):
+        records = tmp_path / "records.jsonl"
+        records.write_text(json.dumps({"output": "a b"}) + "\n", encoding="utf-8")
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("42\n555-1234\n", encoding="utf-8")
+        code = main(["evaluate", "--records", str(records), "--vocab", str(vocab)])
+        self.assert_one_line_error(capsys, code, "evaluation vocabulary must be nonempty")
+
+    def test_decode_without_a_lattice(self, workspace, capsys):
+        _, _, table_path, _ = workspace
+        code = main(["decode", "--table", table_path])
+        self.assert_one_line_error(capsys, code, "--dag and --table are required")
+
+    @pytest.mark.parametrize(
+        "files, flags, message",
+        [
+            ({"pred": "1\n0\n"}, "--mode lc --len-predictor {pred}",
+             "--len-predictor requires --input-len"),
+            ({"pred": "1\n0\n"}, "--mode lc --len-predictor {pred} --input-len -1",
+             "input length must be >= 0"),
+            ({"pred": "1\n"}, "--mode lc --len-predictor {pred} --input-len 2",
+             "predictor file must have two lines"),
+            ({}, "--mode lc --target-len 3 --len-upper 0", "upper_bound must be >= 1"),
+            ({"table": "#version 1\n#sow ▁\n#eos 0\n#sos 0\n"}, "", "token table is empty"),
+            ({"table": "#version 1\n#eos 1\n#sos 0\n0\t<s>\n1\t</s>\n"}, "",
+             "start-of-word mark is empty"),
+            ({"table": "#version 1\n#colour red\n"}, "", "line 2: unknown header #colour"),
+            ({"dag": "[]"}, "", "top-level document must be an object"),
+            ({"dag": '{"version": 1, "num_vertices": 2, "vertices": [{}]}'}, "",
+             "vertices list does not match num_vertices"),
+            ({"dag": json.dumps({"version": 1, "num_vertices": 3, "vertices": [
+                {"emissions": [[0, 0.0]], "transitions": [[1, 0.0]]},
+                {"emissions": [[1, 0.0]], "transitions": []},
+                {"emissions": [[2, 0.0]], "transitions": []},
+            ]})}, "--mode greedy", "vertex 1 has no outgoing transitions"),
+        ],
+        ids=["predictor-without-input-len", "negative-input-len", "one-line-predictor",
+             "len-upper-0", "empty-table", "no-sow-mark", "unknown-table-header",
+             "lattice-not-an-object", "vertex-count", "greedy-dead-end"],
+    )
+    def test_decode_input_errors(self, workspace, capsys, files, flags, message):
+        tmp_path, dag_path, table_path, _ = workspace
+        paths = {"dag": dag_path, "table": table_path}
+        for name, text in files.items():
+            paths[name] = str(tmp_path / f"bad-{name}")
+            (tmp_path / f"bad-{name}").write_text(text, encoding="utf-8")
+        code = main(["decode", "--dag", paths["dag"], "--table", paths["table"],
+                     *flags.format(**paths).split()])
+        self.assert_one_line_error(capsys, code, message)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "1e308"])
     def test_synth_concentration_too_large_or_not_a_number(self, tmp_path, capsys, value):

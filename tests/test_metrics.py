@@ -20,6 +20,7 @@ from dagdec.metrics import (
     neologism_rate,
     slot_error_rate,
 )
+from dagdec.words import content_words
 
 from .oracles import (
     ref_brevity_penalty,
@@ -98,6 +99,19 @@ class TestNeologism:
     def test_vocabulary_must_be_nonempty(self):
         with pytest.raises(ValueError):
             EvalVocabulary(words=frozenset())
+
+
+class TestContentWords:
+    def test_edge_punctuation_empty_and_numeric_pieces(self):
+        text = "(hello!) 555-1234 -- Mr. 3.5 U.S. don't"
+        assert list(content_words(text)) == ["hello", "Mr", "U.S", "don't"]
+
+    def test_every_vocabulary_source_reads_content_words(self):
+        vocab = build_eval_vocabulary(
+            corpus=["St. Louis, 42"], required_values=["Mr. Smith"], extra_words=["U.S.", "9:30"]
+        )
+        assert vocab.words == {"St", "Louis", "Mr", "Smith", "U.S"}
+        assert neologism_rate([rec("Mr. Smith (U.S.) St. Louis 9:30")], vocab) == 0.0
 
 
 class TestBrevityPenalty:

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 from . import wfsa
 from .dag import Dag
 from .tokens import TokenTable
-from .wfsa import SIGMA, Arc, Wfsa, _check_overflow, _label_index
+from .wfsa import SIGMA, Arc, Wfsa, _backward_trim, _check_overflow, _label_index
 from .words import content_words
 
 # Punctuation accepted by the default special-token automaton.
@@ -372,11 +372,12 @@ def constrained_product(
     whose weight overflows to inf, is raised first as `dag_to_wfsa`
     raises it, for every kept arc, reached or not.
 
-    A backward pass from the finals then keeps the states that can still
-    accept, numbered in the order they were found; every found state is
-    reachable from the start, so no forward pass is needed. Each state's
-    arcs follow its lattice arcs, and each lattice arc's matches follow
-    the vocab state's arc order. The result is epsilon-free and acyclic
+    The pass records each found state's arcs and predecessors; every
+    found state is reachable from the start, so `wfsa._backward_trim`,
+    the backward half of `trim`, then keeps the states that can still
+    accept, numbered in the order they were found. Each state's arcs
+    follow its lattice arcs, and each lattice arc's matches follow the
+    vocab state's arc order. The result is epsilon-free and acyclic
     whenever the lattice is; it has a final state exactly when it accepts
     some string.
 
@@ -412,22 +413,17 @@ def constrained_product(
     limit = MAX_PRODUCT_STATES
 
     # A state is `(lattice state, matcher index, vocab state)`, and its id
-    # is its position in `queue`. States are expanded in id order, so the
-    # arcs out of state s are arcs[bounds[s]:bounds[s + 1]]; the arcs into
-    # a state are chained from last_in[state] through prev_in, and arc e
-    # leaves state arc_src[e]. Flat int lists and int tuples, not a list
-    # per state, leave the garbage collector next to nothing to track while
-    # the product is built.
+    # is its position in `queue`; rows[s] holds its arcs and preds[s] the
+    # source of each arc into it.
     start = (lattice_start, matchers.start[3], vocab.start)
     queue = [start]
     ids = {start: 0}
-    arcs: list[tuple[int, float, int]] = []
-    bounds = [0]
-    arc_src: list[int] = []
-    last_in = [-1]
-    prev_in: list[int] = []
+    rows: list[list[tuple[int, float, int]]] = []
+    preds: list[list[int]] = [[]]
     finals = []
     for src, (p, m, q) in enumerate(queue):  # grows as states are found
+        row = []
+        rows.append(row)
         match = joint[m]
         if not match[1] and p in lattice_finals and q in vocab_finals:
             finals.append(src)
@@ -460,53 +456,10 @@ def constrained_product(
                         if dst == limit:
                             raise ValueError(f"the constraint product exceeds {limit} states")
                         queue.append(key)
-                        last_in.append(-1)
-                    prev_in.append(last_in[dst])
-                    last_in[dst] = len(arcs)
-                    arcs.append((label, weight, dst))
-                    arc_src.append(src)
-        bounds.append(len(arcs))
-
-    return _trim(finals, arcs, bounds, arc_src, last_in, prev_in)
-
-
-def _trim(
-    finals: list[int],
-    arcs: list[tuple[int, float, int]],
-    bounds: list[int],
-    arc_src: list[int],
-    last_in: list[int],
-    prev_in: list[int],
-) -> Wfsa:
-    """The states of `constrained_product`'s forward pass that can still
-    accept, with their arcs among them, numbered in the order they were
-    found; the arguments are the pass's flat lists, one entry of `last_in`
-    per found state."""
-    live = [False] * len(last_in)
-    for f in finals:
-        live[f] = True
-    stack = list(finals)
-    while stack:
-        e = last_in[stack.pop()]
-        while e >= 0:
-            src = arc_src[e]
-            if not live[src]:
-                live[src] = True
-                stack.append(src)
-            e = prev_in[e]
-    alive = [s for s, keep in enumerate(live) if keep]
-    if not alive:
-        return Wfsa(num_states=1, start=0)
-    renum = {old: new for new, old in enumerate(alive)}
-    kept = [
-        [
-            Arc(label, weight, renum[dst])
-            for label, weight, dst in arcs[bounds[s]:bounds[s + 1]]
-            if live[dst]
-        ]
-        for s in alive
-    ]
-    return Wfsa(num_states=len(alive), start=0, finals={renum[f] for f in finals}, arcs=kept)
+                        preds.append([])
+                    preds[dst].append(src)
+                    row.append((label, weight, dst))
+    return _backward_trim(0, finals, rows, preds)
 
 
 def tokenize_phrase(surface: str, table: TokenTable) -> ConstraintPhrase:

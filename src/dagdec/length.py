@@ -169,7 +169,10 @@ def _search_arcs(lattice: Dag | Wfsa) -> tuple[list[list[_SearchArc]], int, set[
 
 
 def _acceptor_arcs(w: Wfsa) -> tuple[list[list[_SearchArc]], int, set[int]]:
-    """`_search_arcs` of an acceptor."""
+    """`_search_arcs` of an acceptor; one without states is searched as one
+    state without arcs that is not final."""
+    if not w.num_states:
+        return [[]], 0, set()
     forward = True
     for u in range(w.num_states):
         for label, _, dst in w.arcs_from(u):

@@ -135,8 +135,12 @@ def _check_overflow(lattice: Dag) -> None:
 
 
 def _copy_into(dst: Wfsa, src: Wfsa, offset: int) -> None:
+    """Copy src's arcs into dst, shifted by offset, and enter src's start
+    by an epsilon arc from dst's state 0; src without states has no start."""
     for s, arc in src.all_arcs():
         dst.add_arc(s + offset, arc.label, arc.weight, arc.dst + offset)
+    if src.num_states:
+        dst.add_arc(0, EPSILON, 0.0, src.start + offset)
 
 
 def union(first: Wfsa, *rest: Wfsa) -> Wfsa:
@@ -147,7 +151,6 @@ def union(first: Wfsa, *rest: Wfsa) -> Wfsa:
     offset = 1
     for a in operands:
         _copy_into(out, a, offset)
-        out.add_arc(0, EPSILON, 0.0, a.start + offset)
         out.finals.update(f + offset for f in a.finals)
         offset += a.num_states
     return out
@@ -157,7 +160,6 @@ def closure(a: Wfsa) -> Wfsa:
     """Kleene closure: L(a)*, accepting the empty string."""
     out = Wfsa(num_states=a.num_states + 1, start=0, finals={0})
     _copy_into(out, a, 1)
-    out.add_arc(0, EPSILON, 0.0, a.start + 1)
     for f in sorted(a.finals):
         out.add_arc(f + 1, EPSILON, 0.0, 0)
     return out
@@ -271,6 +273,8 @@ def _topological_order(w: Wfsa) -> list[int]:
 
 def topological_sort(w: Wfsa) -> Wfsa:
     """Renumber states so every arc goes from a lower to a higher index."""
+    if not w.num_states:
+        return Wfsa()
     order = _topological_order(w)
     renum = {old: new for new, old in enumerate(order)}
     out = Wfsa(
@@ -300,40 +304,50 @@ def has_accepting_path(w: Wfsa) -> bool:
 
 
 def trim(w: Wfsa) -> Wfsa:
-    """Drop states not on any start-to-final path (keeps relative order)."""
-    forward = {w.start}
-    stack = [w.start]
+    """Drop states not on any start-to-final path (keeps relative order): a
+    forward walk marks the states the start reaches and records their
+    predecessors, then `_backward_trim` keeps those that reach a final. A
+    kept arc whose weight is not a finite cost >= 0 raises `add_arc`'s error."""
+    reached = [False] * w.num_states
+    preds: list[list[int]] = [[] for _ in reached]
+    stack = [w.start] if reached else []  # an acceptor without states has no start
     while stack:
         s = stack.pop()
-        for arc in w.arcs_from(s):
-            if arc.dst not in forward:
-                forward.add(arc.dst)
+        if not reached[s]:
+            reached[s] = True
+            for arc in w.arcs_from(s):
+                preds[arc.dst].append(s)
                 stack.append(arc.dst)
-    rev: list[list[int]] = [[] for _ in range(w.num_states)]
-    for s, arc in w.all_arcs():
-        rev[arc.dst].append(s)
-    backward = set(w.finals)
-    stack = list(w.finals)
+    out = _backward_trim(w.start, [f for f in w.finals if reached[f]], w._arcs, preds)
+    for _, arc in out.all_arcs():
+        if not 0.0 <= arc.weight < _INF:
+            raise ValueError(f"arc weight {arc.weight} is not a finite cost >= 0")
+    return out
+
+
+def _backward_trim(start: int, finals: Sequence[int], rows: Sequence, preds: Sequence) -> Wfsa:
+    """The states a forward pass from `start` reached that reach one of
+    `finals` (reached states too), renumbered in order, each with its arcs
+    among them in row order. Row s holds state s's `(label, weight, dst)`
+    arcs, and preds[s] the source of each arc into s from a reached state.
+    With no state kept, the result is one non-final state without arcs."""
+    live = [False] * len(rows)
+    for f in finals:
+        live[f] = True
+    stack = list(finals)
     while stack:
-        s = stack.pop()
-        for p in rev[s]:
-            if p not in backward:
-                backward.add(p)
-                stack.append(p)
-    alive = sorted(forward & backward)
+        for src in preds[stack.pop()]:
+            if not live[src]:
+                live[src] = True
+                stack.append(src)
+    alive = [s for s, keep in enumerate(live) if keep]
     if not alive:
         return Wfsa(num_states=1, start=0)
     renum = {old: new for new, old in enumerate(alive)}
-    out = Wfsa(
-        num_states=len(alive),
-        start=renum[w.start],
-        finals={renum[f] for f in w.finals if f in renum},
-    )
-    for s in alive:
-        for arc in w.arcs_from(s):
-            if arc.dst in renum:
-                out.add_arc(renum[s], arc.label, arc.weight, renum[arc.dst])
-    return out
+    kept = [[Arc(label, weight, renum[dst]) for label, weight, dst in rows[s] if live[dst]]
+            for s in alive]
+    return Wfsa(num_states=len(alive), start=renum[start], finals={renum[f] for f in finals},
+                arcs=kept)
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +502,7 @@ def determinize_min(a: Wfsa) -> Wfsa:
     nf = _rm_epsilon_unweighted(a)
     alphabet = sorted({arc.label for _, arc in nf.all_arcs()})
 
-    subsets = [frozenset({nf.start})]
+    subsets = [frozenset({nf.start} if nf.num_states else ())]  # no states, no start
     ids = {subsets[0]: 0}
     rows: list[list[int]] = []
     for subset in subsets:  # grows as new subsets are discovered
@@ -625,12 +639,11 @@ def _cost(text: str) -> float:
 
 
 def dump_wfsa(w: Wfsa) -> str:
-    """Canonical textual dump; arcs ordered by (src, label, dst)."""
-    lines = [
-        f"#version {WFSA_FORMAT_VERSION}",
-        f"states\t{w.num_states}",
-        f"start\t{w.start}",
-    ]
+    """Canonical textual dump; arcs ordered by (src, label, dst). An
+    acceptor without states has no start line."""
+    lines = [f"#version {WFSA_FORMAT_VERSION}", f"states\t{w.num_states}"]
+    if w.num_states:
+        lines.append(f"start\t{w.start}")
     lines.extend(f"final\t{f}" for f in sorted(w.finals))
     arcs = sorted(
         ((s, arc) for s, arc in w.all_arcs()),

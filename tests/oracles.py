@@ -27,7 +27,7 @@ from dagdec.dag import (
 from dagdec.length import LcConfig, length_penalty
 from dagdec.result import STATUS_EMPTY, STATUS_OK, DecodeResult
 from dagdec.tokens import TokenTable
-from dagdec.wfsa import EPSILON, SIGMA, Arc, Wfsa, _rm_epsilon_unweighted, topological_sort, trim
+from dagdec.wfsa import EPSILON, SIGMA, Arc, Wfsa, _rm_epsilon_unweighted, topological_sort
 
 
 def enumerate_wfsa_paths(w: Wfsa) -> list[tuple[tuple[int, ...], float]]:
@@ -528,7 +528,46 @@ def arc_scan_intersect(w: Wfsa, a: Wfsa) -> Wfsa:
             for carc in a.arcs_from(q):
                 if carc.label == arc.label or carc.label == SIGMA:
                     out.add_arc(src, arc.label, arc.weight, state_id((arc.dst, carc.dst)))
-    return trim(out)
+    return reference_trim(out)
+
+
+def reference_trim(w: Wfsa) -> Wfsa:
+    """`wfsa.trim` as it was before it shared its backward pass with the
+    constraint product: set-based forward and backward reachability over
+    a reversed arc table, and `add_arc` for every kept arc."""
+    forward = {w.start}
+    stack = [w.start]
+    while stack:
+        s = stack.pop()
+        for arc in w.arcs_from(s):
+            if arc.dst not in forward:
+                forward.add(arc.dst)
+                stack.append(arc.dst)
+    rev: list[list[int]] = [[] for _ in range(w.num_states)]
+    for s, arc in w.all_arcs():
+        rev[arc.dst].append(s)
+    backward = set(w.finals)
+    stack = list(w.finals)
+    while stack:
+        s = stack.pop()
+        for p in rev[s]:
+            if p not in backward:
+                backward.add(p)
+                stack.append(p)
+    alive = sorted(forward & backward)
+    if not alive:
+        return Wfsa(num_states=1, start=0)
+    renum = {old: new for new, old in enumerate(alive)}
+    out = Wfsa(
+        num_states=len(alive),
+        start=renum[w.start],
+        finals={renum[f] for f in w.finals if f in renum},
+    )
+    for s in alive:
+        for arc in w.arcs_from(s):
+            if arc.dst in renum:
+                out.add_arc(renum[s], arc.label, arc.weight, renum[arc.dst])
+    return out
 
 
 def reference_tokenize_phrase(surface: str, table: TokenTable) -> ConstraintPhrase:

@@ -719,12 +719,12 @@ class TestCompletionFilter:
         # one for every subset of completed phrases it can reach
         found = []
 
-        def counting(finals, arcs, bounds, *rest):
-            found.append(len(bounds) - 1)
-            return trim_found(finals, arcs, bounds, *rest)
+        def counting(start, finals, rows, preds):
+            found.append(len(rows))
+            return trim_found(start, finals, rows, preds)
 
-        trim_found = constraints_mod._trim
-        monkeypatch.setattr(constraints_mod, "_trim", counting)
+        trim_found = constraints_mod._backward_trim
+        monkeypatch.setattr(constraints_mod, "_backward_trim", counting)
         dag, _ = window_lattice(16, gold_tokens=16)
         gold = _gold_path(dag)
         phrases = tuple(ConstraintPhrase(tokens=tuple(gold[s : s + 2]))

@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 
 from dagdec.constraints import ConstraintPhrase, build_hlc_fsa
 from dagdec.dag import PruneConfig, load_dag
-from dagdec.result import STATUS_EMPTY, STATUS_OK
+from dagdec.length import LcConfig, dfs_viterbi, length_cost_table
+from dagdec.result import STATUS_EMPTY, STATUS_INFEASIBLE, STATUS_OK
 from dagdec.wfsa import (
     EPSILON,
     SIGMA,
+    Arc,
     Wfsa,
     _label_index,
     closure,
@@ -49,6 +51,7 @@ from .oracles import (
     min_wfsa_path,
     nfa_accepts,
     reference_lexicon_register,
+    reference_trim,
 )
 
 INF = float("inf")
@@ -409,6 +412,77 @@ class TestRegularOps:
             assert nfa_accepts(vocab_fsa, s) == is_concatenation(s)
 
 
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_union_enters_no_operand_without_states(self, at):
+        operands = [linear_acceptor((0,)), linear_acceptor((1,))]
+        operands.insert(at, Wfsa())
+        got = union(*operands)
+        # an operand without states takes no state and no epsilon arc
+        assert [(s, arc.dst) for s, arc in got.all_arcs() if arc.label == EPSILON] == [(0, 1), (0, 3)]
+        assert got.num_states == 5
+        assert string_cost(got, (0,)) == string_cost(got, (1,)) == 0.0
+        assert string_cost(got, ()) == INF
+
+
+# Wfsa() is the default acceptor, and load_wfsa reads one from a dump of
+# zero states; each operation treats it as an acceptor of no string.
+_NO_STATES = {
+    "trim": (lambda w: dump_wfsa(trim(w)), "#version 1\nstates\t1\nstart\t0\n"),
+    "topological_sort": (lambda w: dump_wfsa(topological_sort(w)), "#version 1\nstates\t0\n"),
+    "determinize_min": (lambda w: dump_wfsa(determinize_min(w)), "#version 1\nstates\t1\nstart\t0\n"),
+    "closure": (lambda w: dump_wfsa(closure(w)), "#version 1\nstates\t1\nstart\t0\nfinal\t0\n"),
+    "dfs_viterbi": (lambda w: dfs_viterbi(w, LcConfig(target_length=2)).status, STATUS_INFEASIBLE),
+    "length_cost_table": (lambda w: length_cost_table(w, LcConfig(target_length=2)), {}),
+}
+
+
+class TestAcceptorWithoutStates:
+    @pytest.mark.parametrize("name", sorted(_NO_STATES))
+    def test_operation(self, name):
+        op, expected = _NO_STATES[name]
+        for w in (Wfsa(), load_wfsa("#version 1\nstates\t0\n")):
+            assert op(w) == expected
+
+    def test_dump_round_trip(self):
+        blob = dump_wfsa(Wfsa())
+        assert blob == "#version 1\nstates\t0\n"
+        got = load_wfsa(blob)
+        assert got.num_states == 0 and not got.finals
+        assert dump_wfsa(got) == blob
+
+
+@st.composite
+def _trim_inputs(draw) -> Wfsa:
+    """An acceptor of 1-7 states with arcs drawn at will: cycles, epsilon
+    and sigma labels, states the start does not reach and states that
+    reach no final, any start, and zero, one or several finals. Built
+    without `add_arc`, so now and then an arc weighs inf, which `trim`
+    refuses only when it keeps the arc."""
+    n = draw(st.integers(1, 7))
+    rows: list[list[Arc]] = [[] for _ in range(n)]
+    state = st.integers(0, n - 1)
+    label = st.sampled_from((EPSILON, SIGMA, 0, 1, 2))
+    weight = st.sampled_from((0.0, 0.5, 1.25, 3.0, 0.0, 0.5, 2.0, INF))
+    for src, arc in draw(st.lists(st.tuples(state, st.builds(Arc, label, weight, state)),
+                                  max_size=3 * n)):
+        rows[src].append(arc)
+    finals = draw(st.sets(state, max_size=3))
+    return Wfsa(num_states=n, start=draw(state), finals=finals, arcs=rows)
+
+
+class TestTrim:
+    @given(_trim_inputs())
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    def test_same_as_the_reference(self, w):
+        def outcome(op) -> str:
+            try:
+                return dump_wfsa(op(w))
+            except ValueError as exc:
+                return f"ValueError: {exc}"
+
+        assert outcome(trim) == outcome(reference_trim)
+
+
 class TestDeterminizeMin:
     def test_merges_redundant_paths(self):
         a = Wfsa(num_states=5, start=0, finals={2, 4})
@@ -618,6 +692,8 @@ class TestDumpFormat:
         ("#version 1\nstates\t2\nstart\t5", "start\t5"),
         ("#version 1\nstates\t2\nstart\t-1", "start\t-1"),
         ("#version 1\nfinal\t9\nstates\t2", "final\t9"),
+        ("#version 1\nstates\t0\nstart\t0", "start\t0"),
+        ("#version 1\nstates\t0\nfinal\t0", "final\t0"),
     ])
     def test_malformed_header_lines_are_named(self, text, line):
         with pytest.raises(ValueError, match=re.escape(repr(line))):

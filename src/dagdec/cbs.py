@@ -19,8 +19,8 @@ from .result import STATUS_EMPTY, STATUS_OK, DecodeResult
 
 def kmp_advance(state: int, token: int, phrase: ConstraintPhrase) -> int:
     """Advance a phrase matcher by one token; completion is sticky."""
-    if not 0 <= state <= len(phrase.tokens):
-        raise ValueError(f"matcher state {state} out of range for phrase of {len(phrase)}")
+    if isinstance(state, bool) or not isinstance(state, int) or not 0 <= state <= len(phrase):
+        raise ValueError(f"matcher state {state!r} out of range for phrase of {len(phrase)}")
     if state == len(phrase.tokens):
         return state
     return _step_table(phrase.tokens)[state].get(token, 0)
@@ -120,16 +120,24 @@ def _sweep(
     same vertex, so they are interchangeable, and the order in which
     candidates arrive does not change what a bank keeps.
 
-    A vertex's menu, its first `beam_width` emissions, is split once into
-    phrase-alphabet pairs and foreign pairs, next to the phrase tokens it
-    emits past the menu. Each phrase-alphabet candidate steps the matchers;
-    every foreign candidate of an item goes to the bank of the item's reset
-    successor. Foreign pairs come in row order, `(-logprob, index)`, and
-    IEEE addition is monotone, so their scores do not increase: once a full
-    bank refuses one, it refuses the rest, and they are not made.
+    A vertex's menu, its first `beam_width` emissions, is split on first
+    use in one pass that puts each pair, in row order, into a list of
+    phrase-alphabet pairs or a list of foreign pairs. Next to them, `rest`
+    maps the phrase tokens the vertex emits past the menu to their
+    log-probs; it is built only for a row longer than the width in a search
+    with phrases, and every other menu shares one empty dict. Each
+    phrase-alphabet candidate steps the matchers; every foreign candidate
+    of an item goes to the bank of the item's reset successor, read from
+    `_Matchers.resets` once made. Foreign pairs come in row order,
+    `(-logprob, index)`, and IEEE addition is monotone, so their scores do
+    not increase: once a full bank refuses one, it refuses the rest, and
+    they are not made. The foreign list is not cut to `cap` entries: a later
+    pair whose sum rounds to the same score still wins on its smaller id.
     """
     matchers = _Matchers(constraints)
     alphabet = matchers.alphabet
+    resets = matchers.resets
+    no_rest: dict[int, float] = {}  # shared by every menu without one; only read
     menus: list[tuple | None] = [None] * dag.num_vertices
     banks: list[dict[int, list[tuple]]] = [{} for _ in range(dag.num_vertices)]
     banks[dag.start_vertex][matchers.total] = [(0.0, None, matchers.start)]
@@ -143,11 +151,16 @@ def _sweep(
             menu = menus[v]
             if menu is None:
                 row = dag.emissions[v]
-                menu = menus[v] = (
-                    tuple(p for p in row[:beam_width] if p[0] in alphabet),
-                    tuple(p for p in row[:beam_width] if p[0] not in alphabet),
-                    {t: lp for t, lp in row[beam_width:] if t in alphabet},
-                )
+                phrase_pairs, foreign = [], []
+                for pair in row[:beam_width]:
+                    if pair[0] in alphabet:
+                        phrase_pairs.append(pair)
+                    else:
+                        foreign.append(pair)
+                rest = no_rest
+                if alphabet and len(row) > beam_width:
+                    rest = {t: lp for t, lp in row[beam_width:] if t in alphabet}
+                menu = menus[v] = (phrase_pairs, foreign, rest)
             phrase_pairs, foreign, rest = menu
             target = banks[v]
             for score, path, state in items:
@@ -155,17 +168,17 @@ def _sweep(
                 candidates = phrase_pairs
                 if rest:
                     # Continuation tokens emittable at v but outside the menu.
-                    candidates += tuple(
+                    candidates = phrase_pairs + [
                         (tokens[s], rest[tokens[s]])
                         for s, (tokens, _) in zip(state[0], matchers.tables)
                         if s < len(tokens) and tokens[s] in rest
-                    )
+                    ]
                 moves = state[2]
                 for token, elp in candidates:
                     _offer(target, moves.get(token) or matchers.step(state, token),
                            base + elp, token, path, cap)
                 if foreign:
-                    reset = matchers.reset(state)
+                    reset = resets[state[3]] or matchers.reset(state)
                     for token, elp in foreign:
                         if not _offer(target, reset, base + elp, token, path, cap):
                             break

@@ -118,6 +118,10 @@ class LcConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.target_length < 1:
             raise ValueError("target_length must be >= 1")
+        for name in ("strictness", "edge_prune_threshold"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not (math.isfinite(self.strictness) and self.strictness >= 0):
             raise ValueError(f"strictness must be a finite number >= 0, got {self.strictness}")
         if not 0.0 < self.edge_prune_threshold <= 1.0:

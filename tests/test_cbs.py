@@ -57,6 +57,11 @@ class TestKmpAdvance:
         with pytest.raises(ValueError):
             kmp_advance(5, 0, ConstraintPhrase(tokens=(0, 1)))
 
+    @pytest.mark.parametrize("state", (True, False, 1.0, "1", None))
+    def test_state_must_be_an_int(self, state):
+        with pytest.raises(ValueError, match="out of range"):
+            kmp_advance(state, 4, ConstraintPhrase(tokens=(3, 4)))
+
     @given(
         st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=4),
         st.lists(st.integers(min_value=0, max_value=2), min_size=0, max_size=12),
@@ -349,3 +354,23 @@ class TestForeignTokens:
         for beam in (1, 2):
             assert beam_decode(dag, beam) == reference_beam_search(dag, (), beam, use_banks=False)
         assert beam_decode(dag, 2).tokens == (3,)
+
+    def test_three_way_rounding_tie_follows_the_menu(self):
+        # All three sums round to -1001.0, so the smallest id inside the
+        # menu wins: the foreign list must be neither cut nor reordered.
+        low = self.LOW
+        lower = math.nextafter(low, -math.inf)
+        assert -1000.0 + -1.0 == -1000.0 + low == -1000.0 + lower
+        dag = Dag(
+            num_vertices=2,
+            emissions=(((0, 0.0),), ((7, -1.0), (5, low), (3, lower))),
+            transitions=(((1, -1000.0),), ()),
+        )
+        for beam, token in ((1, 7), (2, 5), (3, 3)):
+            assert beam_decode(dag, beam).tokens == (token,)
+        for phrases in ((), (ConstraintPhrase(tokens=(9,)),)):
+            for base in (1, 2):
+                width = effective_beam_size(base, sum(len(p) for p in phrases))
+                assert cbs_dag_decode(dag, phrases, base) == reference_beam_search(
+                    dag, phrases, width, use_banks=True
+                )

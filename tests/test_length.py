@@ -193,6 +193,12 @@ class TestLcConfig:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             LcConfig(**{"target_length": 8, field: value})
 
+    @pytest.mark.parametrize("field", ("strictness", "edge_prune_threshold"))
+    @pytest.mark.parametrize("value", (True, False, "0.5", None, [0.5]))
+    def test_weights_must_be_numbers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a number"):
+            LcConfig(**{"target_length": 5, field: value})
+
     @pytest.mark.parametrize("strictness", (math.nan, math.inf, -math.inf, -0.5))
     def test_strictness_must_be_finite_and_non_negative(self, strictness):
         with pytest.raises(ValueError, match="strictness"):

@@ -7,9 +7,10 @@ path (a lexicon compiled per job, and a product without phrases;
 vocab-cold), of the length search on ~900-vertex lattices (lc-long: its
 pinned digests guard the dense-row sweep and the traceback that recovers
 the winning arcs from the rows) and of the constrained beam search over
-the lattice itself (cbs-phrases: its pinned digests guard the shared
-reset successor of foreign tokens and the stop at the first foreign
-token that a full bank refuses). Every
+the lattice itself (cbs-phrases: its pinned digests guard the one-pass
+split of each vertex's menu, the shared reset successor of foreign
+tokens and the stop at the first foreign token that a full bank
+refuses). Every
 workload reads its lattices through `load_dag` and prunes them with
 `prune_dag`, so the digests also guard the one-pass loader (rows kept as
 the generator writes them) and the forward forced-emission prune. The

@@ -40,6 +40,11 @@ class ConstraintPhrase:
         object.__setattr__(self, "tokens", tuple(self.tokens))
         if not self.tokens:
             raise ValueError("constraint phrase must be nonempty")
+        for token in self.tokens:
+            # the rule a `Dag` keeps for its token ids
+            if not isinstance(token, int) or isinstance(token, bool) or token < 0:
+                raise ValueError(f"constraint phrase tokens must be non-negative integers, "
+                                 f"got {token!r}")
 
     def __len__(self) -> int:
         return len(self.tokens)

@@ -3,28 +3,29 @@
 The decoder finds, for every candidate length l up to an upper bound, the
 cheapest accepting path with exactly l arcs. It searches a pruned lattice
 directly, with each kept (emission, transition) pair of a vertex as one
-arc, or an epsilon-free acceptor such as a constrained product; both are
-read into one list of (weight, label, dst) arcs per state. One backward
-sweep over the states in reverse topological order keeps, per state, a
-dense row of the costs delta(state, l) over a contiguous range of
-lengths: this is Mohri's topological shortest distance (2002) over the
-product of the lattice with a length counter, with cumulative-probability
-arc pruning. The finite entries of the start row then compete on their
-cost scaled by an exponential penalty for falling short of the target
-length, and the arcs of the winner are recovered from the rows along its
-path alone.
+arc, or an acceptor without epsilon or sigma arcs, such as a constrained
+product; both are read as one sorted row of (weight, label, dst) arcs per
+state. The search is Mohri's topological shortest distance (2002) over
+the product of the lattice with a length counter, with
+cumulative-probability arc pruning, in two passes over the states. A
+forward pass builds each state's arc row, prunes it, and finds each
+state's depth, the fewest pruned arcs from the start. A backward pass
+then keeps, per state, a dense row of the costs delta(state, l) over a
+contiguous range of lengths, filled from the rows of all its successors
+at once. The finite entries of the start row then compete on their cost
+scaled by an exponential penalty for falling short of the target length,
+and the arcs of the winner are recovered from the rows along its path alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .dag import Dag
 from .result import STATUS_INFEASIBLE, STATUS_OK, DecodeResult
-from .wfsa import (EPSILON, Wfsa, _check_overflow, _lattice_acceptor, _topological_order,
-                   shortest_path)
+from .wfsa import EPSILON, SIGMA, Wfsa, _lattice_acceptor, _topological_order, shortest_path
 
 
 @dataclass(frozen=True)
@@ -150,31 +151,29 @@ def length_penalty(l: int, target_length: int, strictness: float) -> float:
 _SearchArc = tuple[float, int, int]
 
 
-def _search_arcs(lattice: Dag | Wfsa) -> tuple[list[list[_SearchArc]], int, set[int]]:
-    """Each state's arcs as sorted search arcs, in a numbering where every
-    arc goes to a higher state, with the start and the finals in it.
-
-    A pruned `Dag` gives the arcs of the acceptor `dag_to_wfsa` makes of
-    it without making it, and raises what that raises (`_check_overflow`)
-    for any kept arc, reached or not; its transitions all go forward. A
-    `Wfsa` must be epsilon-free; it is renumbered by `_topological_order`
-    when some arc does not go forward, as `topological_sort` would number
-    it, but no second acceptor is built.
-    """
-    if isinstance(lattice, Wfsa):
-        return _acceptor_arcs(lattice)
-    _check_overflow(lattice)
-    arcs = []
+def _lattice_rows(lattice: Dag) -> Iterator[list[_SearchArc]]:
+    """Each vertex's arcs as a sorted row of search arcs: the arcs of the
+    acceptor `dag_to_wfsa` makes of a pruned lattice, without making it.
+    A `Dag`'s transitions all go forward. Raises what `dag_to_wfsa` raises
+    (`_check_overflow`) when a row holds an arc that weighs inf; inf sorts
+    last, so only the last arc need be read."""
+    inf = math.inf
     for emissions, transitions in zip(lattice.emissions, lattice.transitions):
         row = [(-(elp + tlp) + 0.0, token, v) for token, elp in emissions for v, tlp in transitions]
         row.sort()
-        arcs.append(row)
-    return arcs, 0, {lattice.final_vertex}
+        if row and row[-1][0] == inf:
+            raise ValueError(f"arc weight {inf} is not a finite cost >= 0")
+        yield row
 
 
 def _acceptor_arcs(w: Wfsa) -> tuple[list[list[_SearchArc]], int, set[int]]:
-    """`_search_arcs` of an acceptor; one without states is searched as one
-    state without arcs that is not final."""
+    """Each state's arcs as a sorted row of search arcs, in a numbering
+    where every arc goes to a higher state, with the start and the finals
+    in it. The acceptor must have no epsilon or sigma arc; it is renumbered
+    by `_topological_order` when some arc does not go forward, as
+    `topological_sort` would number it, but no second acceptor is built.
+    One without states is searched as one state without arcs that is not
+    final."""
     if not w.num_states:
         return [[]], 0, set()
     forward = True
@@ -182,6 +181,8 @@ def _acceptor_arcs(w: Wfsa) -> tuple[list[list[_SearchArc]], int, set[int]]:
         for label, _, dst in w.arcs_from(u):
             if label == EPSILON:
                 raise ValueError("epsilon arcs must be removed before length-constrained decoding")
+            if label == SIGMA:
+                raise ValueError("cannot decode a path through a sigma arc")
             if dst <= u:
                 forward = False
     order = range(w.num_states) if forward else _topological_order(w)
@@ -193,56 +194,74 @@ def _acceptor_arcs(w: Wfsa) -> tuple[list[list[_SearchArc]], int, set[int]]:
     return arcs, renum[w.start], {renum[f] for f in w.finals}
 
 
-def _prune_arcs(ordered: list[_SearchArc], threshold: float) -> list[_SearchArc]:
-    """A sorted row cut to the minimal cheapest-first prefix whose
+def _pruned_arcs(
+    lattice: Dag | Wfsa, cfg: LcConfig
+) -> tuple[int, set[int], list[list[_SearchArc]], list[int]]:
+    """The forward pass: the start, the finals, each state's pruned arcs,
+    and the fewest pruned arcs from the start to each state (past the
+    bound, `upper_bound + 1`).
+
+    A state's sorted row is cut to the minimal cheapest-first prefix whose
     renormalized probability mass exceeds the threshold (kept in full if
     the mass never does), then to the first arc into each successor: any
     later one weighs at least as much, so it can never offer a strictly
-    lower cost."""
-    if threshold < 1.0 and ordered:
-        probs = [math.exp(-arc[0]) for arc in ordered]
-        total = math.fsum(probs)
-        if total > 0.0:
-            mass = 0.0
-            for i, p in enumerate(probs):
-                mass += p / total
-                if mass > threshold:
-                    ordered = ordered[: i + 1]
-                    break
-    first: dict[int, _SearchArc] = {}
-    for arc in ordered:
-        if arc[2] not in first:
-            first[arc[2]] = arc
-    return list(first.values())
+    lower cost. Every arc goes forward, so a state's depth is final when
+    the pass reaches it.
+    """
+    if isinstance(lattice, Wfsa):
+        arcs, start, finals = _acceptor_arcs(lattice)
+        n, rows = len(arcs), arcs
+    else:
+        start, finals = 0, {lattice.final_vertex}
+        n, rows = lattice.num_vertices, _lattice_rows(lattice)
+    threshold = cfg.edge_prune_threshold
+    exp = math.exp
+    depth = [cfg.upper_bound + 1] * n
+    depth[start] = 0
+    pruned = []
+    for u, row in enumerate(rows):
+        if threshold < 1.0 and row:
+            probs = [exp(-arc[0]) for arc in row]
+            total = math.fsum(probs)
+            if total > 0.0:
+                mass = 0.0
+                for i, p in enumerate(probs):
+                    mass += p / total
+                    if mass > threshold:
+                        del row[i + 1:]
+                        break
+        d = depth[u] + 1
+        kept = {}
+        for arc in row:
+            v = arc[2]
+            if v not in kept:
+                kept[v] = arc
+                if d < depth[v]:
+                    depth[v] = d
+        pruned.append(list(kept.values()))
+    return start, finals, pruned, depth
 
 
 def _length_rows(
-    arcs: list[list[_SearchArc]], start: int, finals: set[int], cfg: LcConfig
-) -> tuple[list[list[_SearchArc]], list[int], list[list[float]]]:
+    lattice: Dag | Wfsa, cfg: LcConfig
+) -> tuple[int, list[list[_SearchArc]], list[int], list[list[float]]]:
     """delta(state, l) for the lengths that can still fit under the bound,
     as one dense row per state: rows[s][i] is delta(s, first[s] + i), inf
     only where a length in between has no path.
 
-    `arcs` holds each state's sorted search arcs in a numbering where every
-    arc goes forward, as `_search_arcs` gives them. A forward pass finds
-    the fewest pruned arcs from the start to each state; a backward pass
-    then fills each state's row up to the bound less that depth, trying
-    arcs in pruned order and replacing only on strict <, so the work is
-    one row scan per pruned arc. No back-pointers are kept; `_best_arc`
-    recovers them along one path. Returns the pruned arcs, and each
-    state's first length and cost row.
+    Two passes over the states, numbered so that every arc goes forward:
+    `_pruned_arcs` prunes each state's arcs and finds its depth, the fewest
+    pruned arcs from the start; a backward pass then fills each state's
+    row up to the bound less that depth, from the tails of all its
+    successors' rows at once. The tails are padded with inf to one common
+    range, and each entry takes the first strictly least sum in pruned
+    order. No back-pointers are kept; `_best_arc` recovers them along one
+    path. Returns the start, the pruned arcs, and each state's first
+    length and cost row.
     """
-    n = len(arcs)
+    start, finals, pruned, depth = _pruned_arcs(lattice, cfg)
+    n = len(pruned)
     bound = cfg.upper_bound
-    threshold = cfg.edge_prune_threshold
-    pruned = [_prune_arcs(row, threshold) for row in arcs]
-    depth = [bound + 1] * n
-    depth[start] = 0
-    for u in range(n):
-        d = depth[u] + 1
-        for arc in pruned[u]:
-            if d < depth[arc[2]]:
-                depth[arc[2]] = d
     inf = math.inf
     first = [0] * n
     rows: list[list[float]] = [[] for _ in range(n)]
@@ -250,12 +269,12 @@ def _length_rows(
         limit = bound - depth[u]
         if limit < 0:
             continue
-        row = [0.0] if u in finals else []
-        lo = 0
+        tails = []
+        lo, hi = limit + 1, 0  # every tail begins at or before the limit
         for weight, _, dst in pruned[u]:
             tail = rows[dst]
-            start = first[dst] + 1
-            keep = limit - start + 1
+            begin = first[dst] + 1
+            keep = limit - begin + 1
             if not tail or keep <= 0:
                 continue
             if keep < len(tail):
@@ -264,21 +283,40 @@ def _length_rows(
                     tail.pop()
                 if not tail:
                     continue
-            if not row:
-                row = [weight + c for c in tail]
-                lo = start
-                continue
-            if start < lo:
-                row[:0] = [inf] * (lo - start)
-                lo = start
-            i = start - lo
-            j = i + len(tail)
-            if j > len(row):
-                row.extend([inf] * (j - len(row)))
-            row[i:j] = [y if (y := weight + c) < x else x for x, c in zip(row[i:j], tail)]
+            end = begin + len(tail)
+            if begin < lo:
+                lo = begin
+            if end > hi:
+                hi = end
+            tails.append((weight, begin, tail))
+        if len(tails) == 1:
+            w1, _, t1 = tails[0]
+            row = [w1 + c for c in t1]
+        elif tails:
+            padded = []
+            for weight, begin, tail in tails:
+                if begin > lo:
+                    tail = [inf] * (begin - lo) + tail
+                if len(tail) < hi - lo:
+                    tail = tail + [inf] * (hi - lo - len(tail))
+                padded.append((weight, tail))
+            (w1, t1), (w2, t2) = padded[:2]
+            if len(padded) == 2:
+                row = [x if (y := w2 + c2) >= (x := w1 + c1) else y for c1, c2 in zip(t1, t2)]
+            else:
+                w3, t3 = padded[2]
+                row = [x if (y := w3 + c3) >= (x := a if (b := w2 + c2) >= (a := w1 + c1) else b)
+                       else y for c1, c2, c3 in zip(t1, t2, t3)]
+                for w, t in padded[3:]:
+                    row = [x if (y := w + c) >= x else y for x, c in zip(row, t)]
+        else:
+            lo, row = 0, []
+        if u in finals:
+            row = [0.0, *[inf] * (lo - 1), *row] if row else [0.0]
+            lo = 0
         rows[u] = row
         first[u] = lo
-    return pruned, first, rows
+    return start, pruned, first, rows
 
 
 def _best_arc(
@@ -309,9 +347,8 @@ def _start_costs(start: int, first: list[int], rows: list[list[float]]) -> dict[
 
 def length_cost_table(lattice: Dag | Wfsa, cfg: LcConfig) -> dict[int, float]:
     """delta(start, l) for l = 1..upper_bound, finite entries only, of a
-    pruned lattice or an epsilon-free acceptor."""
-    arcs, start, finals = _search_arcs(lattice)
-    _, first, rows = _length_rows(arcs, start, finals, cfg)
+    pruned lattice or an acceptor without epsilon or sigma arcs."""
+    start, _, first, rows = _length_rows(lattice, cfg)
     return _start_costs(start, first, rows)
 
 
@@ -319,10 +356,12 @@ def dfs_viterbi(lattice: Dag | Wfsa, cfg: LcConfig) -> DecodeResult:
     """Best length-penalized hypothesis among all lengths up to the bound.
 
     Searches a pruned lattice from `prune_dag`, which gives the result the
-    acceptor `dag_to_wfsa` makes of it would, or any epsilon-free acyclic
-    acceptor, such as a constrained product. A `Dag` checked its rows when
-    it was made, so the only error it can raise here is `dag_to_wfsa`'s
-    for an arc whose weight overflows to inf.
+    acceptor `dag_to_wfsa` makes of it would, or any acyclic acceptor
+    without epsilon or sigma arcs, such as a constrained product, in the
+    two passes of `_length_rows`. A `Dag` checked its rows when it was
+    made, so the only error it can raise here is `dag_to_wfsa`'s for an
+    arc whose weight overflows to inf, reached or not: the forward pass
+    builds every vertex's arcs.
 
     Returns the candidate minimizing length_penalty(l) * delta(start, l),
     preferring longer candidates on exact ties; the result carries both the
@@ -332,8 +371,7 @@ def dfs_viterbi(lattice: Dag | Wfsa, cfg: LcConfig) -> DecodeResult:
     cost, reports infeasibility along with what the unconstrained cheapest
     path would have looked like.
     """
-    arcs, start, finals = _search_arcs(lattice)
-    pruned, first, rows = _length_rows(arcs, start, finals, cfg)
+    start, pruned, first, rows = _length_rows(lattice, cfg)
     candidates = _start_costs(start, first, rows)
     best_l = None
     best_cost = math.inf

@@ -24,10 +24,11 @@ from dagdec.dag import (
     PruneConfig,
     _sort_sparse,
 )
-from dagdec.length import LcConfig, length_penalty
+from dagdec.length import LcConfig, _acceptor_arcs, length_penalty
 from dagdec.result import STATUS_EMPTY, STATUS_OK, DecodeResult
 from dagdec.tokens import TokenTable
-from dagdec.wfsa import EPSILON, SIGMA, Arc, Wfsa, _rm_epsilon_unweighted, topological_sort
+from dagdec.wfsa import (EPSILON, SIGMA, Arc, Wfsa, _check_overflow, _rm_epsilon_unweighted,
+                         topological_sort)
 
 
 def enumerate_wfsa_paths(w: Wfsa) -> list[tuple[tuple[int, ...], float]]:
@@ -568,6 +569,104 @@ def reference_trim(w: Wfsa) -> Wfsa:
             if arc.dst in renum:
                 out.add_arc(renum[s], arc.label, arc.weight, renum[arc.dst])
     return out
+
+
+def reference_length_rows(
+    lattice: Dag | Wfsa, cfg: LcConfig
+) -> tuple[int, list[list[tuple[float, int, int]]], list[int], list[list[float]]]:
+    """The length search's start, pruned arcs, first lengths and cost rows
+    as they were computed before the search made its two passes: every
+    sorted arc row built first, each cut by `_reference_prune_arcs`, a
+    separate depth pass, and a backward sweep that merges one successor
+    row at a time into the state's row."""
+    arcs, start, finals = _reference_search_arcs(lattice)
+    return (start, *_reference_sweep(arcs, start, finals, cfg))
+
+
+def _reference_search_arcs(
+    lattice: Dag | Wfsa,
+) -> tuple[list[list[tuple[float, int, int]]], int, set[int]]:
+    if isinstance(lattice, Wfsa):
+        return _acceptor_arcs(lattice)
+    _check_overflow(lattice)
+    arcs = []
+    for emissions, transitions in zip(lattice.emissions, lattice.transitions):
+        row = [(-(elp + tlp) + 0.0, token, v) for token, elp in emissions for v, tlp in transitions]
+        row.sort()
+        arcs.append(row)
+    return arcs, 0, {lattice.final_vertex}
+
+
+def _reference_prune_arcs(
+    ordered: list[tuple[float, int, int]], threshold: float
+) -> list[tuple[float, int, int]]:
+    if threshold < 1.0 and ordered:
+        probs = [math.exp(-arc[0]) for arc in ordered]
+        total = math.fsum(probs)
+        if total > 0.0:
+            mass = 0.0
+            for i, p in enumerate(probs):
+                mass += p / total
+                if mass > threshold:
+                    ordered = ordered[: i + 1]
+                    break
+    first: dict[int, tuple[float, int, int]] = {}
+    for arc in ordered:
+        if arc[2] not in first:
+            first[arc[2]] = arc
+    return list(first.values())
+
+
+def _reference_sweep(
+    arcs: list[list[tuple[float, int, int]]], start: int, finals: set[int], cfg: LcConfig
+) -> tuple[list[list[tuple[float, int, int]]], list[int], list[list[float]]]:
+    n = len(arcs)
+    bound = cfg.upper_bound
+    threshold = cfg.edge_prune_threshold
+    pruned = [_reference_prune_arcs(row, threshold) for row in arcs]
+    depth = [bound + 1] * n
+    depth[start] = 0
+    for u in range(n):
+        d = depth[u] + 1
+        for arc in pruned[u]:
+            if d < depth[arc[2]]:
+                depth[arc[2]] = d
+    inf = math.inf
+    first = [0] * n
+    rows: list[list[float]] = [[] for _ in range(n)]
+    for u in range(n - 1, -1, -1):
+        limit = bound - depth[u]
+        if limit < 0:
+            continue
+        row = [0.0] if u in finals else []
+        lo = 0
+        for weight, _, dst in pruned[u]:
+            tail = rows[dst]
+            start = first[dst] + 1
+            keep = limit - start + 1
+            if not tail or keep <= 0:
+                continue
+            if keep < len(tail):
+                tail = tail[:keep]
+                while tail and tail[-1] == inf:
+                    tail.pop()
+                if not tail:
+                    continue
+            if not row:
+                row = [weight + c for c in tail]
+                lo = start
+                continue
+            if start < lo:
+                row[:0] = [inf] * (lo - start)
+                lo = start
+            i = start - lo
+            j = i + len(tail)
+            if j > len(row):
+                row.extend([inf] * (j - len(row)))
+            row[i:j] = [y if (y := weight + c) < x else x for x, c in zip(row[i:j], tail)]
+        rows[u] = row
+        first[u] = lo
+    return pruned, first, rows
 
 
 def reference_tokenize_phrase(surface: str, table: TokenTable) -> ConstraintPhrase:

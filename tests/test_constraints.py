@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -98,6 +99,14 @@ class TestHlcFsa:
     def test_empty_phrase_rejected(self):
         with pytest.raises(ValueError):
             ConstraintPhrase(tokens=())
+
+    @pytest.mark.parametrize("token", (True, 1.0, "a", -1))
+    def test_tokens_are_non_negative_integers(self, token):
+        # a lattice index keeps the same rule: True and 1.0 would match
+        # token 1, and "a" or -1 no token at all
+        with pytest.raises(ValueError, match=rf"^constraint phrase tokens must be non-negative "
+                                             rf"integers, got {re.escape(repr(token))}$"):
+            ConstraintPhrase(tokens=(0, token))
 
     @pytest.mark.parametrize("tokens", [(0,), (0, 1), (1, 0, 1), (0, 0, 1), (2, 2)])
     def test_language_is_exactly_containment(self, tokens):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,8 +19,8 @@ from dagdec.length import (
     dfs_viterbi,
     fit_length_predictor,
     _best_arc,
+    _acceptor_arcs,
     _length_rows,
-    _search_arcs,
     length_cost_table,
     length_penalty,
     load_length_predictor,
@@ -29,6 +30,7 @@ from dagdec.length import (
 from dagdec.result import STATUS_INFEASIBLE, STATUS_OK
 from dagdec.wfsa import (
     EPSILON,
+    SIGMA,
     Arc,
     Wfsa,
     dag_to_wfsa,
@@ -46,7 +48,8 @@ from .lattices import (
     uniform_lattice,
     window_lattice,
 )
-from .oracles import MemoLengthSearch, length_bucket_minima, ols_closed_form
+from .oracles import (MemoLengthSearch, length_bucket_minima, ols_closed_form,
+                      reference_length_rows)
 
 
 class TestFit:
@@ -248,9 +251,8 @@ def finite_entries(first: list[int], rows: list[list[float]]) -> dict[tuple[int,
 def length_rows(w: Wfsa, cfg: LcConfig):
     """(start, finals, pruned arcs, first lengths, cost rows) of the length
     search over w, in the numbering the search gives its states."""
-    arcs, start, finals = _search_arcs(w)
-    pruned, first, rows = _length_rows(arcs, start, finals, cfg)
-    return start, finals, pruned, first, rows
+    start, pruned, first, rows = _length_rows(w, cfg)
+    return start, _acceptor_arcs(w)[2], pruned, first, rows
 
 
 def search_arc(arc: Arc) -> tuple[float, int, int]:
@@ -566,6 +568,100 @@ class TestLengthSearchOnPrunedLattice:
         assert results == {(5,), (5, 8, 7)}
 
 
+def hex_search(start, pruned, first, rows):
+    """The search's start, pruned arcs, first lengths and rows, with every
+    float as `float.hex`, so equal means bit-identical."""
+    return (start, [[(w.hex(), label, dst) for w, label, dst in row] for row in pruned], first,
+            [[c.hex() for c in row] for row in rows])
+
+
+def assert_matches_the_sweep(lattice: Dag | Wfsa, cfg: LcConfig) -> None:
+    """`_length_rows` equals `reference_length_rows` bit for bit, or both
+    raise the same ValueError."""
+    try:
+        want = reference_length_rows(lattice, cfg)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            _length_rows(lattice, cfg)
+        return
+    assert hex_search(*_length_rows(lattice, cfg)) == hex_search(*want)
+
+
+_THRESHOLDS = st.sampled_from((0.7, 1.0))
+# 1e308 + 1e308 is inf: a row entry past two such arcs overflows
+_TIE_WEIGHTS = st.sampled_from((0.0, 0.25, 0.5, 1.0, 2.0, 1e308))
+
+
+@st.composite
+def fan_acceptor(draw) -> Wfsa:
+    """A start with 4-6 successors (heads) that join a spine of 2-6 states
+    ending at the final. A spine state skips to the final now and then,
+    so its row has holes, and the start enters the spine now and then, so
+    a spine state sits shallower than a head that joins it and the bound
+    cuts its row, sometimes inside a hole, where the head merges it. A
+    spine state is final now and then, so some finals have out-arcs."""
+    heads, spine = draw(st.integers(4, 6)), draw(st.integers(2, 6))
+    final = heads + spine + 1
+    w = Wfsa(num_states=final + 1, start=0, finals={final})
+
+    def arc(src: int, dst: int) -> None:
+        w.add_arc(src, draw(st.integers(0, 2)), draw(_TIE_WEIGHTS), dst)
+
+    for h in range(1, heads + 1):
+        arc(0, h)
+        for _ in range(draw(st.integers(1, 2))):
+            arc(h, draw(st.integers(heads + 1, final)))
+    for s in range(heads + 1, final):
+        arc(s, s + 1)
+        if draw(st.booleans()):
+            arc(s, final)
+        if draw(st.integers(0, 2)) == 0:
+            arc(0, s)
+        if draw(st.integers(0, 5)) == 0:
+            w.finals.add(s)
+    return w
+
+
+class TestTwoPassesMatchTheSweep:
+    """The forward pass and the all-successors backward pass give the
+    pruned arcs, first lengths and rows of the one-arc-at-a-time sweep
+    they replaced (`reference_length_rows`), bit for bit."""
+
+    @given(st.integers(0, 10**6), st.integers(1, 4), st.integers(9, 16), _THRESHOLDS,
+           st.booleans(), st.integers(0, 24))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_window_lattices(self, seed, k, gold_tokens, threshold, forced, upper):
+        dag, phrases = window_lattice(seed, gold_tokens=gold_tokens)
+        pruned = prune_dag(dag, PruneConfig(k_e=k, k_t=k, constraints=phrases if forced else ()))
+        # upper 0 keeps the default bound; a small one cuts rows
+        cfg = LcConfig(target_length=gold_tokens, edge_prune_threshold=threshold,
+                       upper_bound=upper or None)
+        assert_matches_the_sweep(pruned, cfg)
+
+    @given(st.integers(0, 10**9), _THRESHOLDS, st.integers(1, 10))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_tie_prone_acceptors(self, seed, threshold, upper):
+        cfg = LcConfig(target_length=4, edge_prune_threshold=threshold, upper_bound=upper)
+        assert_matches_the_sweep(tie_prone_acceptor(seed), cfg)
+
+    @given(fan_acceptor(), _THRESHOLDS, st.integers(1, 8))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_four_or_more_successors_with_holes_and_overflow(self, w, threshold, upper):
+        cfg = LcConfig(target_length=4, edge_prune_threshold=threshold, upper_bound=upper)
+        assert_matches_the_sweep(w, cfg)
+        if threshold == 1.0:
+            assert len(_length_rows(w, cfg)[1][0]) >= 4
+
+    @pytest.mark.parametrize("search", (dfs_viterbi, length_cost_table))
+    def test_overflow_at_an_unreached_vertex_is_still_refused(self, search):
+        # vertex 2 is kept but no path reaches it: 0 -> 1 -> 3 only
+        dag = Dag(num_vertices=4,
+                  emissions=(((0, 0.0),), ((1, 0.0),), ((2, -1.7e308),), ((3, 0.0),)),
+                  transitions=(((1, 0.0),), ((3, 0.0),), ((3, -1.7e308),), ()))
+        with pytest.raises(ValueError, match=r"^arc weight inf is not a finite cost >= 0$"):
+            search(dag, LcConfig(target_length=2))
+
+
 class TestDfsViterbi:
     def test_single_hypothesis_chain(self):
         w = linear_acceptor((3, 1, 4, 1, 5), weight=0.2)
@@ -638,6 +734,14 @@ class TestDfsViterbi:
         w.add_arc(0, EPSILON, 0.1, 1)
         with pytest.raises(ValueError, match="epsilon"):
             dfs_viterbi(w, LcConfig(target_length=2))
+
+    @pytest.mark.parametrize("search", (dfs_viterbi, length_cost_table))
+    def test_rejects_sigma_arcs(self, search):
+        # the sigma label is no token: shortest_path refuses it as well
+        w = Wfsa(num_states=2, start=0, finals={1})
+        w.add_arc(0, SIGMA, 0.5, 1)
+        with pytest.raises(ValueError, match=r"^cannot decode a path through a sigma arc$"):
+            search(w, LcConfig(target_length=1))
 
     def test_infeasible_reports_diagnosis(self):
         w = linear_acceptor(tuple(range(12)), weight=0.1)

@@ -5,8 +5,10 @@ perfbench/digests.json, so these runs guard the bit-identical decode of the
 control-dag path (phrases, cached vocabulary, target length), of the vc
 path (a lexicon compiled per job, and a product without phrases;
 vocab-cold), of the length search on ~900-vertex lattices (lc-long: its
-pinned digests guard the dense-row sweep and the traceback that recovers
-the winning arcs from the rows) and of the constrained beam search over
+pinned digests guard the forward pass that prunes each vertex's arcs and
+finds its depth, the backward pass that fills each dense row from all
+its successors' rows at once, and the traceback that recovers the
+winning arcs from the rows) and of the constrained beam search over
 the lattice itself (cbs-phrases: its pinned digests guard the one-pass
 split of each vertex's menu, the shared reset successor of foreign
 tokens and the stop at the first foreign token that a full bank

@@ -33,6 +33,7 @@ from .dag import (
     load_dag,
     prune_dag,
     read_dag,
+    read_pruned_dag,
     write_dag,
 )
 from .length import (

@@ -27,7 +27,7 @@ from .constraints import (
     extract_lexicon,
     tokenize_phrase,
 )
-from .dag import Dag, PruneConfig, generate_synthetic_dag, prune_dag, read_dag, write_dag
+from .dag import Dag, PruneConfig, generate_synthetic_dag, read_pruned_dag, write_dag
 from .length import (
     LcConfig,
     dfs_viterbi,
@@ -39,7 +39,7 @@ from .length import (
 from .metrics import EvalRecord, build_eval_vocabulary, compute_report
 from .result import STATUS_EMPTY_INTERSECTION, STATUS_OK, DecodeResult
 from .tokens import TokenTable, read_token_table, write_token_table
-from .wfsa import dag_to_wfsa, shortest_path
+from .wfsa import _lattice_acceptor, shortest_path
 
 MODES = ("greedy", "beam", "cbs-dag", "wfsa-shortest", "hlc", "vc", "lc", "control-dag")
 
@@ -215,9 +215,7 @@ def run_decode(job: DecodeJob) -> DecodeResult:
 
 def _run_decode(job: DecodeJob) -> DecodeResult:
     job.validate()
-    dag = read_dag(job.dag_path)
     table = read_token_table(job.table_path)
-    _check_token_ids(dag, table)
     phrase_surfaces, entity_surfaces = _load_constraints(job)
     phrases = [tokenize_phrase(s, table) for s in phrase_surfaces]
 
@@ -225,27 +223,27 @@ def _run_decode(job: DecodeJob) -> DecodeResult:
     use_vc = job.mode in ("vc", "control-dag") and job.lexicon_path is not None
     use_lc = job.mode in ("lc", "control-dag")
 
+    # only the modes that enforce phrases force their emissions in pruning
+    enforced = phrases if use_hlc or job.mode == "cbs-dag" else []
+    prune_cfg = PruneConfig(k_e=job.k_e, k_t=job.k_t, constraints=tuple(enforced))
+    lattice = read_pruned_dag(job.dag_path, prune_cfg, len(table))
+
     vocab_fsa = None
     if use_vc:
         dictionary = _content_lines(job.lexicon_path)
         specials = None if job.specials_path is None else _content_lines(job.specials_path)
         vocab_fsa = build_vocab_fsa(dictionary, specials, entity_surfaces, table)
 
-    # only the modes that enforce phrases force their emissions in pruning
-    enforced = phrases if use_hlc or job.mode == "cbs-dag" else []
-    prune_cfg = PruneConfig(k_e=job.k_e, k_t=job.k_t, constraints=tuple(enforced))
-
     started = time.perf_counter()
-    if job.mode == "greedy":
-        result = greedy_decode(dag)
+    if job.mode == "greedy":  # each row's first entry survives pruning
+        result = greedy_decode(lattice)
     elif job.mode == "beam":
-        result = beam_decode(prune_dag(dag, prune_cfg), job.beam)
+        result = beam_decode(lattice, job.beam)
     elif job.mode == "cbs-dag":
-        result = cbs_dag_decode(prune_dag(dag, prune_cfg), phrases, job.beam)
+        result = cbs_dag_decode(lattice, phrases, job.beam)
     elif not (use_hlc or use_vc or use_lc):  # wfsa-shortest, or hlc without phrases
-        result = shortest_path(dag_to_wfsa(dag, prune_cfg))
+        result = shortest_path(_lattice_acceptor(lattice))
     else:
-        lattice = prune_dag(dag, prune_cfg)
         product = None  # without constraints the pruned lattice is searched as it is
         if use_hlc or use_vc:
             product = constrained_product(lattice, enforced, vocab_fsa)
@@ -290,16 +288,6 @@ def _empty_product_note(
     if vocab is not None and not constrained_product(lattice, [], vocab).finals:
         return "no path of the pruned lattice stays inside the vocabulary"
     return "no path of the pruned lattice meets every constraint together"
-
-
-def _check_token_ids(dag: Dag, table: TokenTable) -> None:
-    size = len(table)
-    for u, emissions in enumerate(dag.emissions):
-        for token, _ in emissions:
-            if token >= size:
-                raise ValueError(
-                    f"vertex {u}: token id {token} is outside the token table ({size} tokens)"
-                )
 
 
 def _contains(haystack: tuple[int, ...], needle: tuple[int, ...]) -> bool:

@@ -3,11 +3,12 @@
 A lattice has one emission distribution and one forward transition
 distribution per vertex, both stored sparsely as (index, log-probability)
 pairs sorted by descending probability. Vertex 0 is the start, vertex L-1
-the unique final. The loader and the `Dag` constructor read each row
+the unique final. The loaders and the `Dag` constructor read each row
 with one reader, which checks and orders it in one pass, so no reader of
 a `Dag` checks its rows again. Pruning keeps the top-k entries per
 vertex and force-emits constraint-phrase continuation tokens so
-constrained paths survive.
+constrained paths survive. `read_pruned_dag` reads, checks and prunes a
+lattice file in one loop over its vertices, with `prune_dag`'s step.
 """
 
 from __future__ import annotations
@@ -17,13 +18,14 @@ import math
 import random
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 if TYPE_CHECKING:
     from .constraints import ConstraintPhrase
 
 DAG_FORMAT_VERSION = 1
 _MIN_LOGPROB = -sys.float_info.max
+_ANY_TOKEN = sys.maxsize  # the emission bound without a token table; `_odd_entry` takes ids past it
 
 
 class DagFormatError(ValueError):
@@ -63,7 +65,7 @@ class Dag:
         emissions = []
         transitions = []
         for u, (em, tr) in enumerate(zip(self.emissions, self.transitions)):
-            emissions.append(_read_row(u, em, "emission", 0, sys.maxsize))
+            emissions.append(_read_row(u, em, "emission", 0, _ANY_TOKEN))
             transitions.append(_read_row(u, tr, "transition", u + 1, n))
         object.__setattr__(self, "emissions", tuple(emissions))
         object.__setattr__(self, "transitions", tuple(transitions))
@@ -110,6 +112,12 @@ def _sort_sparse(pairs: Iterable[tuple[int, float]]) -> tuple[tuple[int, float],
 
 def load_dag(source: str | bytes) -> Dag:
     """Parse the versioned JSON lattice format, validating all invariants."""
+    return _load(source, _ANY_TOKEN, None)
+
+
+def _load(source: str | bytes, num_tokens: int, prune: Callable | None) -> Dag:
+    """`load_dag`, refusing an emission id >= num_tokens, with each vertex's
+    rows passed through `prune` (a `_vertex_pruner` step), if given."""
     if isinstance(source, bytes):
         source = source.decode("utf-8")
     try:
@@ -132,10 +140,12 @@ def load_dag(source: str | bytes) -> Dag:
     for u, vertex in enumerate(vertices):
         if not isinstance(vertex, dict):
             raise DagFormatError(f"vertex {u}: not an object")
-        emissions.append(_read_row(u, vertex.get("emissions", []), "emission", 0, sys.maxsize))
-        transitions.append(
-            _read_row(u, vertex.get("transitions", []), "transition", u + 1, num_vertices)
-        )
+        em = _read_row(u, vertex.get("emissions", []), "emission", 0, num_tokens)
+        tr = _read_row(u, vertex.get("transitions", []), "transition", u + 1, num_vertices)
+        if prune is not None:
+            em, tr = prune(u, em, tr)
+        emissions.append(em)
+        transitions.append(tr)
     return _checked_dag(num_vertices, tuple(emissions), tuple(transitions))
 
 
@@ -173,9 +183,10 @@ def _read_row(
 
 def _odd_entry(u: int, pair: object, kind: str, hi: int, row: dict) -> tuple[int, float]:
     """An entry of vertex u's `kind` row that `_read_row` did not take as
-    it stands. Raises its first error, or returns the pair the row stores:
-    a list- or tuple-subclass pair, an int-subclass index, an emission index of
-    `sys.maxsize` or more, or an int or float-subclass log-prob made a float.
+    it stands. Raises its first error, an emission index past the token
+    bound `hi` last and as a plain `ValueError`, or returns the pair the row
+    stores: a list- or tuple-subclass pair, an int-subclass index, an emission
+    index of `_ANY_TOKEN` or more, or an int or float-subclass log-prob made a float.
     """
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise DagFormatError(f"vertex {u}: {kind} entry must be a [index, logprob] pair")
@@ -198,6 +209,8 @@ def _odd_entry(u: int, pair: object, kind: str, hi: int, row: dict) -> tuple[int
     if index in row:
         noun = "token" if emission else "target"
         raise DagFormatError(f"vertex {u}: duplicate {kind} {noun} {index}")
+    if emission and hi != _ANY_TOKEN and index >= hi:
+        raise ValueError(f"vertex {u}: token id {index} is outside the token table ({hi} tokens)")
     return index, float(logp)
 
 
@@ -222,6 +235,15 @@ def read_dag(path: str) -> Dag:
         return load_dag(fh.read())
 
 
+def read_pruned_dag(path: str, cfg: PruneConfig, num_tokens: int) -> Dag:
+    """`prune_dag(read_dag(path), cfg)` in one loop that checks and prunes
+    each vertex's rows as it reads them, and refuses an emission id >=
+    num_tokens with a plain `ValueError`. An error names the first fault in
+    vertex order: emissions before transitions, each row entry by entry."""
+    with open(path, encoding="utf-8") as fh:
+        return _load(fh.read(), num_tokens, _vertex_pruner(cfg))
+
+
 def write_dag(dag: Dag, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dump_dag(dag))
@@ -229,44 +251,52 @@ def write_dag(dag: Dag, path: str) -> None:
 
 
 def prune_dag(dag: Dag, cfg: PruneConfig) -> Dag:
-    """Keep the top-k_e emissions and top-k_t transitions per vertex.
+    """Keep the top-k_e emissions and top-k_t transitions per vertex, plus
+    the forced constraint continuations (see `_vertex_pruner`)."""
+    prune = _vertex_pruner(cfg)
+    rows = [prune(u, em, tr) for u, (em, tr) in enumerate(zip(dag.emissions, dag.transitions))]
+    emissions, transitions = zip(*rows)
+    return _checked_dag(dag.num_vertices, emissions, transitions)
 
-    Emission sets are augmented with forced constraint continuations;
-    log-probabilities are kept raw (no renormalization). A forced token
-    absent from a vertex's emission table has probability zero there and
-    cannot be added. A phrase token kept at a vertex forces the phrase token
-    after it at each target of the vertex's kept transitions, and vertices
-    push these forward in topological order.
+
+def _vertex_pruner(cfg: PruneConfig) -> Callable:
+    """The one pruning step, `prune(u, emissions, transitions)` -> vertex
+    u's kept rows, to be called on every vertex in order.
+
+    It keeps the top-k_e emissions and top-k_t transitions with their raw
+    log-probabilities, and the forced constraint continuations below the
+    top k_e; a forced token absent from the row cannot be added. A phrase
+    token kept at a vertex forces the phrase token after it at each target
+    of the vertex's kept transitions. Every predecessor of a vertex has a
+    lower number, so its forced tokens are complete when the step reaches it.
     """
     k_e, k_t = cfg.k_e, cfg.k_t
-    kept_tr = tuple(row[:k_t] for row in dag.transitions)
     follow: dict[int, set[int]] = {}
     for phrase in cfg.constraints:
         toks = phrase.tokens
         for j in range(len(toks) - 1):
             follow.setdefault(toks[j], set()).add(toks[j + 1])
-    if not follow:
-        kept_rows = tuple(row[:k_e] for row in dag.emissions)
-        return _checked_dag(dag.num_vertices, kept_rows, kept_tr)
+    forced_at: dict[int, set[int]] = {}  # vertex -> tokens its predecessors force
 
-    forced_at: list[set[int]] = [set() for _ in range(dag.num_vertices)]
-    kept_em = []
-    for u, row in enumerate(dag.emissions):
-        kept = row[:k_e]
-        forced = forced_at[u]
+    def prune(u: int, emissions: tuple, transitions: tuple) -> tuple[tuple, tuple]:
+        kept_tr = transitions[:k_t]
+        kept = emissions[:k_e]
+        forced = forced_at.pop(u, None)
         if forced:
-            extra = tuple(p for p in row[k_e:] if p[0] in forced)
+            extra = tuple(p for p in emissions[k_e:] if p[0] in forced)
             if extra:
                 kept += extra  # both parts keep the row's order
-        kept_em.append(kept)
-        pushed: set[int] = set()
-        for t, _ in kept:
-            if t in follow:
-                pushed |= follow[t]
-        if pushed:
-            for v, _ in kept_tr[u]:
-                forced_at[v] |= pushed
-    return _checked_dag(dag.num_vertices, tuple(kept_em), kept_tr)
+        if follow:
+            pushed: set[int] = set()
+            for t, _ in kept:
+                if t in follow:
+                    pushed |= follow[t]
+            if pushed:
+                for v, _ in kept_tr:
+                    forced_at.setdefault(v, set()).update(pushed)
+        return kept, kept_tr
+
+    return prune
 
 
 def generate_synthetic_dag(

@@ -59,6 +59,8 @@ class Wfsa:
             raise ValueError(f"arc {src}->{dst} references an unknown state")
         if not 0.0 <= weight < _INF:
             raise ValueError(f"arc weight {weight} is not a finite cost >= 0")
+        if label < SIGMA:  # SIGMA is the lowest sentinel
+            raise ValueError(f"arc label {label} is not a token id, EPSILON or SIGMA")
         self._arcs[src].append(Arc(label, weight, dst))
 
     def arcs_from(self, state: int) -> list[Arc]:
@@ -103,10 +105,11 @@ def dag_to_wfsa(dag: Dag, cfg: PruneConfig) -> Wfsa:
     the only error left is an arc whose log-probs sum to -inf
     (`_check_overflow`).
 
-    Build it to search the lattice by `shortest_path`. A constrained decode
-    passes `prune_dag(dag, cfg)` to `constraints.constrained_product`
-    instead, and a length-constrained one to `length.dfs_viterbi`; both
-    read the same arcs from the pruned lattice without making them.
+    Build it to search the lattice by `shortest_path`; a decode builds it
+    from the lattice `read_pruned_dag` pruned. A constrained decode passes
+    that lattice to `constraints.constrained_product` instead, and a
+    length-constrained one to `length.dfs_viterbi`; both read the same arcs
+    from the pruned lattice without making them.
     """
     return _lattice_acceptor(prune_dag(dag, cfg))
 

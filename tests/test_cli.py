@@ -31,7 +31,7 @@ from dagdec.cli import (
     run_decode,
 )
 from dagdec.constraints import constrained_product
-from dagdec.dag import PruneConfig, prune_dag, write_dag
+from dagdec.dag import PruneConfig, dump_dag, generate_synthetic_dag, prune_dag, write_dag
 from dagdec.length import default_upper_bound, length_penalty
 from dagdec.tokens import TokenTable, write_token_table
 from dagdec.wfsa import dag_to_wfsa, shortest_path
@@ -247,7 +247,7 @@ class TestConstrainedModesSearchThePrunedLattice:
         def refuse(*args):
             raise AssertionError("a constrained decode built the lattice acceptor")
 
-        monkeypatch.setattr(cli, "dag_to_wfsa", refuse)
+        monkeypatch.setattr(cli, "_lattice_acceptor", refuse)
         got = [run_decode(job) for job in jobs]
         assert all(result.status == "ok" for result in got)
         assert got == want
@@ -277,7 +277,7 @@ class TestLengthModesSearchThePrunedLattice:
         def refuse(*args):
             raise AssertionError("a length-constrained decode built the lattice acceptor")
 
-        monkeypatch.setattr(cli, "dag_to_wfsa", refuse)
+        monkeypatch.setattr(cli, "_lattice_acceptor", refuse)
         monkeypatch.setattr(length_module, "_lattice_acceptor", refuse)
         got = [run_decode(job) for job in jobs]
         assert all(result.status == "ok" for result in got)
@@ -1142,6 +1142,43 @@ class TestConstraintFileHandling:
         assert got.constraints_met == (True,)
 
 
+class TestOutOfTableToken:
+    """A token id past the table is a plain `ValueError`, and the lattice's
+    first fault in vertex order: here it wins over a NaN at a later vertex,
+    which won while the ids were checked after the whole lattice was read."""
+
+    MESSAGE = "vertex 3: token id 40 is outside the token table (34 tokens)"
+
+    @pytest.fixture()
+    def paths(self, tmp_path):
+        document = json.loads(dump_dag(generate_synthetic_dag(3, 12, 3, 3, 0.6)))
+        document["vertices"][3]["emissions"][0][0] = 40
+        document["vertices"][9]["emissions"][1][1] = math.nan
+        dag_path = tmp_path / "d.json"
+        dag_path.write_text(json.dumps(document), encoding="utf-8")
+        table_path = tmp_path / "t.table"
+        write_token_table(cli.synthetic_token_table(32), str(table_path))  # 34 tokens
+        return str(dag_path), str(table_path)
+
+    @pytest.mark.parametrize("mode", ("greedy", "cbs-dag", "wfsa-shortest", "lc"))
+    def test_decode_exits_1_with_one_line(self, tmp_path, capsys, paths, mode):
+        cons = write_constraints(tmp_path, [{"phrases": ["w001"]}])
+        code = main(["decode", "--dag", paths[0], "--table", paths[1], "--mode", mode,
+                     "--constraints", cons, "--target-len", "4"])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {self.MESSAGE}\n"
+
+    def test_batch_records_a_value_error(self, tmp_path, paths):
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text(json.dumps({"dag": paths[0], "table": paths[1]}) + "\n",
+                            encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        assert main(["batch", "--manifest", str(manifest), "--out", str(out)]) == EXIT_OK
+        record = json.loads(out.read_text().splitlines()[0])
+        assert (record["status"], record["error_type"]) == ("error", "ValueError")
+        assert record["error"] == self.MESSAGE
+
+
 class TestBadInput:
     """Malformed input files exit 1 with a one-line message."""
 
@@ -1420,3 +1457,67 @@ class TestBadInput:
         bad.write_text(json.dumps(doc), encoding="utf-8")
         code = main(["decode", "--dag", str(bad), "--table", table_path, "--mode", mode])
         self.assert_one_line_error(capsys, code, f"vertex 0: {key} must be a list")
+
+
+def _synth_files(folder, seed, vertices, emission_degree, transition_degree):
+    """A `synth` lattice and its token table, written by the CLI."""
+    dag_path = os.path.join(folder, f"{seed}.json")
+    table_path = os.path.join(folder, f"{seed}.table")
+    code = main(["synth", "--seed", str(seed), "--vertices", str(vertices),
+                 "--emission-degree", str(emission_degree),
+                 "--transition-degree", str(transition_degree),
+                 "--out", dag_path, "--table-out", table_path])
+    assert code == EXIT_OK
+    return dag_path, table_path
+
+
+_SYNTH = dict(
+    seed=st.integers(min_value=0, max_value=10**6),
+    vertices=st.integers(min_value=2, max_value=40),
+    emission_degree=st.integers(min_value=1, max_value=6),
+    transition_degree=st.integers(min_value=1, max_value=4),
+)
+
+
+class TestMetamorphicRelations:
+    """Relations between `run_decode` calls on one `synth` lattice."""
+
+    @given(**_SYNTH, k_e=st.integers(min_value=1, max_value=4),
+           k_t=st.integers(min_value=1, max_value=4), more_e=st.integers(min_value=0, max_value=3),
+           more_t=st.integers(min_value=0, max_value=3))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_larger_degrees_never_raise_the_wfsa_shortest_cost(
+        self, seed, vertices, emission_degree, transition_degree, k_e, k_t, more_e, more_t
+    ):
+        # a larger degree keeps a superset of the arcs
+        with tempfile.TemporaryDirectory() as folder:
+            dag_path, table_path = _synth_files(
+                folder, seed, vertices, emission_degree, min(transition_degree, vertices - 1)
+            )
+            small, large = (
+                run_decode(DecodeJob(dag_path=dag_path, table_path=table_path,
+                                     mode="wfsa-shortest", k_e=k_e + de, k_t=k_t + dt))
+                for de, dt in ((0, 0), (more_e, more_t))
+            )
+        assert small.status == large.status == "ok"
+        assert large.cost <= small.cost
+
+    @given(**_SYNTH, target=st.integers(min_value=1, max_value=40),
+           threshold=st.floats(min_value=0.05, max_value=1.0))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_full_edge_mass_never_raises_the_lc_adjusted_cost(
+        self, seed, vertices, emission_degree, transition_degree, target, threshold
+    ):
+        # --edge-prune-p 1 searches every kept arc, a superset of any cut
+        with tempfile.TemporaryDirectory() as folder:
+            dag_path, table_path = _synth_files(
+                folder, seed, vertices, emission_degree, min(transition_degree, vertices - 1)
+            )
+            cut, full = (
+                run_decode(DecodeJob(dag_path=dag_path, table_path=table_path, mode="lc",
+                                     target_length=target, edge_prune_threshold=p))
+                for p in (threshold, 1.0)
+            )
+        if cut.status == "ok":
+            assert full.status == "ok"
+            assert full.adjusted_cost <= cut.adjusted_cost

@@ -5,9 +5,11 @@ from __future__ import annotations
 import enum
 import json
 import math
+import os
 import random
 import re
 import sys
+import tempfile
 
 import pytest
 from hypothesis import assume, given, settings
@@ -23,9 +25,10 @@ from dagdec.dag import (
     generate_synthetic_dag,
     load_dag,
     prune_dag,
+    read_pruned_dag,
 )
 
-from .lattices import build_dag, uniform_lattice
+from .lattices import build_dag, uniform_lattice, window_lattice
 from .oracles import (
     emission_logprob,
     force_emit,
@@ -712,3 +715,125 @@ def _planted_below_top_k(rng, dag, k_e, k_t):
             break
         tokens.append(rng.choice(row)[0])
     return ConstraintPhrase(tokens=tuple(tokens))
+
+
+def _read_pruned_text(src, cfg, num_tokens):
+    """`read_pruned_dag` of a document given as text or bytes."""
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "lattice.json")
+        with open(path, "wb") as fh:
+            fh.write(src if isinstance(src, bytes) else src.encode("utf-8"))
+        return read_pruned_dag(path, cfg, num_tokens)
+
+
+class TestLoadDagThroughThePrunedReader(TestLoadDag):
+    """Every `TestLoadDag` test again, with `load_dag` read through
+    `read_pruned_dag` under degrees that keep every entry and a token bound
+    past every id, so each document gives the same lattice or error."""
+
+    @pytest.fixture(autouse=True)
+    def _pruned_reader(self, monkeypatch):
+        keep_all = PruneConfig(k_e=10**6, k_t=10**6)
+        read = lambda src: _read_pruned_text(src, keep_all, 10**6)  # noqa: E731
+        monkeypatch.setitem(globals(), "load_dag", read)
+
+
+@st.composite
+def pruned_reads(draw):
+    """(lattice, prune config, token bound, the lattice's document): a
+    tie-heavy, `synth` or benchmark-shaped lattice, degrees from 1 to past
+    its longest row, phrases of its tokens plus two planted below the top
+    k_e so that some are forced, and each document row listed sorted or
+    shuffled."""
+    seed = draw(st.integers(min_value=0, max_value=10**6))
+    rng = random.Random(seed)
+    kind = draw(st.sampled_from(("ties", "synth", "window")))
+    if kind == "ties":
+        dag, _ = uniform_lattice(rng)
+    elif kind == "synth":
+        n = rng.randint(2, 16)
+        dag = generate_synthetic_dag(seed, n, rng.randint(1, 6), rng.randint(1, min(4, n - 1)),
+                                     0.6, vocab_size=8)
+    else:
+        dag, _ = window_lattice(seed, gold_tokens=rng.randint(9, 14))
+    longest = max(len(row) for row in dag.emissions + dag.transitions)
+    k_e, k_t = (draw(st.integers(min_value=1, max_value=longest + 1)) for _ in range(2))
+    tokens = sorted({t for row in dag.emissions for t, _ in row}) or [0]
+    phrases = tuple(ConstraintPhrase(tokens=tuple(toks)) for toks in draw(
+        st.lists(st.lists(st.sampled_from(tokens), min_size=1, max_size=3), max_size=3)
+    ))
+    phrases += tuple(_planted_below_top_k(rng, dag, k_e, k_t) for _ in range(2))
+    document = json.loads(dump_dag(dag))
+    for vertex in document["vertices"]:
+        for key in ("emissions", "transitions"):
+            if rng.random() < 0.5:
+                rng.shuffle(vertex[key])
+    bound = tokens[-1] + 1 + draw(st.integers(min_value=0, max_value=2))
+    return dag, PruneConfig(k_e=k_e, k_t=k_t, constraints=phrases), bound, json.dumps(document)
+
+
+class TestReadPrunedDag:
+    """`read_pruned_dag` against `prune_dag` of the loaded lattice, and
+    against `load_dag` on bad documents."""
+
+    @given(pruned_reads())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_equals_prune_dag_bit_for_bit(self, case):
+        dag, cfg, bound, src = case
+        got = _read_pruned_text(src, cfg, bound)
+        want = prune_dag(dag, cfg)
+        assert got == want
+        assert dump_dag(got) == dump_dag(want)  # tells -0.0 from 0.0
+
+    @given(lattice_documents(), st.integers(min_value=1, max_value=6),
+           st.integers(min_value=1, max_value=6),
+           st.lists(st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=3),
+                    max_size=2))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_same_lattice_or_error_as_the_loader(self, src, k_e, k_t, phrases):
+        # lattice_documents emits ids 0-9, so a bound of 10 refuses none
+        cfg = PruneConfig(k_e=k_e, k_t=k_t,
+                          constraints=tuple(ConstraintPhrase(tokens=tuple(p)) for p in phrases))
+        want = _load_outcome(lambda text: prune_dag(load_dag(text), cfg), src)
+        assert _load_outcome(lambda text: _read_pruned_text(text, cfg, 10), src) == want
+
+
+_KEEP_ALL = PruneConfig(k_e=8, k_t=8)
+
+
+class TestTokenBound:
+    """`read_pruned_dag` refuses an emission id past the token table with a
+    plain `ValueError`, after every format check of the entry and in
+    vertex order among the lattice's faults."""
+
+    def test_token_past_the_table_is_a_plain_value_error(self):
+        src = doc(2, [
+            {"emissions": [[0, -0.5], [4, -1.0]], "transitions": [[1, 0.0]]},
+            {"emissions": [[3, 0.0]], "transitions": []},
+        ])
+        assert _read_pruned_text(src, _KEEP_ALL, 5) == load_dag(src)
+        with pytest.raises(ValueError) as caught:
+            _read_pruned_text(src, _KEEP_ALL, 4)
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == "vertex 0: token id 4 is outside the token table (4 tokens)"
+
+    @pytest.mark.parametrize("entry", ("[9]", "[9, -0.5, 0]", "[9.0, -0.5]", "[true, -0.5]",
+                                       '[9, "-0.5"]', "[9, 0.5]", "[9, NaN]", "[9, -1e999]"))
+    def test_format_checks_of_an_entry_come_first(self, entry):
+        src = ('{"version": 1, "num_vertices": 1, "vertices": '
+               f'[{{"emissions": [[0, 0.0], {entry}]}}]}}')
+        with pytest.raises(DagFormatError) as want:
+            load_dag(src)
+        with pytest.raises(DagFormatError, match=f"^{re.escape(str(want.value))}$"):
+            _read_pruned_text(src, _KEEP_ALL, 1)
+
+    def test_first_fault_in_vertex_order_wins(self):
+        document = json.loads(dump_dag(generate_synthetic_dag(3, 12, 3, 3, 0.6)))
+        document["vertices"][3]["emissions"][0][0] = 40
+        document["vertices"][9]["emissions"][1][1] = math.nan
+        src = json.dumps(document)
+        with pytest.raises(DagFormatError, match="^vertex 9: emission log-probability nan"):
+            load_dag(src)
+        message = "^vertex 3: token id 40 is outside the token table \\(34 tokens\\)$"
+        with pytest.raises(ValueError, match=message):
+            _read_pruned_text(src, _KEEP_ALL, 34)

@@ -13,9 +13,10 @@ the lattice itself (cbs-phrases: its pinned digests guard the one-pass
 split of each vertex's menu, the shared reset successor of foreign
 tokens and the stop at the first foreign token that a full bank
 refuses). Every
-workload reads its lattices through `load_dag` and prunes them with
-`prune_dag`, so the digests also guard the one-pass loader (rows kept as
-the generator writes them) and the forward forced-emission prune. The
+workload reads and prunes its lattices in one loop through
+`read_pruned_dag`, so the digests also guard the one-pass reader (rows
+kept as the generator writes them, each vertex pruned and forced as it is
+read) and the forward forced-emission prune. The
 traced control-warm run (`--trace 1`) also replays each job stage by stage
 through the public `build_hlc_fsa`, `intersect`, `rm_epsilon` and
 `topological_sort`, one constraint at a time, and the harness requires the

@@ -87,6 +87,22 @@ class TestAddArc:
             w.add_arc(0, 0, weight, 1)
         assert w.num_arcs == 4
 
+    @pytest.mark.parametrize("label", (-3, -4, -(10**20)))
+    def test_rejects_a_negative_label_that_is_no_sentinel(self, label):
+        # such an arc decoded as a token, and its dump did not load again
+        w = Wfsa(num_states=2, start=0, finals={1})
+        message = f"^arc label {label} is not a token id, EPSILON or SIGMA$"
+        with pytest.raises(ValueError, match=message):
+            w.add_arc(0, label, 0.5, 1)
+        assert w.num_arcs == 0
+
+    def test_accepts_tokens_and_the_sentinels(self):
+        w = Wfsa(num_states=2, start=0, finals={1})
+        for label in (0, 7, EPSILON, SIGMA):
+            w.add_arc(0, label, 0.5, 1)
+        assert [arc.label for arc in w.arcs_from(0)] == [0, 7, EPSILON, SIGMA]
+        assert sorted(load_wfsa(dump_wfsa(w)).arcs_from(0)) == sorted(w.arcs_from(0))
+
 
 class TestDagToWfsa:
     def test_single_arc_weight(self):

@@ -12,7 +12,6 @@ from .cbs import (
     cbs_dag_decode,
     effective_beam_size,
     greedy_decode,
-    kmp_advance,
 )
 from .constraints import (
     ConstraintPhrase,
@@ -71,21 +70,16 @@ from .wfsa import (
     SIGMA,
     Arc,
     Wfsa,
-    closure,
     dag_to_wfsa,
     determinize_min,
     dump_wfsa,
     has_accepting_path,
     intersect,
-    lexicon_dfa,
-    linear_acceptor,
     load_wfsa,
     rm_epsilon,
     shortest_path,
     string_cost,
     topological_sort,
-    trim,
-    union,
 )
 
 __version__ = "0.1.0"

@@ -12,18 +12,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .constraints import ConstraintPhrase, _Matchers, _step_table
+from .constraints import ConstraintPhrase, _Matchers
 from .dag import Dag
 from .result import STATUS_EMPTY, STATUS_OK, DecodeResult
-
-
-def kmp_advance(state: int, token: int, phrase: ConstraintPhrase) -> int:
-    """Advance a phrase matcher by one token; completion is sticky."""
-    if isinstance(state, bool) or not isinstance(state, int) or not 0 <= state <= len(phrase):
-        raise ValueError(f"matcher state {state!r} out of range for phrase of {len(phrase)}")
-    if state == len(phrase.tokens):
-        return state
-    return _step_table(phrase.tokens)[state].get(token, 0)
 
 
 def effective_beam_size(base_beam: int, total_constraint_tokens: int) -> int:

@@ -378,13 +378,12 @@ def constrained_product(
     raises it, for every kept arc, reached or not.
 
     The pass records each found state's arcs and predecessors; every
-    found state is reachable from the start, so `wfsa._backward_trim`,
-    the backward half of `trim`, then keeps the states that can still
-    accept, numbered in the order they were found. Each state's arcs
-    follow its lattice arcs, and each lattice arc's matches follow the
-    vocab state's arc order. The result is epsilon-free and acyclic
-    whenever the lattice is; it has a final state exactly when it accepts
-    some string.
+    found state is reachable from the start, so `wfsa._backward_trim`
+    then keeps the states that can still accept, numbered in the order
+    they were found. Each state's arcs follow its lattice arcs, and each
+    lattice arc's matches follow the vocab state's arc order. The result
+    is epsilon-free and acyclic whenever the lattice is; it has a final
+    state exactly when it accepts some string.
 
     A sigma arc of a `Wfsa` lattice raises `ValueError` when the pass
     reaches its source state. One the pass never reaches is not rejected:

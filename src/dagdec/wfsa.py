@@ -59,8 +59,8 @@ class Wfsa:
             raise ValueError(f"arc {src}->{dst} references an unknown state")
         if not 0.0 <= weight < _INF:
             raise ValueError(f"arc weight {weight} is not a finite cost >= 0")
-        if label < SIGMA:  # SIGMA is the lowest sentinel
-            raise ValueError(f"arc label {label} is not a token id, EPSILON or SIGMA")
+        if isinstance(label, bool) or not isinstance(label, int) or label < SIGMA:
+            raise ValueError(f"arc label {label!r} is not a token id, EPSILON or SIGMA")
         self._arcs[src].append(Arc(label, weight, dst))
 
     def arcs_from(self, state: int) -> list[Arc]:
@@ -84,14 +84,6 @@ class Wfsa:
 
 # ---------------------------------------------------------------------------
 # Construction
-
-
-def linear_acceptor(tokens: Sequence[int], weight: float = 0.0) -> Wfsa:
-    """Chain acceptor for exactly one token sequence."""
-    w = Wfsa(num_states=len(tokens) + 1, start=0, finals={len(tokens)})
-    for i, t in enumerate(tokens):
-        w.add_arc(i, t, weight, i + 1)
-    return w
 
 
 def dag_to_wfsa(dag: Dag, cfg: PruneConfig) -> Wfsa:
@@ -135,37 +127,6 @@ def _check_overflow(lattice: Dag) -> None:
     for emissions, transitions in zip(lattice.emissions, lattice.transitions):
         if emissions and transitions and emissions[-1][1] + transitions[-1][1] == -_INF:
             raise ValueError(f"arc weight {_INF} is not a finite cost >= 0")
-
-
-def _copy_into(dst: Wfsa, src: Wfsa, offset: int) -> None:
-    """Copy src's arcs into dst, shifted by offset, and enter src's start
-    by an epsilon arc from dst's state 0; src without states has no start."""
-    for s, arc in src.all_arcs():
-        dst.add_arc(s + offset, arc.label, arc.weight, arc.dst + offset)
-    if src.num_states:
-        dst.add_arc(0, EPSILON, 0.0, src.start + offset)
-
-
-def union(first: Wfsa, *rest: Wfsa) -> Wfsa:
-    """Thompson union: accepts any operand's language."""
-    operands = (first, *rest)
-    total = 1 + sum(a.num_states for a in operands)
-    out = Wfsa(num_states=total, start=0)
-    offset = 1
-    for a in operands:
-        _copy_into(out, a, offset)
-        out.finals.update(f + offset for f in a.finals)
-        offset += a.num_states
-    return out
-
-
-def closure(a: Wfsa) -> Wfsa:
-    """Kleene closure: L(a)*, accepting the empty string."""
-    out = Wfsa(num_states=a.num_states + 1, start=0, finals={0})
-    _copy_into(out, a, 1)
-    for f in sorted(a.finals):
-        out.add_arc(f + 1, EPSILON, 0.0, 0)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -304,28 +265,6 @@ def has_accepting_path(w: Wfsa) -> bool:
                 seen.add(arc.dst)
                 stack.append(arc.dst)
     return False
-
-
-def trim(w: Wfsa) -> Wfsa:
-    """Drop states not on any start-to-final path (keeps relative order): a
-    forward walk marks the states the start reaches and records their
-    predecessors, then `_backward_trim` keeps those that reach a final. A
-    kept arc whose weight is not a finite cost >= 0 raises `add_arc`'s error."""
-    reached = [False] * w.num_states
-    preds: list[list[int]] = [[] for _ in reached]
-    stack = [w.start] if reached else []  # an acceptor without states has no start
-    while stack:
-        s = stack.pop()
-        if not reached[s]:
-            reached[s] = True
-            for arc in w.arcs_from(s):
-                preds[arc.dst].append(s)
-                stack.append(arc.dst)
-    out = _backward_trim(w.start, [f for f in w.finals if reached[f]], w._arcs, preds)
-    for _, arc in out.all_arcs():
-        if not 0.0 <= arc.weight < _INF:
-            raise ValueError(f"arc weight {arc.weight} is not a finite cost >= 0")
-    return out
 
 
 def _backward_trim(start: int, finals: Sequence[int], rows: Sequence, preds: Sequence) -> Wfsa:
@@ -479,13 +418,6 @@ def register_acceptor(rows: Sequence[Sequence[tuple]], finals: set[int], start: 
                 order.append(child)
             out.add_arc(src, label, 0.0, dst)
     return out
-
-
-def lexicon_dfa(words: Iterable[Sequence[int]]) -> Wfsa:
-    """Minimal deterministic acceptor for a finite set of token sequences:
-    `lexicon_register`'s states built as one `Wfsa` by `register_acceptor`,
-    so state 0 is the start and each state's arcs are in label order."""
-    return register_acceptor(*lexicon_register(words))
 
 
 def determinize_min(a: Wfsa) -> Wfsa:

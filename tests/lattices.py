@@ -14,7 +14,15 @@ from dagdec.constraints import (
 )
 from dagdec.dag import Dag, PruneConfig, generate_synthetic_dag, prune_dag
 from dagdec.tokens import TokenTable
-from dagdec.wfsa import EPSILON, Wfsa, dag_to_wfsa, intersect
+from dagdec.wfsa import (
+    EPSILON,
+    Wfsa,
+    _backward_trim,
+    dag_to_wfsa,
+    intersect,
+    lexicon_register,
+    register_acceptor,
+)
 
 
 def build_dag(emission_probs, transition_probs) -> Dag:
@@ -94,6 +102,75 @@ def random_nfa(
             label = rng.choice(alphabet)
         a.add_arc(src, label, 0.0, dst)
     return a
+
+
+def linear_acceptor(tokens, weight: float = 0.0) -> Wfsa:
+    """Chain acceptor for exactly one token sequence."""
+    w = Wfsa(num_states=len(tokens) + 1, start=0, finals={len(tokens)})
+    for i, t in enumerate(tokens):
+        w.add_arc(i, t, weight, i + 1)
+    return w
+
+
+def _copy_into(dst: Wfsa, src: Wfsa, offset: int) -> None:
+    """Copy src's arcs into dst, shifted by offset, and enter src's start
+    by an epsilon arc from dst's state 0; src without states has no start."""
+    for s, arc in src.all_arcs():
+        dst.add_arc(s + offset, arc.label, arc.weight, arc.dst + offset)
+    if src.num_states:
+        dst.add_arc(0, EPSILON, 0.0, src.start + offset)
+
+
+def union(first: Wfsa, *rest: Wfsa) -> Wfsa:
+    """Thompson union: accepts any operand's language."""
+    operands = (first, *rest)
+    total = 1 + sum(a.num_states for a in operands)
+    out = Wfsa(num_states=total, start=0)
+    offset = 1
+    for a in operands:
+        _copy_into(out, a, offset)
+        out.finals.update(f + offset for f in a.finals)
+        offset += a.num_states
+    return out
+
+
+def closure(a: Wfsa) -> Wfsa:
+    """Kleene closure: L(a)*, accepting the empty string."""
+    out = Wfsa(num_states=a.num_states + 1, start=0, finals={0})
+    _copy_into(out, a, 1)
+    for f in sorted(a.finals):
+        out.add_arc(f + 1, EPSILON, 0.0, 0)
+    return out
+
+
+def lexicon_dfa(words) -> Wfsa:
+    """Minimal deterministic acceptor for a finite set of token sequences:
+    `lexicon_register`'s states built as one `Wfsa` by `register_acceptor`,
+    so state 0 is the start and each state's arcs are in label order."""
+    return register_acceptor(*lexicon_register(words))
+
+
+def trim(w: Wfsa) -> Wfsa:
+    """Drop states not on any start-to-final path (keeps relative order): a
+    forward walk marks the states the start reaches and records their
+    predecessors, then `_backward_trim`, the pass the constraint product
+    ends with, keeps those that reach a final. A kept arc whose weight is
+    not a finite cost >= 0 raises `add_arc`'s error."""
+    reached = [False] * w.num_states
+    preds: list[list[int]] = [[] for _ in reached]
+    stack = [w.start] if reached else []  # an acceptor without states has no start
+    while stack:
+        s = stack.pop()
+        if not reached[s]:
+            reached[s] = True
+            for arc in w.arcs_from(s):
+                preds[arc.dst].append(s)
+                stack.append(arc.dst)
+    out = _backward_trim(w.start, [f for f in w.finals if reached[f]], w._arcs, preds)
+    for _, arc in out.all_arcs():
+        if not 0.0 <= arc.weight < math.inf:
+            raise ValueError(f"arc weight {arc.weight} is not a finite cost >= 0")
+    return out
 
 
 def random_kept_path(dag: Dag, cfg: PruneConfig, seed: int) -> tuple[int, ...]:

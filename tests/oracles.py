@@ -15,7 +15,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from dagdec.cbs import kmp_advance
 from dagdec.constraints import ConstraintPhrase
 from dagdec.dag import (
     DAG_FORMAT_VERSION,
@@ -379,7 +378,7 @@ def reference_beam_search(
     """The beam search as first written: every candidate built, then sorted.
 
     Each candidate copies its token tuple and steps every matcher with
-    `kmp_advance`; each vertex's list is fully sorted by `_item_order`
+    `reference_match_step`; each vertex's list is fully sorted by `_item_order`
     before the first item per bank (or the top `beam_width`) is kept.
     """
     total = sum(len(p) for p in constraints)
@@ -403,7 +402,8 @@ def reference_beam_search(
             for item in items:
                 for token, elp in _candidate_tokens(dag, v, menu, item, constraints):
                     states = tuple(
-                        kmp_advance(s, token, p) for s, p in zip(item.match_states, constraints)
+                        reference_match_step(s, token, p)
+                        for s, p in zip(item.match_states, constraints)
                     )
                     beams[v].append(
                         BeamItem(
@@ -428,6 +428,17 @@ def reference_beam_search(
         constraints_met=flags,
         note=None if all(flags) else "constraints unmet",
     )
+
+
+def reference_match_step(state: int, token: int, phrase: ConstraintPhrase) -> int:
+    """A phrase matcher's next state by brute force: the length of the
+    longest phrase prefix that is a suffix of the matched prefix plus
+    `token`. A completed phrase stays completed."""
+    tokens = phrase.tokens
+    if state == len(tokens):
+        return state
+    read = tokens[:state] + (token,)
+    return max(k for k in range(len(read) + 1) if read[len(read) - k:] == tokens[:k])
 
 
 def _candidate_tokens(

@@ -6,7 +6,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dagdec.cbs import (
@@ -16,9 +16,8 @@ from dagdec.cbs import (
     cbs_dag_decode,
     effective_beam_size,
     greedy_decode,
-    kmp_advance,
 )
-from dagdec.constraints import ConstraintPhrase
+from dagdec.constraints import ConstraintPhrase, _Matchers, _step_table
 from dagdec.dag import Dag, PruneConfig, generate_synthetic_dag, prune_dag
 from dagdec.result import STATUS_OK
 
@@ -28,39 +27,70 @@ from .oracles import (
     emission_logprob,
     naive_find_all,
     reference_beam_search,
+    reference_match_step,
 )
 
 
+def match_states(phrases, text) -> list[tuple[int, ...]]:
+    """The matcher states `_Matchers.step` reaches after each token of text."""
+    matchers = _Matchers(tuple(ConstraintPhrase(tokens=p) for p in phrases))
+    state, out = matchers.start, []
+    for token in text:
+        state = matchers.step(state, token)
+        out.append(state[0])
+    return out
+
+
+def table_states(phrase, text) -> list[int]:
+    """The states a walk of `_step_table`'s rows reaches on text, up to completion."""
+    table, state, out = _step_table(phrase), 0, []
+    for token in text:
+        state = table[state].get(token, 0)
+        out.append(state)
+        if state == len(phrase):
+            break
+    return out
+
+
 class TestKmpAdvance:
+    """The phrase matchers the constrained searches step."""
+
     def test_completion(self):
-        phrase = ConstraintPhrase(tokens=(0, 1))
-        assert kmp_advance(1, 1, phrase) == 2
+        assert table_states((0, 1), (0, 1)) == [1, 2]
+        assert match_states([(0, 1)], (0, 1)) == [(1,), (2,)]
 
     def test_failure_link(self):
-        phrase = ConstraintPhrase(tokens=(0, 1))
-        assert kmp_advance(1, 0, phrase) == 1
+        assert table_states((0, 1), (0, 0)) == [1, 1]
+        assert match_states([(0, 1)], (0, 0)) == [(1,), (1,)]
 
     def test_streaming_overlap(self):
-        phrase = ConstraintPhrase(tokens=(0, 0, 1))
-        state = 0
-        history = []
-        for token in (0, 0, 0, 1):
-            state = kmp_advance(state, token, phrase)
-            history.append(state)
-        assert history[-1] == 3  # "aab" completes inside "aaab"
+        # "aab" completes inside "aaab"
+        assert table_states((0, 0, 1), (0, 0, 0, 1)) == [1, 2, 2, 3]
+        assert match_states([(0, 0, 1)], (0, 0, 0, 1)) == [(1,), (2,), (2,), (3,)]
 
     def test_sticky_completion(self):
-        phrase = ConstraintPhrase(tokens=(0, 1))
-        assert kmp_advance(2, 7, phrase) == 2
+        assert len(_step_table((0, 1))) == 2  # no row past completion
+        for token in (7, 0, 1):  # a foreign token, then each phrase token
+            assert match_states([(0, 1)], (0, 1, token)) == [(1,), (2,), (2,)]
 
-    def test_state_out_of_range(self):
-        with pytest.raises(ValueError):
-            kmp_advance(5, 0, ConstraintPhrase(tokens=(0, 1)))
-
-    @pytest.mark.parametrize("state", (True, False, 1.0, "1", None))
-    def test_state_must_be_an_int(self, state):
-        with pytest.raises(ValueError, match="out of range"):
-            kmp_advance(state, 4, ConstraintPhrase(tokens=(3, 4)))
+    @given(
+        st.lists(st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=5),
+                 min_size=1, max_size=3),
+        st.lists(st.integers(min_value=0, max_value=2), max_size=16),
+    )
+    @example([[0, 0, 1], [0, 1, 0, 1]], [0, 0, 0, 1, 0, 1, 0, 1, 2, 0])
+    @example([[1, 1, 1], [1]], [1, 1, 0, 1, 1, 1, 1])
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_step_equals_the_brute_force_step(self, phrases, text):
+        # tokens 0 and 1 repeat and overlap within a phrase; 2 is foreign to all
+        constraints = tuple(ConstraintPhrase(tokens=tuple(p)) for p in phrases)
+        matchers = _Matchers(constraints)
+        state, want = matchers.start, (0,) * len(constraints)
+        for token in text:
+            state = matchers.step(state, token)
+            want = tuple(reference_match_step(s, token, p) for s, p in zip(want, constraints))
+            assert state[0] == want, (text, token)
+            assert state[1] == matchers.total - sum(want)
 
     @given(
         st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=4),
@@ -68,11 +98,8 @@ class TestKmpAdvance:
     )
     @settings(max_examples=200, deadline=None)
     def test_completion_iff_substring(self, pattern, text):
-        phrase = ConstraintPhrase(tokens=tuple(pattern))
-        state = 0
         completed_at = None
-        for i, token in enumerate(text):
-            state = kmp_advance(state, token, phrase)
+        for i, (state,) in enumerate(match_states([tuple(pattern)], text)):
             if completed_at is None:
                 # the longest suffix of the text read so far that is a prefix of the phrase
                 read = text[: i + 1]
@@ -202,7 +229,7 @@ class TestCbsDag:
         for phrase, met in zip(phrases, r.constraints_met):
             state = 0
             for token in r.tokens:
-                state = kmp_advance(state, token, phrase)
+                state = reference_match_step(state, token, phrase)
             assert met == (state == len(phrase.tokens))
 
 
@@ -234,7 +261,7 @@ class TestPlainBeam:
 
 def offered_candidates(dag, constraints, banks, v, beam_width):
     """Every candidate the search makes at v from the items kept upstream, as
-    (unmet tokens, score, tokens), rebuilt with the public matcher."""
+    (unmet tokens, score, tokens), rebuilt with the brute-force matcher step."""
     total = sum(len(p) for p in constraints)
     menu = dict(dag.emissions[v][:beam_width])
     out = []
@@ -246,7 +273,7 @@ def offered_candidates(dag, constraints, banks, v, beam_width):
                 tokens = _tokens(item[1])
                 states = [0] * len(constraints)
                 for token in tokens:
-                    states = [kmp_advance(s, token, p) for s, p in zip(states, constraints)]
+                    states = [reference_match_step(s, token, p) for s, p in zip(states, constraints)]
                 candidates = dict(menu)
                 for state, phrase in zip(states, constraints):
                     if state < len(phrase) and math.isfinite(
@@ -254,7 +281,7 @@ def offered_candidates(dag, constraints, banks, v, beam_width):
                     ):
                         candidates.setdefault(phrase.tokens[state], lp)
                 for token, elp in candidates.items():
-                    met = sum(kmp_advance(s, token, p) for s, p in zip(states, constraints))
+                    met = sum(reference_match_step(s, token, p) for s, p in zip(states, constraints))
                     out.append((total - met, item[0] + tlp + elp, tokens + (token,)))
     return out
 

@@ -31,14 +31,15 @@ from dagdec.cli import (
     run_decode,
 )
 from dagdec.constraints import constrained_product
-from dagdec.dag import PruneConfig, dump_dag, generate_synthetic_dag, prune_dag, write_dag
+from dagdec.dag import PruneConfig, dump_dag, generate_synthetic_dag, prune_dag, read_dag, write_dag
 from dagdec.length import default_upper_bound, length_penalty
-from dagdec.tokens import TokenTable, write_token_table
+from dagdec.tokens import TokenTable, read_token_table, write_token_table
 from dagdec.wfsa import dag_to_wfsa, shortest_path
 
 from .lattices import (
     build_dag,
     control_fixture,
+    plant_phrases,
     random_constrained_lattice,
     tiny4,
     toy_table,
@@ -1521,3 +1522,59 @@ class TestMetamorphicRelations:
         if cut.status == "ok":
             assert full.status == "ok"
             assert full.adjusted_cost <= cut.adjusted_cost
+
+    @given(**_SYNTH, left_out=st.sets(st.integers(min_value=0, max_value=31), max_size=12),
+           back=st.sets(st.integers(min_value=0, max_value=31), max_size=12))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_a_superset_lexicon_never_raises_the_vc_cost(
+        self, seed, vertices, emission_degree, transition_degree, left_out, back
+    ):
+        # every path inside the smaller vocabulary stays inside the larger;
+        # `synth` lattices emit the 32 word tokens of their table
+        with tempfile.TemporaryDirectory() as folder:
+            dag_path, table_path = _synth_files(
+                folder, seed, vertices, emission_degree, min(transition_degree, vertices - 1)
+            )
+            table = read_token_table(table_path)
+            results = []
+            for name, out in (("small", left_out), ("large", left_out - back)):
+                lexicon_path = os.path.join(folder, f"{name}.txt")
+                with open(lexicon_path, "w", encoding="utf-8") as fh:
+                    fh.writelines(phrase_surface(table, (i,)) + "\n"
+                                  for i in range(32) if i not in out)
+                results.append(run_decode(DecodeJob(dag_path=dag_path, table_path=table_path,
+                                                    mode="vc", lexicon_path=lexicon_path)))
+        small, large = results
+        if small.status == "ok":
+            assert large.status == "ok"
+            assert large.cost <= small.cost
+
+    @given(**_SYNTH, k_e=st.integers(min_value=1, max_value=3),
+           k_t=st.integers(min_value=1, max_value=3), wider=st.integers(min_value=0, max_value=3),
+           num_phrases=st.integers(min_value=1, max_value=2))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_hlc_never_costs_less_than_wfsa_shortest(
+        self, seed, vertices, emission_degree, transition_degree, k_e, k_t, wider, num_phrases
+    ):
+        # an hlc path runs over kept transitions, and each emission it adds
+        # to a vertex's kept ones scores below them; phrases planted on a
+        # path of a wider pruning need such added emissions, or cannot appear
+        with tempfile.TemporaryDirectory() as folder:
+            dag_path, table_path = _synth_files(
+                folder, seed, vertices, emission_degree, min(transition_degree, vertices - 1)
+            )
+            table = read_token_table(table_path)
+            planted = plant_phrases(read_dag(dag_path), PruneConfig(k_e=k_e + wider, k_t=k_t),
+                                    seed, num_phrases)
+            constraints_path = os.path.join(folder, "constraints.jsonl")
+            with open(constraints_path, "w", encoding="utf-8") as fh:
+                surfaces = [phrase_surface(table, p.tokens) for p in planted]
+                fh.write(json.dumps({"phrases": surfaces}) + "\n")
+            shortest, hlc = (
+                run_decode(DecodeJob(dag_path=dag_path, table_path=table_path, mode=mode,
+                                     constraints_path=constraints_path, k_e=k_e, k_t=k_t))
+                for mode in ("wfsa-shortest", "hlc")
+            )
+        assert shortest.status == "ok"
+        if hlc.status == "ok":
+            assert hlc.cost >= shortest.cost

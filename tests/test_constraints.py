@@ -36,23 +36,21 @@ from dagdec.wfsa import (
     Wfsa,
     _label_index,
     _lattice_acceptor,
-    closure,
     dag_to_wfsa,
     determinize_min,
     dump_wfsa,
     has_accepting_path,
     intersect,
-    lexicon_dfa,
-    linear_acceptor,
     shortest_path,
     string_cost,
-    trim,
-    union,
 )
 
 from .lattices import (
     build_dag,
+    closure,
     dead_end,
+    lexicon_dfa,
+    linear_acceptor,
     overflowing,
     random_acyclic_wfsa,
     random_constrained_lattice,
@@ -61,7 +59,9 @@ from .lattices import (
     random_kept_path,
     random_nfa,
     toy_table,
+    trim,
     uniform_lattice,
+    union,
     window_lattice,
 )
 from .oracles import (

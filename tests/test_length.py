@@ -34,13 +34,13 @@ from dagdec.wfsa import (
     Arc,
     Wfsa,
     dag_to_wfsa,
-    linear_acceptor,
     rm_epsilon,
     topological_sort,
 )
 
 from .lattices import (
     dead_end,
+    linear_acceptor,
     overflowing,
     random_acyclic_wfsa,
     random_constrained_lattice,

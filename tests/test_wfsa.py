@@ -21,30 +21,30 @@ from dagdec.wfsa import (
     Arc,
     Wfsa,
     _label_index,
-    closure,
     dag_to_wfsa,
     determinize_min,
     dump_wfsa,
     has_accepting_path,
     intersect,
-    lexicon_dfa,
     lexicon_register,
-    linear_acceptor,
     load_wfsa,
     rm_epsilon,
     shortest_path,
     string_cost,
     topological_sort,
-    trim,
-    union,
 )
 
 from .lattices import (
     build_dag,
+    closure,
+    lexicon_dfa,
+    linear_acceptor,
     random_acyclic_wfsa,
     random_constrained_product,
     random_nfa,
     tiny4,
+    trim,
+    union,
 )
 from .oracles import (
     arc_scan_intersect,
@@ -92,6 +92,16 @@ class TestAddArc:
         # such an arc decoded as a token, and its dump did not load again
         w = Wfsa(num_states=2, start=0, finals={1})
         message = f"^arc label {label} is not a token id, EPSILON or SIGMA$"
+        with pytest.raises(ValueError, match=message):
+            w.add_arc(0, label, 0.5, 1)
+        assert w.num_arcs == 0
+
+    @pytest.mark.parametrize("label", (1.5, 1.0, True, False, "1", None), ids=repr)
+    def test_rejects_a_label_that_is_not_an_int(self, label):
+        # the acceptor 0 -(1.5)/0.5-> 1 decoded to (1.5,), and its dump
+        # (tok:1.5) did not load again
+        w = Wfsa(num_states=2, start=0, finals={1})
+        message = f"^arc label {re.escape(repr(label))} is not a token id, EPSILON or SIGMA$"
         with pytest.raises(ValueError, match=message):
             w.add_arc(0, label, 0.5, 1)
         assert w.num_arcs == 0

@@ -10,11 +10,12 @@ per bank.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .constraints import ConstraintPhrase, _Matchers
 from .dag import Dag
 from .result import STATUS_EMPTY, STATUS_OK, DecodeResult
+from .wfsa import _INF, _check_overflow
 
 
 def effective_beam_size(base_beam: int, total_constraint_tokens: int) -> int:
@@ -37,6 +38,8 @@ def greedy_decode(dag: Dag) -> DecodeResult:
         tokens.append(token)
         score += tlp + elp
         u = v
+    if score == -_INF:
+        return _no_finite_path(dag)
     return DecodeResult(status=STATUS_OK, tokens=tuple(tokens), cost=-score + 0.0)
 
 
@@ -84,6 +87,8 @@ def _beam_search(
         best = finals[0][0]
     else:  # banks differ in met tokens, so (-score, unmet) never ties
         best = min((bank[0] for bank in finals.values()), key=lambda it: (-it[0], it[2][1]))
+    if best[0] == -_INF:
+        return _no_finite_path(dag)
     flags = tuple(s == len(p) for s, p in zip(best[2][0], constraints))
     return DecodeResult(
         status=STATUS_OK,
@@ -92,6 +97,13 @@ def _beam_search(
         constraints_met=flags,
         note=None if all(flags) else "constraints unmet",
     )
+
+
+def _no_finite_path(dag: Dag) -> DecodeResult:
+    """For a best score of -inf: `dag_to_wfsa`'s error if some arc weighs
+    inf, else an empty language, as `shortest_path` gives when a sum does."""
+    _check_overflow(dag)
+    return DecodeResult(status=STATUS_EMPTY, note="no path found has a finite cost")
 
 
 def _sweep(

@@ -16,8 +16,8 @@ import itertools
 import operator
 import threading
 from collections import Counter
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 from . import wfsa
 from .dag import Dag

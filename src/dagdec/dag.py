@@ -9,19 +9,16 @@ a `Dag` checks its rows again. Pruning keeps the top-k entries per
 vertex and force-emits constraint-phrase continuation tokens so
 constrained paths survive. `read_pruned_dag` reads, checks and prunes a
 lattice file in one loop over its vertices, with `prune_dag`'s step.
+`generate_synthetic_dag`, behind `synth`, loads `random` only when called.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import random
 import sys
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable
-
-if TYPE_CHECKING:
-    from .constraints import ConstraintPhrase
 
 DAG_FORMAT_VERSION = 1
 _MIN_LOGPROB = -sys.float_info.max
@@ -332,6 +329,8 @@ def generate_synthetic_dag(
         raise ValueError(
             f"emission degree {emission_degree} exceeds vocabulary size {vocab_size}"
         )
+
+    import random  # here, not at start-up: only `synth` draws lattices
 
     rng = random.Random(seed)
     emissions = []

@@ -20,8 +20,8 @@ and the arcs of the winner are recovered from the rows along its path alone.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 from .dag import Dag
 from .result import STATUS_INFEASIBLE, STATUS_OK, DecodeResult

@@ -7,8 +7,6 @@ word-initial subword pieces, and the end/start-of-sequence token ids.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -25,13 +23,15 @@ class TokenTableError(ValueError):
 
 @dataclass(frozen=True)
 class TokenTable:
-    """Immutable id -> surface mapping with sow/eos/sos markers."""
+    """Immutable id -> surface mapping with sow/eos/sos markers; tables
+    compare and hash by these four fields, so equal tables share caches."""
 
     surfaces: tuple[str, ...]
     sow_mark: str
     eos_id: int
     sos_id: int
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)  # made once, not per call
 
     def __post_init__(self) -> None:
         if not self.surfaces:
@@ -50,21 +50,17 @@ class TokenTable:
                 raise TokenTableError(f"duplicate surface {s!r} (ids {index[s]}, {i})")
             index[s] = i
         object.__setattr__(self, "_index", index)
+        content = (self.sow_mark, self.eos_id, self.sos_id, self.surfaces)
+        object.__setattr__(self, "_hash", hash(content))
 
     def __len__(self) -> int:
         return len(self.surfaces)
 
     def __hash__(self) -> int:
-        # the digest covers exactly the fields that equality compares, and
-        # is computed once, where the generated hash walks every surface
-        return hash(self.digest)
+        return self._hash
 
-    @cached_property
-    def digest(self) -> str:
-        """SHA-256 of the table's content (surfaces and markers), computed
-        once per table on first use."""
-        content = json.dumps([self.sow_mark, self.eos_id, self.sos_id, self.surfaces])
-        return hashlib.sha256(content.encode("utf-8")).hexdigest()
+    def __reduce__(self) -> tuple:  # str hashes differ between processes: hash anew
+        return TokenTable, (self.surfaces, self.sow_mark, self.eos_id, self.sos_id)
 
     @cached_property
     def numeric_ids(self) -> tuple[int, ...]:

@@ -4,13 +4,14 @@ Arc weights are nonnegative costs (negative log-likelihoods); path cost is
 the sum of its arc costs and the best path is the cheapest accepting one.
 Labels are token ids, with two reserved sentinels: EPSILON arcs consume no
 token, SIGMA arcs (constraint automata only) match any single token without
-materializing the alphabet.
+materializing the alphabet. An `Arc` is a `(label, weight, dst)` named tuple.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 
 from .dag import Dag, PruneConfig, prune_dag
 from .result import STATUS_EMPTY, STATUS_OK, DecodeResult
@@ -24,10 +25,7 @@ _LABEL_NAMES = {EPSILON: "eps", SIGMA: "sigma"}
 WFSA_FORMAT_VERSION = 1
 
 
-class Arc(NamedTuple):
-    label: int
-    weight: float
-    dst: int
+Arc = namedtuple("Arc", "label weight dst")
 
 
 class Wfsa:

@@ -2,22 +2,10 @@
 
 from __future__ import annotations
 
-import string
-from typing import Iterator
+from collections.abc import Iterator
 
-_PUNCT = set(string.punctuation)
+_PUNCT = "!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~"  # string.punctuation, without `string`
 _NUMERIC_SEPARATORS = set(",.:-/")
-
-
-def strip_punct(word: str) -> str:
-    """Strip leading and trailing punctuation characters."""
-    start = 0
-    end = len(word)
-    while start < end and word[start] in _PUNCT:
-        start += 1
-    while end > start and word[end - 1] in _PUNCT:
-        end -= 1
-    return word[start:end]
 
 
 def is_numeric_token(word: str) -> bool:
@@ -38,6 +26,6 @@ def content_words(text: str) -> Iterator[str]:
     them: each whitespace-separated piece less its edge punctuation, with
     empty and numeric pieces left out."""
     for raw in text.split():
-        word = strip_punct(raw)
+        word = raw.strip(_PUNCT)
         if word and not is_numeric_token(word):
             yield word

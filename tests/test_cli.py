@@ -7,6 +7,7 @@ import gc
 import json
 import math
 import os
+import pathlib
 import random
 import sys
 import tempfile
@@ -1460,6 +1461,67 @@ class TestBadInput:
         self.assert_one_line_error(capsys, code, f"vertex 0: {key} must be a list")
 
 
+class TestNoFiniteCostInTheLatticeSearches:
+    """`greedy`, `beam` and `cbs-dag` never report `ok` without a finite cost."""
+
+    M = sys.float_info.max
+
+    @staticmethod
+    def decode(workspace, mode, emissions, transitions):
+        """`run_decode`'s result or error, and `main`'s exit code, on a
+        three-vertex chain 0 -> 1 -> 2 emitting tokens 0, 1 and 2."""
+        tmp_path, _, table_path, table = workspace
+        doc = {"version": 1, "num_vertices": 3, "vertices": [
+            {"emissions": [[u, emissions[u]]],
+             "transitions": [[u + 1, transitions[u]]] if u < 2 else []}
+            for u in range(3)
+        ]}
+        dag_path = tmp_path / "chain.json"
+        dag_path.write_text(json.dumps(doc), encoding="utf-8")
+        cons = write_constraints(tmp_path, [{"phrases": [phrase_surface(table, (1,))]}])
+        job = DecodeJob(dag_path=str(dag_path), table_path=table_path, mode=mode,
+                        constraints_path=cons)
+        try:
+            result = run_decode(job)
+        except ValueError as exc:
+            result = exc
+        code = main(["decode", "--dag", str(dag_path), "--table", table_path, "--mode", mode,
+                     "--constraints", cons])
+        return result, code
+
+    @pytest.mark.parametrize("mode", ("greedy", "beam", "cbs-dag"))
+    def test_an_arc_that_overflows_is_refused(self, workspace, capsys, mode):
+        # every log-prob is finite, but each kept emission plus transition is -inf
+        m = self.M
+        result, code = self.decode(workspace, mode, (-m, -m, 0.0), (-m, -m))
+        assert isinstance(result, ValueError)
+        assert str(result) == "arc weight inf is not a finite cost >= 0"
+        TestBadInput.assert_one_line_error(capsys, code, str(result))
+
+    @pytest.mark.parametrize("mode", ("greedy", "beam", "cbs-dag"))
+    def test_a_path_whose_sum_alone_overflows_is_an_empty_language(
+        self, workspace, capsys, mode
+    ):
+        # every arc weighs 0.75 * max, finite, but any two sum to inf
+        m = self.M
+        result, code = self.decode(workspace, mode, (-m / 2,) * 3, (-m / 4,) * 2)
+        assert result.status == "empty_language"
+        assert result.tokens == () and result.cost == math.inf
+        assert result.note == "no path found has a finite cost"
+        assert code == EXIT_INFEASIBLE
+        out = json.loads(capsys.readouterr().out)
+        assert out["status"] == "empty_language" and out["cost"] is None
+        assert out["note"] == "no path found has a finite cost"
+
+    def test_wfsa_shortest_agrees(self, workspace, capsys):
+        m = self.M
+        result, code = self.decode(workspace, "wfsa-shortest", (-m, -m, 0.0), (-m, -m))
+        assert isinstance(result, ValueError) and code == EXIT_ERROR
+        capsys.readouterr()
+        result, code = self.decode(workspace, "wfsa-shortest", (-m / 2,) * 3, (-m / 4,) * 2)
+        assert result.status == "empty_language" and code == EXIT_INFEASIBLE
+
+
 def _synth_files(folder, seed, vertices, emission_degree, transition_degree):
     """A `synth` lattice and its token table, written by the CLI."""
     dag_path = os.path.join(folder, f"{seed}.json")
@@ -1578,3 +1640,98 @@ class TestMetamorphicRelations:
         assert shortest.status == "ok"
         if hlc.status == "ok":
             assert hlc.cost >= shortest.cost
+
+    @given(**_SYNTH, k_e=st.integers(min_value=1, max_value=3),
+           k_t=st.integers(min_value=1, max_value=3),
+           num_phrases=st.integers(min_value=1, max_value=2),
+           left_out=st.sets(st.integers(min_value=0, max_value=31), max_size=3),
+           entities=st.lists(st.integers(min_value=0, max_value=31), min_size=1, max_size=2),
+           target=st.integers(min_value=1, max_value=40))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_reversed_or_repeated_constraints_change_only_the_flags(
+        self, seed, vertices, emission_degree, transition_degree, k_e, k_t, num_phrases,
+        left_out, entities, target
+    ):
+        # the product accepts the same paths at the same costs, so costs are
+        # compared everywhere; its states are numbered differently, so two
+        # paths of one cost may swap, and tokens (and the flags read from
+        # them) are compared only where they came out equal. cbs-dag breaks
+        # its ties on the tokens, so its tokens are compared always; a
+        # repeated phrase widens its beam, so it is only reversed. The note
+        # of an empty intersection names a phrase by its place, so it is
+        # not compared.
+        with tempfile.TemporaryDirectory() as folder:
+            dag_path, table_path = _synth_files(
+                folder, seed, vertices, emission_degree, min(transition_degree, vertices - 1)
+            )
+            table = read_token_table(table_path)
+            planted = plant_phrases(read_dag(dag_path), PruneConfig(k_e=k_e, k_t=k_t),
+                                    seed, num_phrases)
+            phrases = [phrase_surface(table, p.tokens) for p in planted]
+            words = [phrase_surface(table, (i,)) for i in range(32) if i not in left_out]
+            names = [phrase_surface(table, (i,)) for i in entities]
+
+            def decode(mode, change):
+                constraints_path = write_constraints(
+                    pathlib.Path(folder), [{"phrases": change(phrases), "entities": change(names)}]
+                )
+                lexicon_path = write_lexicon(pathlib.Path(folder), change(words))
+                return run_decode(DecodeJob(
+                    dag_path=dag_path, table_path=table_path, mode=mode,
+                    constraints_path=constraints_path, lexicon_path=lexicon_path,
+                    k_e=k_e, k_t=k_t, target_length=target,
+                ))
+
+            for mode in ("hlc", "vc", "control-dag", "cbs-dag"):
+                base = decode(mode, list)
+                flags = base.constraints_met
+                changes = [(lambda xs: xs[::-1], flags[::-1])]
+                if mode != "cbs-dag":
+                    changes.append((lambda xs: xs + xs, flags + flags))
+                for change, changed_flags in changes:
+                    other = decode(mode, change)
+                    assert other.status == base.status, mode
+                    assert other.cost == base.cost, mode
+                    assert other.adjusted_cost == base.adjusted_cost, mode
+                    assert len(other.constraints_met) == len(changed_flags), mode
+                    if mode == "cbs-dag" or other.tokens == base.tokens:
+                        assert other.tokens == base.tokens, mode
+                        assert other.constraints_met == changed_flags, mode
+
+    @given(**_SYNTH, k_e=st.integers(min_value=1, max_value=3),
+           k_t=st.integers(min_value=1, max_value=3),
+           num_phrases=st.integers(min_value=0, max_value=2),
+           wider=st.integers(min_value=0, max_value=2),
+           start=st.integers(min_value=0, max_value=39),
+           width=st.integers(min_value=1, max_value=3))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_a_window_of_the_hlc_output_as_a_phrase_never_raises_its_cost(
+        self, seed, vertices, emission_degree, transition_degree, k_e, k_t, num_phrases,
+        wider, start, width
+    ):
+        # the new phrase only forces more emissions into the pruned lattice,
+        # so the old output, which holds it, stays a path of the new product;
+        # phrases planted on a wider pruning make outputs with forced emissions
+        with tempfile.TemporaryDirectory() as folder:
+            dag_path, table_path = _synth_files(
+                folder, seed, vertices, emission_degree, min(transition_degree, vertices - 1)
+            )
+            table = read_token_table(table_path)
+            planted = plant_phrases(read_dag(dag_path), PruneConfig(k_e=k_e + wider, k_t=k_t),
+                                    seed, num_phrases)
+            phrases = [phrase_surface(table, p.tokens) for p in planted]
+
+            def decode(surfaces):
+                constraints_path = write_constraints(pathlib.Path(folder), [{"phrases": surfaces}])
+                return run_decode(DecodeJob(dag_path=dag_path, table_path=table_path, mode="hlc",
+                                            constraints_path=constraints_path, k_e=k_e, k_t=k_t))
+
+            before = decode(phrases)
+            if before.status != "ok":  # planted phrases need not survive the narrower pruning
+                return
+            start %= len(before.tokens)
+            window = before.tokens[start : start + width]
+            after = decode(phrases + [phrase_surface(table, window)])
+        assert after.status == "ok"
+        assert after.cost <= before.cost
+        assert after.constraints_met == (True,) * (len(phrases) + 1)

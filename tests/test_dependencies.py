@@ -30,22 +30,32 @@ print(json.dumps({{
 """
 
 
-# Prints which of `statistics` and the modules it loads `import dagdec.cli`
-# left loaded: only fitting a length predictor needs them, not start-up.
-_COLD_START_PROBE = f"""
+def _left_loaded_by_cli_import(flags: list[str], names: set[str]) -> list[str]:
+    """Which of `names` `import dagdec.cli` leaves loaded in a fresh
+    interpreter started with `flags`."""
+    probe = f"""
 import json, sys
 sys.path.insert(0, {str(SRC)!r})
 import dagdec.cli
-print(json.dumps(sorted({{"statistics", "fractions", "decimal", "numbers"}} & set(sys.modules))))
+print(json.dumps(sorted(set({sorted(names)!r}) & set(sys.modules))))
 """
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", probe], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 def test_cli_import_leaves_statistics_out():
-    proc = subprocess.run(
-        [sys.executable, "-I", "-c", _COLD_START_PROBE], capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == []
+    # only fitting a length predictor needs `statistics` and what it loads
+    names = {"statistics", "fractions", "decimal", "numbers"}
+    assert _left_loaded_by_cli_import(["-I"], names) == []
+
+
+def test_cli_import_loads_no_module_that_no_decode_runs():
+    # without `site`, which preloads `typing` and `random` on some hosts
+    names = {"hashlib", "_hashlib", "typing", "random", "string"}
+    assert _left_loaded_by_cli_import(["-S", "-I"], names) == []
 
 
 def test_every_module_imports_only_the_standard_library():

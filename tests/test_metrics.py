@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import math
 import random
+import string
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dagdec import words
 from dagdec.metrics import (
     EvalRecord,
     EvalVocabulary,
@@ -20,7 +22,7 @@ from dagdec.metrics import (
     neologism_rate,
     slot_error_rate,
 )
-from dagdec.words import content_words
+from dagdec.words import content_words, is_numeric_token
 
 from .oracles import (
     ref_brevity_penalty,
@@ -112,6 +114,24 @@ class TestContentWords:
         )
         assert vocab.words == {"St", "Louis", "Mr", "Smith", "U.S"}
         assert neologism_rate([rec("Mr. Smith (U.S.) St. Louis 9:30")], vocab) == 0.0
+
+    def test_edge_punctuation_is_string_punctuation(self):
+        # spelled out in `words` so that start-up does not load `string`
+        assert words._PUNCT == string.punctuation
+
+    @given(st.text(alphabet=string.punctuation + "ab1 \t", max_size=30))
+    @settings(max_examples=200, derandomize=True)
+    def test_edges_are_stripped_one_character_at_a_time(self, text):
+        def strip_edges(word):
+            start, end = 0, len(word)
+            while start < end and word[start] in string.punctuation:
+                start += 1
+            while end > start and word[end - 1] in string.punctuation:
+                end -= 1
+            return word[start:end]
+
+        pieces = (strip_edges(raw) for raw in text.split())
+        assert list(content_words(text)) == [w for w in pieces if w and not is_numeric_token(w)]
 
 
 class TestBrevityPenalty:

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -14,6 +18,8 @@ from dagdec.tokens import (
     load_token_table,
     read_token_table,
 )
+
+SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
 
 def table_text(entries, sow="▁", eos=1, sos=0, version="1"):
@@ -95,21 +101,18 @@ class TestLoad:
             load_token_table("\n".join(lines) + "\n")
 
 
-class TestDigest:
-    def test_equal_tables_share_a_digest(self):
+class TestHash:
+    def test_equal_tables_hash_equal(self):
         a = load_token_table(table_text(BASIC))
         b = load_token_table(dump_token_table(a))
-        assert a is not b and a.digest == b.digest
+        assert a is not b and a == b and hash(a) == hash(b)
 
-    def test_hash_is_the_digest_hash(self, monkeypatch):
+    def test_hash_is_that_of_the_content(self):
         a = load_token_table(table_text(BASIC))
-        b = load_token_table(dump_token_table(a))
-        assert a == b and hash(a) == hash(b) == hash(a.digest)
-        monkeypatch.setattr(tokens_mod.hashlib, "sha256", None)  # no second digest
-        assert hash(a) == hash(a.digest)
+        assert hash(a) == hash((a.sow_mark, a.eos_id, a.sos_id, a.surfaces))
 
     @pytest.mark.parametrize("change", ("surface", "order", "sow", "eos", "sos"))
-    def test_any_change_moves_the_digest(self, change):
+    def test_any_change_makes_the_tables_unequal(self, change):
         base = load_token_table(table_text(BASIC))
         entries = list(BASIC)
         kwargs = {}
@@ -123,13 +126,39 @@ class TestDigest:
             kwargs["eos"] = 4
         else:
             kwargs["sos"] = 4
-        assert load_token_table(table_text(entries, **kwargs)).digest != base.digest
+        assert load_token_table(table_text(entries, **kwargs)) != base
 
-    def test_computed_once_per_table(self, monkeypatch):
-        table = load_token_table(table_text(BASIC))
-        first = table.digest
-        monkeypatch.setattr(tokens_mod.hashlib, "sha256", None)  # a second hash would fail
-        assert table.digest == first
+    def test_hashing_a_table_walks_no_surface(self):
+        # a str subclass whose hash counts its calls: the table's hash is
+        # made once, where the generated hash walks every surface per call
+        calls = []
+
+        class Surface(str):
+            def __hash__(self):
+                calls.append(self)
+                return str.__hash__(self)
+
+        table = TokenTable(surfaces=tuple(map(Surface, ("a", "b", "c"))), sow_mark="_",
+                           eos_id=1, sos_id=2)
+        calls.clear()
+        assert hash(table) == hash(table)
+        assert calls == []
+
+    def test_a_copy_in_another_process_hashes_as_a_table_made_there(self, tmp_path):
+        # str hashes are salted per process, so a copy must not keep the
+        # hash its table was given where it was made
+        path = str(tmp_path / "table.pickle")
+        head = (f"import pickle, sys; sys.path.insert(0, {SRC!r}); "
+                f"from dagdec.tokens import load_token_table; "
+                f"table = load_token_table({table_text(BASIC)!r}); ")
+        dump = head + f"open({path!r}, 'wb').write(pickle.dumps(table))"
+        load = head + (f"copy = pickle.loads(open({path!r}, 'rb').read()); "
+                       f"print(copy == table, hash(copy) == hash(table))")
+        for code, seed in ((dump, "1"), (load, "2")):
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                  env={**os.environ, "PYTHONHASHSEED": seed}, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "True"]
 
 
 class TestNumericIds:
